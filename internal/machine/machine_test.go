@@ -184,3 +184,18 @@ loop:
 		t.Errorf("recycled cold fetch latency = %d, fresh = %d", got, want)
 	}
 }
+
+// BenchmarkMachineNew builds one machine per preset: what a debug service
+// pays for a session its pool cannot serve (informational in
+// scripts/bench_smoke.sh, with -benchmem).
+func BenchmarkMachineNew(b *testing.B) {
+	for _, preset := range Presets() {
+		cfg, _ := PresetConfig(preset)
+		b.Run(preset, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(cfg)
+			}
+		})
+	}
+}

@@ -12,10 +12,10 @@ import (
 )
 
 // TestSnapshotMidBurstRoundTrip snapshots a machine stopped in the middle
-// of a DISE replacement burst — after the burst's issue groups have been
-// pre-booked (the second replacement uop has committed) but with most of
-// the burst still unconsumed — and pins the three halves of the group
-// snapshot contract: retiring the groups at capture leaves the donor's
+// of a DISE replacement burst — the in-flight expansion, the fetch,
+// dispatch, and commit cursors, and the port tables all mid-sequence,
+// with most of the burst still to run — and pins the three halves of the
+// snapshot contract there: taking the snapshot leaves the donor's
 // continued run bit-identical to an uninterrupted one, the restored
 // machine re-encodes to the same bytes, and the restored machine's
 // continued run matches too.
@@ -23,8 +23,8 @@ import (
 // The replacement embeds a store at its second slot (writing through DISE
 // registers to an address far from the program image) purely so an
 // OnStore hook can observe DisePC == 2 and request the stop at exactly
-// that depth; with a six-uop replacement the stop lands with four
-// reservations per table still pre-booked and unconsumed.
+// that depth; with a six-uop replacement the stop lands with four uops of
+// the burst still to dispatch.
 func TestSnapshotMidBurstRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xb57))
 	src := genTimingProgram(rng, 800, 4)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -286,9 +287,9 @@ func genLSQFullProgram(iters int) string {
 }
 
 // watchAllHooks installs a production over the given class so the stream
-// under test runs with expansion bursts live — the grouped fetch/dispatch/
-// commit reservations must stay bit-identical to the linear reference
-// even when the saturated table keeps spilling.
+// under test runs with expansion bursts live — the fetch/dispatch/commit
+// cursors must stay bit-identical to the linear reference's rings even
+// when the saturated table keeps spilling.
 func watchAllHooks(t *testing.T, class isa.Class) func(*Machine) {
 	return func(m *Machine) {
 		p := &dise.Production{
@@ -309,7 +310,7 @@ func watchAllHooks(t *testing.T, class isa.Class) func(*Machine) {
 // TestTimingDifferentialCommitSaturation pins the monotone commit/dispatch
 // cursors at their saturated edge: long runs of 1-cycle ALU ops commit at
 // full width every cycle, with and without DISE expansion bursts layered
-// on top (the grouped path spills exactly like the cursor it replaces).
+// on top.
 func TestTimingDifferentialCommitSaturation(t *testing.T) {
 	cfg := DefaultConfig()
 	t.Run("plain", func(t *testing.T) {
@@ -362,4 +363,122 @@ func TestTimingDifferentialLSQFull(t *testing.T) {
 			t.Fatal("productions never expanded — the burst path never ran")
 		}
 	})
+}
+
+// genPointerChaseProgram emits a chain of n quadword pointers and a loop
+// that chases it with n dependent loads. Most links step 256 KiB — the
+// same set of every cache level and TLB, so the hop misses to memory —
+// and about one in three steps 8 bytes, a hit in the line just fetched.
+// Each load issues only once its predecessor's data returns, while the
+// loop's dispatch runs dozens of hops ahead of it, so the load port's
+// live window (its booked cycles at or above the dispatch floor) spans
+// thousands of cycles; the irregular hop latencies scatter those cycles
+// across the residues of the port ring, which must grow rather than
+// alias.
+func genPointerChaseProgram(rng *rand.Rand, n int) string {
+	var b strings.Builder
+	b.WriteString(".data\n.align 8\nchain: .quad 0\n")
+	b.WriteString(".text\n.entry main\nmain:\n")
+	b.WriteString("    la   r1, chain\n")
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			b.WriteString("    lda  r3, 8(r1)\n")
+		} else {
+			b.WriteString("    ldah r3, 4(r1)\n") // 4 << 16: 256 KiB on
+		}
+		b.WriteString("    stq  r3, 0(r1)\n")
+		b.WriteString("    bis  r3, r3, r1\n")
+	}
+	b.WriteString("    la   r1, chain\n")
+	fmt.Fprintf(&b, "    li   r2, %d\n", n)
+	b.WriteString("chase:\n")
+	b.WriteString("    ldq  r1, 0(r1)\n")
+	b.WriteString("    subq r2, #1, r2\n")
+	b.WriteString("    bne  r2, chase\n")
+	b.WriteString("    halt\n")
+	return b.String()
+}
+
+// TestTimingDifferentialPointerChase runs the set-conflicting pointer
+// chase, whose live load window outgrows the port ring's starting size,
+// through the event-edge and linear timing paths on every preset: the
+// rings grow in lockstep and the results stay bit-identical.
+func TestTimingDifferentialPointerChase(t *testing.T) {
+	src := genPointerChaseProgram(rand.New(rand.NewSource(0xc4a5e)), 400)
+	for _, preset := range Presets() {
+		t.Run(preset, func(t *testing.T) {
+			cfg, ok := PresetConfig(preset)
+			if !ok {
+				t.Fatalf("no preset %q", preset)
+			}
+			ev, lin := runTimingPair(t, cfg, src, nil)
+			if ev != lin {
+				t.Fatalf("event-edge and linear timing diverged on the pointer chase:\n event %+v\nlinear %+v", ev, lin)
+			}
+			if ev.Pipe.Loads != 400 || !ev.Pipe.Halted {
+				t.Fatalf("chase did not run: %+v", ev.Pipe)
+			}
+		})
+	}
+}
+
+// TestSnapshotAfterPortRingGrowth snapshots the pointer chase midway,
+// once the load port's ring has grown, in both timing modes: the donor's
+// continued run, the restored machine's re-encoding, and the restored
+// machine's run must all match an uninterrupted run. A machine whose
+// rings have grown must also replay a snapshot taken before they did.
+func TestSnapshotAfterPortRingGrowth(t *testing.T) {
+	prog, err := asm.Assemble(genPointerChaseProgram(rand.New(rand.NewSource(0xc4a5e)), 400))
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	for _, linear := range []bool{false, true} {
+		t.Run(fmt.Sprintf("linear=%v", linear), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Core.LinearTiming = linear
+			load := func() *Machine {
+				m := New(cfg)
+				m.Load(prog)
+				return m
+			}
+			ref := load()
+			ref.MustRun(0)
+			refSurf := surfaceOf(ref)
+
+			donor := load()
+			early := donor.Snapshot()
+			coreBytes := func(st *State) int { return len(st.Core.AppendBinary(nil, -1)) }
+			// The chain build plus 300 of the 400 hops: well into the chase.
+			donor.MustRun(2 + 3*400 + 3 + 3*300)
+			snap := donor.Snapshot()
+			// A port ring at its starting 1,024 slots encodes in 10 KiB;
+			// nothing else in the core's encoding grows by that much.
+			if grew := coreBytes(snap) - coreBytes(early); grew < 10<<10 {
+				t.Fatalf("core encoding grew by %d bytes: no port ring has grown by the snapshot", grew)
+			}
+			enc := snap.Encode()
+			donor.MustRun(0)
+			if s := surfaceOf(donor); s != refSurf {
+				t.Fatalf("donor diverged after the snapshot:\n donor %+v\n   ref %+v", s, refSurf)
+			}
+
+			fresh := New(cfg)
+			fresh.Restore(snap)
+			if !bytes.Equal(enc, fresh.Snapshot().Encode()) {
+				t.Fatal("restored machine re-encodes to different bytes")
+			}
+			fresh.MustRun(0)
+			if s := surfaceOf(fresh); s != refSurf {
+				t.Fatalf("restored machine diverged:\n fresh %+v\n   ref %+v", s, refSurf)
+			}
+
+			// The donor's rings are grown now; restoring the pre-chase
+			// snapshot shrinks them back and replays the whole run.
+			donor.Restore(early)
+			donor.MustRun(0)
+			if s := surfaceOf(donor); s != refSurf {
+				t.Fatalf("grown machine diverged replaying an early snapshot:\n donor %+v\n   ref %+v", s, refSurf)
+			}
+		})
+	}
 }

@@ -1,41 +1,87 @@
 package pipeline
 
-// booking tracks per-cycle usage of a bandwidth-limited resource (function
-// units, cache ports, commit slots). It is a ring over absolute cycles:
-// each slot remembers which cycle it counts for, so stale entries expire
-// implicitly even after the long debugger-transition stalls.
+// The timing core books bandwidth-limited resources in two kinds of
+// reservation table, chosen by the shape of their request streams:
 //
-// book used to probe linearly from the caller's earliest cycle, which
-// meant that a run of thousands of fully-booked cycles — e.g. the commit
-// slots charged across a long debugger-transition stall — was re-walked by
-// every subsequent request starting below it. The booking now keeps two
-// event edges between which per-cycle state cannot change:
+//   - cursor: the fetch, dispatch, and commit slots. Their requests
+//     never go backwards (the core clamps each by the previous result),
+//     so the only cycle whose count can still change is the newest one,
+//     and the whole table is that cycle and its count.
+//   - booking: the ALU, multiplier, and load ports. Their requests move
+//     back and forth across the window of in-flight uops, so the table
+//     is a ring over absolute cycles, sized to hold that window exactly.
+
+// cursor is the reservation table of a resource whose requests are
+// non-decreasing: the newest booked cycle and how many reservations it
+// holds. Every older cycle is behind every future request, so nothing
+// else is kept.
+type cursor struct {
+	cycle        uint64
+	count, limit uint16
+}
+
+func newCursor(limit int) cursor { return cursor{limit: uint16(limit)} }
+
+// book reserves the first cycle >= earliest with free capacity and
+// returns it: the cursor cycle while it has room, otherwise the next
+// cycle at or after earliest. It must return exactly what bookRef returns
+// on a ring fed the same stream (TestBookingMonotoneMatchesReference, and
+// the LinearTiming cores in the machine-level differentials). It is kept
+// small enough to inline at its three call sites.
+func (k *cursor) book(earliest uint64) uint64 {
+	if earliest <= k.cycle {
+		if k.count < k.limit {
+			k.count++
+			return k.cycle
+		}
+		earliest = k.cycle + 1
+	}
+	k.cycle, k.count = earliest, 1
+	return earliest
+}
+
+// reset returns the cursor to its post-newCursor state.
+func (k *cursor) reset() { k.cycle, k.count = 0, 0 }
+
+// bookingSlots is the ring size a port table starts at (and returns to on
+// reset). It holds the live windows of the paper's kernels, which stay
+// near 600 cycles on every preset; longer windows grow the ring instead
+// of aliasing.
+const bookingSlots = 1 << 10
+
+// booking tracks per-cycle usage of a port (the ALU, multiplier, and load
+// tables). It is a ring over absolute cycles: each slot remembers which
+// cycle it counts for, so a probe matches only its own cycle and stale
+// entries expire implicitly.
+//
+// Every request carries a floor: the lowest cycle any request to the
+// table can still name (the core passes dispatchAt+1 — dispatch never
+// moves backwards, and a uop issues after it dispatches). A booked cycle
+// at or above the floor is live; one below it can never be probed again.
+// Before a reservation writes a slot holding a different live cycle, the
+// ring doubles and re-inserts its live entries (grow), so the ring never
+// drops a live reservation: it always holds the table's exact state, at
+// whatever size the live window needs. A probe only ever reads the slot
+// of the cycle it asks about and only ever writes the slot of the cycle
+// it reserves, so the result does not depend on the ring's size — the
+// table answers exactly what an unbounded cycle → count map would.
+//
+// The event path keeps two edges between which per-cycle state cannot
+// change:
 //
 //   - a known-full interval [fullLo, fullHi): every cycle in it has
-//     reached the slot limit, and since per-cycle counts only ever grow, a
-//     probe landing inside the interval jumps straight to fullHi instead
-//     of re-walking the run;
+//     reached the slot limit, and since a live cycle's count only ever
+//     grows, a probe landing inside the interval jumps straight to fullHi
+//     instead of re-walking the run;
 //   - a next-free edge maxBooked: the highest cycle holding any booking,
 //     so every cycle beyond it is known empty and a request arriving past
-//     the edge reserves its own cycle with one ring store and no probe at
-//     all — the common shape for commit slots on a dependence chain, where
-//     each uop's earliest cycle is strictly past the previous one's.
+//     the edge reserves its own cycle with no probe at all.
 //
-// bookRef is the retained linear reference: same reservation semantics,
-// no edges consulted or maintained. The differential property tests run
-// both against identical request streams; they must return identical
-// cycles and leave identical cycle/count rings behind.
-//
-// Tables whose request streams are non-decreasing by construction — the
-// fetch, dispatch, and commit books, whose requests are clamped by the
-// core's lastFetch/lastDispatch/lastCommit — use the monotone cursor mode
-// instead (newMonoBooking): the only cycle whose count can still change is
-// the newest one, so the reservation state collapses to (curCycle,
-// curCount) and book becomes two word updates with no ring probe and no
-// interval maintenance. The ring is kept lazily coherent: a finished cycle
-// is flushed when the cursor advances past it, and materialize folds the
-// pending cursor in before the table is serialized, so the snapshot and
-// the linear-reference ring comparisons stay bit-identical.
+// bookRef is the retained linear reference: same reservation semantics
+// and the same growth rule, no edges consulted or maintained. The
+// differential property tests run both against identical request
+// streams; they must return identical cycles and leave identical rings
+// behind.
 type booking struct {
 	cycle []uint64
 	count []uint16
@@ -45,100 +91,48 @@ type booking struct {
 	// reference core must never consult an edge.
 	linear bool
 
-	// mono selects the monotone cursor mode. Only valid when every
-	// request is >= the previous request's result (the caller clamps);
-	// bookMono clamps again internally so the invariant is structural.
-	mono bool
-
-	// Monotone cursor: the newest booked cycle and its count. All older
-	// cycles are immutable (requests are non-decreasing), so they live in
-	// the ring; the cursor cycle itself is flushed there lazily, when the
-	// cursor advances or the table is materialized for a snapshot.
-	curCycle uint64
-	curCount uint16
-
 	// fullLo/fullHi bound the known-full interval: every cycle in
 	// [fullLo, fullHi) holds limit bookings. Empty when fullLo >= fullHi.
-	// The invariant assumes a cycle's count never decreases, which holds
-	// as long as concurrently probed cycles stay within one ring span
-	// (1<<14 cycles) — the same aliasing assumption the ring itself makes.
-	// Monotone tables never maintain it (nothing ever probes below the
-	// cursor, so there is nothing to vault).
 	fullLo, fullHi uint64
 
 	// maxBooked is the next-free edge: no cycle above it holds a booking.
-	// It never decreases, and unlike the ring slots it does not alias, so
-	// the snapshot must carry it (state.go) — it is not reconstructible
-	// from the ring, whose entry at maxBooked may have been overwritten by
-	// a later reservation at a lower aliasing cycle. Monotone tables
-	// maintain it only at materialize time (it equals curCycle).
+	// It never decreases, and the ring does not keep it (its slot may
+	// have expired below the floor), so the snapshot carries it.
 	maxBooked uint64
-
-	// In-flight booking group (bookN): pre-computed reservation cycles
-	// for a burst of future monotone requests, the slot contents the
-	// group's ring flushes overwrote, and the pre-group cursor, so an
-	// invalidated group can be rewound exactly. Backing arrays are reused
-	// across groups; steady-state group booking does not allocate.
-	grp    []uint64
-	grpIdx int
-	gsIdx  []uint64
-	gsCyc  []uint64
-	gsCnt  []uint16
-	gsCur  uint64
-	gsN    uint16
 }
 
 func newBooking(limit int, linear bool) *booking {
-	const ringSize = 1 << 14
 	return &booking{
-		cycle:  make([]uint64, ringSize),
-		count:  make([]uint16, ringSize),
+		cycle:  make([]uint64, bookingSlots),
+		count:  make([]uint16, bookingSlots),
 		limit:  uint16(limit),
 		linear: linear,
 	}
 }
 
-// newMonoBooking builds a booking in the monotone cursor mode. In linear
-// mode the cursor is never engaged: the table must behave exactly like the
-// reference, ring writes included.
-func newMonoBooking(limit int, linear bool) *booking {
-	b := newBooking(limit, linear)
-	b.mono = !linear
-	return b
-}
-
 // book reserves the first cycle >= earliest with free capacity and returns
-// it. The probe and the reservation share one ring lookup, and interval
+// it. floor must not exceed this or any later request. Interval
 // maintenance runs only when the probe learned something (it walked past
-// full cycles or filled c up) — the common book touches the interval with
-// two compares and never re-probes the ring. The interval check sits
-// inside the loop so that a probe starting below fullLo still vaults the
-// known-full run when it reaches it; every cycle in [start, c) is then
-// full either by probing or by the interval, so the merge below stays
-// sound.
-func (b *booking) book(earliest uint64) uint64 {
+// full cycles or filled c up). The interval check sits inside the loop so
+// that a probe starting below fullLo still vaults the known-full run when
+// it reaches it; every cycle in [start, c) is then full either by probing
+// or by the interval, so the merge below stays sound.
+func (b *booking) book(earliest, floor uint64) uint64 {
 	if b.linear {
-		return b.bookRef(earliest)
-	}
-	if b.mono {
-		return b.bookMono(earliest)
+		return b.bookRef(earliest, floor)
 	}
 	if earliest > b.maxBooked {
 		// Past the next-free edge: every cycle from earliest on is empty,
-		// so the request reserves its own cycle without probing. The slot
-		// cannot hold a stale alias of cycle `earliest` either — that would
-		// mean a prior booking at this very cycle, contradicting the edge.
+		// so the request reserves its own cycle without probing.
 		b.maxBooked = earliest
-		i := earliest & uint64(len(b.cycle)-1)
-		b.cycle[i] = earliest
-		b.count[i] = 1
+		b.put(earliest, floor)
 		if b.limit == 1 {
 			b.noteFull(earliest, earliest+1)
 		}
 		return earliest
 	}
 	if b.limit == 1 {
-		return b.book1(earliest)
+		return b.book1(earliest, floor)
 	}
 	c := earliest
 	start := c
@@ -159,8 +153,11 @@ func (b *booking) book(earliest uint64) uint64 {
 		}
 		c++
 	}
-	b.cycle[i] = c
-	b.count[i] = n + 1
+	if n == 0 {
+		b.put(c, floor)
+	} else {
+		b.count[i] = n + 1
+	}
 	if c > b.maxBooked {
 		b.maxBooked = c
 	}
@@ -178,23 +175,20 @@ func (b *booking) book(earliest uint64) uint64 {
 // A booked cycle is full by definition, so the probe never loads the count
 // array (slot occupancy is just cycle[i] == c) and every reservation
 // extends the known-full interval by exactly one cycle.
-func (b *booking) book1(earliest uint64) uint64 {
+func (b *booking) book1(earliest, floor uint64) uint64 {
 	c := earliest
 	start := c
 	mask := uint64(len(b.cycle) - 1)
-	var i uint64
 	for {
 		if c >= b.fullLo && c < b.fullHi {
 			c = b.fullHi // skip the cycles already known to be full
 		}
-		i = c & mask
-		if b.cycle[i] != c {
+		if b.cycle[c&mask] != c {
 			break
 		}
 		c++
 	}
-	b.cycle[i] = c
-	b.count[i] = 1 // keep the count coherent for inspection
+	b.put(c, floor)
 	if c > b.maxBooked {
 		b.maxBooked = c
 	}
@@ -204,18 +198,16 @@ func (b *booking) book1(earliest uint64) uint64 {
 
 // bookRef is the retained linear-reference reservation: probe upward from
 // earliest one cycle at a time, consulting nothing but the ring itself.
-// It must leave the cycle/count ring bit-identical to what book leaves
-// for the same request stream — the differential property tests and the
-// LinearTiming cores depend on it. The edge fields are neither read nor
-// written, so a reference core carries them at their zero values.
-func (b *booking) bookRef(earliest uint64) uint64 {
+// It must leave the ring bit-identical to what book leaves for the same
+// request stream — the differential property tests and the LinearTiming
+// cores depend on it. The edge fields are neither read nor written, so a
+// reference core carries them at their zero values.
+func (b *booking) bookRef(earliest, floor uint64) uint64 {
 	c := earliest
-	mask := uint64(len(b.cycle) - 1)
 	for {
-		i := c & mask
+		i := c & uint64(len(b.cycle)-1)
 		if b.cycle[i] != c {
-			b.cycle[i] = c
-			b.count[i] = 1
+			b.put(c, floor)
 			return c
 		}
 		if n := b.count[i]; n < b.limit {
@@ -226,126 +218,38 @@ func (b *booking) bookRef(earliest uint64) uint64 {
 	}
 }
 
-// bookMono is book in the monotone cursor mode. Requests are clamped to
-// the cursor, so no cycle below it can ever gain a booking and the probe
-// collapses: either the cursor cycle still has capacity (one increment),
-// or the reservation opens a fresh cycle (flush the finished one, reset
-// the cursor). It must return exactly what bookRef returns for the same
-// clamped stream and, once materialized, leave an identical ring — the
-// property tests drive both.
-func (b *booking) bookMono(earliest uint64) uint64 {
-	if earliest <= b.curCycle {
-		if b.curCount < b.limit {
-			b.curCount++
-			return b.curCycle
-		}
-		earliest = b.curCycle + 1
+// put books the first reservation of cycle c, which holds none yet. Its
+// slot may still hold another cycle: a dead one is overwritten, a live one
+// (at or above floor, with a booking) first grows the ring.
+func (b *booking) put(c, floor uint64) {
+	i := c & uint64(len(b.cycle)-1)
+	if d := b.cycle[i]; d != c && d >= floor && b.count[i] != 0 {
+		i = b.grow(c, floor)
 	}
-	// The cursor advances: flush the finished cycle into the ring and
-	// open the requested one.
-	if b.curCount != 0 {
-		i := b.curCycle & uint64(len(b.cycle)-1)
-		b.cycle[i] = b.curCycle
-		b.count[i] = b.curCount
-	}
-	b.curCycle = earliest
-	b.curCount = 1
-	return earliest
+	b.cycle[i] = c
+	b.count[i] = 1
 }
 
-// materialize folds the pending cursor into the ring and the maxBooked
-// edge so the serialized table matches what the same request stream would
-// have left eagerly: the snapshot encoding and the ring-parity property
-// tests read the table only through a materialize. Idempotent, and safe
-// on a live table — the cursor keeps going and simply re-flushes later.
-func (b *booking) materialize() {
-	if !b.mono {
-		return
-	}
-	if b.curCount != 0 {
-		i := b.curCycle & uint64(len(b.cycle)-1)
-		b.cycle[i] = b.curCycle
-		b.count[i] = b.curCount
-	}
-	b.maxBooked = b.curCycle
-}
-
-// groupBegin pre-books the next k monotone reservations in one ring
-// transaction (bookN): fill the cursor cycle to the limit, spill forward,
-// flushing finished cycles as the cursor advances. grp[j] is the cycle the
-// (j+1)th request will be granted under the constant-earliest assumption;
-// groupTake validates that assumption per request and groupAbort rewinds
-// the unconsumed tail exactly, so a group is semantically invisible — any
-// begin/take/abort interleaving leaves the table bit-identical to plain
-// sequential bookMono calls.
-func (b *booking) groupBegin(k int) {
-	b.grp = b.grp[:0]
-	b.grpIdx = 0
-	b.gsIdx, b.gsCyc, b.gsCnt = b.gsIdx[:0], b.gsCyc[:0], b.gsCnt[:0]
-	b.gsCur, b.gsN = b.curCycle, b.curCount
-	mask := uint64(len(b.cycle) - 1)
-	cyc, cnt := b.curCycle, b.curCount
-	for j := 0; j < k; j++ {
-		if cnt < b.limit {
-			cnt++
-		} else {
-			i := cyc & mask
-			b.gsIdx = append(b.gsIdx, i)
-			b.gsCyc = append(b.gsCyc, b.cycle[i])
-			b.gsCnt = append(b.gsCnt, b.count[i])
-			b.cycle[i] = cyc
-			b.count[i] = cnt
-			cyc++
-			cnt = 1
+// grow doubles the ring until cycle c's slot is free, re-inserting the
+// live entries and dropping the dead ones, and returns c's slot. Live
+// cycles occupy distinct slots of a ring, and therefore of every larger
+// one, so re-insertion never collides; c itself is not among them (put
+// books only a cycle with no reservation yet).
+func (b *booking) grow(c, floor uint64) uint64 {
+	for {
+		n := 2 * len(b.cycle)
+		cycle, count := make([]uint64, n), make([]uint16, n)
+		mask := uint64(n - 1)
+		for i, d := range b.cycle {
+			if d >= floor && b.count[i] != 0 {
+				cycle[d&mask], count[d&mask] = d, b.count[i]
+			}
 		}
-		b.grp = append(b.grp, cyc)
-	}
-	b.curCycle, b.curCount = cyc, cnt
-}
-
-// groupTake consumes the next pre-booked slot if the actual request is
-// compatible with it. The admissibility check is exactly e <= grp[idx]:
-// when the slot is a fill of cycle C, any request <= C clamps to C and
-// lands there; when it is a spill to C+1 (the previous cycle was full), a
-// request of C+1 itself opens that cycle just like the spill did, and
-// anything lower clamps into the same spill — in both shapes the
-// resulting cursor state matches the group's assumption, so consumption
-// is bit-equivalent to the bookMono call it replaces. An incompatible
-// request (the burst hit a stall the group did not assume) aborts the
-// remainder; the caller falls back to a plain book.
-func (b *booking) groupTake(earliest uint64) (uint64, bool) {
-	if i := b.grpIdx; i < len(b.grp) && earliest <= b.grp[i] {
-		b.grpIdx = i + 1
-		return b.grp[i], true
-	}
-	b.groupAbort()
-	return 0, false
-}
-
-// groupAbort rewinds the unconsumed tail of the in-flight group: restore
-// the ring slots the group's flushes overwrote and the pre-group cursor,
-// then replay the consumed prefix (each grp[j] is its own admissible
-// request, so the replay reproduces the exact flushes and cursor a
-// sequential stream would have left). A fully consumed group has nothing
-// to rewind and just clears.
-func (b *booking) groupAbort() {
-	if len(b.grp) == 0 {
-		return
-	}
-	if consumed := b.grpIdx; consumed < len(b.grp) {
-		for j := len(b.gsIdx) - 1; j >= 0; j-- {
-			i := b.gsIdx[j]
-			b.cycle[i] = b.gsCyc[j]
-			b.count[i] = b.gsCnt[j]
-		}
-		b.curCycle, b.curCount = b.gsCur, b.gsN
-		for j := 0; j < consumed; j++ {
-			b.bookMono(b.grp[j])
+		b.cycle, b.count = cycle, count
+		if i := c & mask; count[i] == 0 {
+			return i
 		}
 	}
-	b.grp = b.grp[:0]
-	b.grpIdx = 0
-	b.gsIdx, b.gsCyc, b.gsCnt = b.gsIdx[:0], b.gsCyc[:0], b.gsCnt[:0]
 }
 
 // noteFull records that every cycle in [start, end) is fully booked,
@@ -372,17 +276,18 @@ func (b *booking) noteFull(start, end uint64) {
 	}
 }
 
-// reset returns the booking to its post-newBooking state.
+// reset returns the booking to its post-newBooking state, a grown ring
+// included, so a recycled core equals a fresh one.
 func (b *booking) reset() {
-	clear(b.cycle)
-	clear(b.count)
+	if len(b.cycle) != bookingSlots {
+		b.cycle = make([]uint64, bookingSlots)
+		b.count = make([]uint16, bookingSlots)
+	} else {
+		clear(b.cycle)
+		clear(b.count)
+	}
 	b.fullLo, b.fullHi = 0, 0
 	b.maxBooked = 0
-	b.curCycle, b.curCount = 0, 0
-	b.grp = b.grp[:0]
-	b.grpIdx = 0
-	b.gsIdx, b.gsCyc, b.gsCnt = b.gsIdx[:0], b.gsCyc[:0], b.gsCnt[:0]
-	b.gsCur, b.gsN = 0, 0
 }
 
 // ring is a fixed-size history of cycle timestamps, used to model

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,6 +15,28 @@ import (
 func newTestCore() *Core {
 	return New(DefaultConfig(), mem.New(), cache.NewHierarchy(cache.DefaultConfig()),
 		bpred.New(bpred.DefaultConfig()), dise.NewEngine(dise.DefaultConfig()))
+}
+
+// TestCoreFootprint bounds what building a default event-mode core
+// allocates. Its timing tables hold only what can still affect a future
+// decision — cursors for fetch, dispatch, and commit, and port rings at
+// their starting 1,024 slots — so a core stays under 64 KiB (six
+// 16,384-slot rings once made it about 969 KB). A debug service holds a
+// whole machine per session, so this is per-session memory.
+func TestCoreFootprint(t *testing.T) {
+	m, hier := mem.New(), cache.NewHierarchy(cache.DefaultConfig())
+	bp, eng := bpred.New(bpred.DefaultConfig()), dise.NewEngine(dise.DefaultConfig())
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			New(DefaultConfig(), m, hier, bp, eng)
+		}
+	})
+	got := res.AllocedBytesPerOp()
+	if got > 64<<10 {
+		t.Fatalf("New allocates %d bytes per core, want at most %d", got, 64<<10)
+	}
+	t.Logf("New allocates %d bytes per core", got)
 }
 
 // refBooking is the pre-cursor reference implementation: the same ring
@@ -52,23 +75,70 @@ func (b *refBooking) book(earliest uint64) uint64 {
 	return c
 }
 
+// mapBooking is the exact reference: a cycle → count map with no ring, so
+// no reservation is ever lost however far apart the live cycles are.
+type mapBooking struct {
+	count map[uint64]uint16
+	limit uint16
+}
+
+func newMapBooking(limit int) *mapBooking {
+	return &mapBooking{count: map[uint64]uint16{}, limit: uint16(limit)}
+}
+
+func (b *mapBooking) book(earliest uint64) uint64 {
+	c := earliest
+	for b.count[c] >= b.limit {
+		c++
+	}
+	b.count[c]++
+	return c
+}
+
+// suffixFloors returns, for each request, the true floor the core would
+// pass: the lowest cycle this or any later request names.
+func suffixFloors(reqs []uint64) []uint64 {
+	floors := make([]uint64, len(reqs))
+	low := ^uint64(0)
+	for i := len(reqs) - 1; i >= 0; i-- {
+		low = min(low, reqs[i])
+		floors[i] = low
+	}
+	return floors
+}
+
+// requireSameRing fails unless two bookings hold bit-identical rings, at
+// the same length.
+func requireSameRing(t *testing.T, what string, b, lin *booking) {
+	t.Helper()
+	if len(b.cycle) != len(lin.cycle) {
+		t.Fatalf("%s: ring length diverged: event %d vs linear %d", what, len(b.cycle), len(lin.cycle))
+	}
+	for i := range b.cycle {
+		if b.cycle[i] != lin.cycle[i] || b.count[i] != lin.count[i] {
+			t.Fatalf("%s: ring slot %d diverged: event (%d,%d) vs linear (%d,%d)",
+				what, i, b.cycle[i], b.count[i], lin.cycle[i], lin.count[i])
+		}
+	}
+}
+
 // TestBookingMatchesReference drives the event-edge booking, the package's
 // retained linear path (a LinearTiming booking routing through bookRef),
 // and this test's independent reference with identical pseudo-random
 // request streams — including the mostly-monotonic-with-jitter pattern the
-// pipeline produces and abrupt forward jumps like debugger-transition
-// stalls — and requires bit-equal results. Afterwards the event-edge and
-// linear bookings must hold bit-identical cycle/count rings: the snapshot
-// encoding copies them raw, so a divergence here would break the
+// pipeline produces, replays of older earliest cycles, and abrupt forward
+// jumps like debugger-transition stalls — and requires bit-equal results.
+// Each request carries its true floor (the lowest cycle it or any later
+// request names), so the rings may drop what is below it. Afterwards the
+// event-edge and linear bookings must hold bit-identical rings: the
+// snapshot encoding copies them raw, so a divergence here would break the
 // round-trip contract even with equal returned cycles.
 func TestBookingMatchesReference(t *testing.T) {
 	for _, limit := range []int{1, 2, 4} {
 		rng := rand.New(rand.NewSource(int64(42 + limit)))
-		b := newBooking(limit, false)
-		lin := newBooking(limit, true)
-		ref := newRefBooking(limit)
+		reqs := make([]uint64, 200_000)
 		base := uint64(1)
-		for i := 0; i < 200_000; i++ {
+		for i := range reqs {
 			switch rng.Intn(100) {
 			case 0:
 				base += uint64(rng.Intn(5000)) // stall-like jump
@@ -79,23 +149,90 @@ func TestBookingMatchesReference(t *testing.T) {
 			default:
 				base += uint64(rng.Intn(3))
 			}
-			earliest := base + uint64(rng.Intn(8))
-			got, want := b.book(earliest), ref.book(earliest)
+			reqs[i] = base + uint64(rng.Intn(8))
+		}
+		floors := suffixFloors(reqs)
+		b := newBooking(limit, false)
+		lin := newBooking(limit, true)
+		ref := newRefBooking(limit)
+		for i, earliest := range reqs {
+			got, want := b.book(earliest, floors[i]), ref.book(earliest)
 			if got != want {
 				t.Fatalf("limit=%d step=%d book(%d) = %d, reference = %d",
 					limit, i, earliest, got, want)
 			}
-			if lg := lin.book(earliest); lg != want {
+			if lg := lin.book(earliest, floors[i]); lg != want {
 				t.Fatalf("limit=%d step=%d linear book(%d) = %d, reference = %d",
 					limit, i, earliest, lg, want)
 			}
 		}
-		for i := range b.cycle {
-			if b.cycle[i] != lin.cycle[i] || b.count[i] != lin.count[i] {
-				t.Fatalf("limit=%d ring slot %d diverged: event (%d,%d) vs linear (%d,%d)",
-					limit, i, b.cycle[i], b.count[i], lin.cycle[i], lin.count[i])
+		requireSameRing(t, fmt.Sprintf("limit=%d", limit), b, lin)
+	}
+}
+
+// TestBookingExactBeyondRingSpan pins the port tables' exactness: live
+// windows far longer than the starting ring — and than the fixed 16,384-
+// slot ring the tables once had — must book exactly what the map
+// reference books, with the event and linear rings growing in lockstep,
+// and reset must return a grown ring to its starting size.
+func TestBookingExactBeyondRingSpan(t *testing.T) {
+	t.Run("alias", func(t *testing.T) {
+		// 16,484 and 100 share a slot in every ring up to 16,384 slots:
+		// a ring that overwrote the live reservation at 100 would grant
+		// 100 twice on a limit-1 table.
+		for _, linear := range []bool{false, true} {
+			b := newBooking(1, linear)
+			for _, step := range []struct{ earliest, want uint64 }{{100, 100}, {16_484, 16_484}, {100, 101}} {
+				if got := b.book(step.earliest, 100); got != step.want {
+					t.Fatalf("linear=%v book(%d) = %d, want %d", linear, step.earliest, got, step.want)
+				}
+			}
+			if len(b.cycle) != 1<<15 {
+				t.Fatalf("linear=%v ring holds %d slots, want %d", linear, len(b.cycle), 1<<15)
 			}
 		}
+	})
+	for _, limit := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(500 + limit)))
+			b := newBooking(limit, false)
+			lin := newBooking(limit, true)
+			ref := newMapBooking(limit)
+			floor := uint64(1)
+			for i := 0; i < 50_000; i++ {
+				floor += uint64(rng.Intn(3))
+				earliest := floor + uint64(rng.Intn(64))
+				if rng.Intn(10) == 0 {
+					earliest = floor + uint64(rng.Intn(40_000)) // far-ahead booking stays live
+				}
+				got, want := b.book(earliest, floor), ref.book(earliest)
+				if got != want {
+					t.Fatalf("step=%d book(%d, floor %d) = %d, exact = %d", i, earliest, floor, got, want)
+				}
+				if lg := lin.book(earliest, floor); lg != want {
+					t.Fatalf("step=%d linear book(%d, floor %d) = %d, exact = %d", i, earliest, floor, lg, want)
+				}
+			}
+			requireSameRing(t, "after the stream", b, lin)
+			if len(b.cycle) <= 1<<14 {
+				t.Fatalf("ring holds %d slots: the stream never outgrew a 16,384-cycle window", len(b.cycle))
+			}
+
+			// A reset ring is a fresh one: starting size, and the same
+			// answers as a new booking from here on.
+			b.reset()
+			if len(b.cycle) != bookingSlots {
+				t.Fatalf("reset ring holds %d slots, want %d", len(b.cycle), bookingSlots)
+			}
+			fresh := newBooking(limit, false)
+			for i := 0; i < 1000; i++ {
+				earliest := uint64(1 + i/2)
+				if got, want := b.book(earliest, 1), fresh.book(earliest, 1); got != want {
+					t.Fatalf("after reset: book(%d) = %d, fresh booking = %d", earliest, got, want)
+				}
+			}
+			requireSameRing(t, "reset vs fresh", b, fresh)
+		})
 	}
 }
 
@@ -109,7 +246,7 @@ func TestBookingCursorMonotonic(t *testing.T) {
 	last := uint64(0)
 	for i := 0; i < 100_000; i++ {
 		earliest += uint64(rng.Intn(2))
-		at := b.book(earliest)
+		at := b.book(earliest, earliest)
 		if at < earliest {
 			t.Fatalf("book(%d) = %d, before request", earliest, at)
 		}
@@ -126,14 +263,14 @@ func TestBookingCursorMonotonic(t *testing.T) {
 func TestBookingSkipsFullRun(t *testing.T) {
 	b := newBooking(1, false)
 	for c := uint64(100); c < 3100; c++ {
-		if got := b.book(100); got != c {
+		if got := b.book(100, 50); got != c {
 			t.Fatalf("book(100) = %d, want %d", got, c)
 		}
 	}
-	if got := b.book(50); got != 50 {
+	if got := b.book(50, 50); got != 50 {
 		t.Errorf("book(50) = %d, want 50 (below the full run)", got)
 	}
-	if got := b.book(200); got != 3100 {
+	if got := b.book(200, 50); got != 3100 {
 		t.Errorf("book(200) = %d, want 3100 (just past the full run)", got)
 	}
 }
@@ -181,18 +318,18 @@ func TestRingWrapNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestBookingMonotoneMatchesReference drives the monotone cursor mode,
-// the linear reference (bookRef), and the test's independent reference
-// with identical clamped request streams — the non-decreasing-by-
-// construction shape the fetch/dispatch/commit tables see, stall jumps
-// included — and requires bit-equal results; after a materialize the lazy
-// ring must be bit-identical to the linear one and maxBooked must name
-// the cursor (the snapshot contract).
+// TestBookingMonotoneMatchesReference drives the cursor, a LinearTiming
+// ring (bookRef, with each request as its own floor), and the test's
+// independent reference with identical clamped request streams — the
+// non-decreasing-by-construction shape the fetch/dispatch/commit tables
+// see, stall jumps included — and requires bit-equal results. Afterwards
+// the cursor must equal the linear ring's newest slot, which is what a
+// LinearTiming core's snapshot reads in its place.
 func TestBookingMonotoneMatchesReference(t *testing.T) {
 	for _, limit := range []int{1, 2, 4} {
 		rng := rand.New(rand.NewSource(int64(91 + limit)))
-		b := newMonoBooking(limit, false)
-		lin := newMonoBooking(limit, true)
+		k := newCursor(limit)
+		lin := newBooking(limit, true)
 		ref := newRefBooking(limit)
 		earliest := uint64(1)
 		last := uint64(0)
@@ -207,87 +344,19 @@ func TestBookingMonotoneMatchesReference(t *testing.T) {
 			if req < last {
 				req = last // callers clamp by the previous result
 			}
-			got, want := b.book(req), ref.book(req)
+			got, want := k.book(req), ref.book(req)
 			if got != want {
-				t.Fatalf("limit=%d step=%d mono book(%d) = %d, reference = %d",
+				t.Fatalf("limit=%d step=%d cursor book(%d) = %d, reference = %d",
 					limit, i, req, got, want)
 			}
-			if lg := lin.book(req); lg != want {
+			if lg := lin.book(req, req); lg != want {
 				t.Fatalf("limit=%d step=%d linear book(%d) = %d, reference = %d",
 					limit, i, req, lg, want)
 			}
 			last = got
 		}
-		b.materialize()
-		if b.maxBooked != last {
-			t.Fatalf("limit=%d materialized maxBooked = %d, want %d", limit, b.maxBooked, last)
-		}
-		for i := range b.cycle {
-			if b.cycle[i] != lin.cycle[i] || b.count[i] != lin.count[i] {
-				t.Fatalf("limit=%d ring slot %d diverged: mono (%d,%d) vs linear (%d,%d)",
-					limit, i, b.cycle[i], b.count[i], lin.cycle[i], lin.count[i])
-			}
-		}
-	}
-}
-
-// TestBookingGroupMatchesSequential mixes group pre-booking (bookN via
-// groupBegin/groupTake), plain monotone books, random mid-group aborts,
-// and stall jumps that invalidate a group's constant-earliest assumption,
-// against both an ungrouped monotone booking and the independent
-// reference. Groups must be semantically invisible: identical returned
-// cycles, and — after retiring the last group and materializing — a
-// bit-identical ring and cursor.
-func TestBookingGroupMatchesSequential(t *testing.T) {
-	for _, limit := range []int{1, 2, 4} {
-		rng := rand.New(rand.NewSource(int64(173 + limit)))
-		g := newMonoBooking(limit, false) // grouped
-		s := newMonoBooking(limit, false) // plain sequential
-		ref := newRefBooking(limit)
-		last := uint64(0)
-		for i := 0; i < 100_000; i++ {
-			if len(g.grp) == 0 && rng.Intn(8) == 0 {
-				g.groupBegin(1 + rng.Intn(12))
-			}
-			req := last
-			switch rng.Intn(16) {
-			case 0:
-				req += uint64(rng.Intn(60)) // stall: usually bails the group
-			case 1, 2, 3:
-				req += 1
-			}
-			var got uint64
-			if len(g.grp) != 0 {
-				var ok bool
-				if got, ok = g.groupTake(req); !ok {
-					got = g.book(req)
-				}
-			} else {
-				got = g.book(req)
-			}
-			want := s.book(req)
-			refw := ref.book(req)
-			if got != want || want != refw {
-				t.Fatalf("limit=%d step=%d book(%d): grouped %d, sequential %d, reference %d",
-					limit, i, req, got, want, refw)
-			}
-			last = got
-			if rng.Intn(32) == 0 {
-				g.groupAbort()
-			}
-		}
-		g.groupAbort()
-		g.materialize()
-		s.materialize()
-		if g.curCycle != s.curCycle || g.curCount != s.curCount || g.maxBooked != s.maxBooked {
-			t.Fatalf("limit=%d cursor diverged: grouped (%d,%d,%d) vs sequential (%d,%d,%d)",
-				limit, g.curCycle, g.curCount, g.maxBooked, s.curCycle, s.curCount, s.maxBooked)
-		}
-		for i := range g.cycle {
-			if g.cycle[i] != s.cycle[i] || g.count[i] != s.count[i] {
-				t.Fatalf("limit=%d ring slot %d diverged: grouped (%d,%d) vs sequential (%d,%d)",
-					limit, i, g.cycle[i], g.count[i], s.cycle[i], s.count[i])
-			}
+		if got, want := monoState(&k, nil, 0), monoState(nil, lin, last); got != want {
+			t.Fatalf("limit=%d cursor %+v, linear ring's newest slot %+v", limit, got, want)
 		}
 	}
 }
@@ -309,7 +378,7 @@ func BenchmarkBooking(b *testing.B) {
 		b.Run("chain/"+mode.name, func(b *testing.B) {
 			bk := newBooking(4, mode.linear)
 			for i := 0; i < b.N; i++ {
-				bk.book(uint64(i))
+				bk.book(uint64(i), uint64(i))
 			}
 		})
 		b.Run("stall-vault/"+mode.name, func(b *testing.B) {
@@ -322,46 +391,28 @@ func BenchmarkBooking(b *testing.B) {
 					// across the batch; each probe below extends it by one).
 					bk.reset()
 					for c := base; c < base+run; c++ {
-						bk.book(c)
+						bk.book(c, base)
 					}
 				}
-				bk.book(base)
+				bk.book(base, base)
 			}
 		})
 	}
-	// The monotone cursor mode (fetch/dispatch/commit tables) and the
-	// coalesced group path (DISE expansion bursts), reported
-	// informationally by scripts/bench_smoke.sh alongside the modes above.
+	// The cursor (fetch/dispatch/commit tables), reported informationally
+	// by scripts/bench_smoke.sh alongside the port tables above.
 	b.Run("monotone/chain", func(b *testing.B) {
-		bk := newMonoBooking(4, false)
+		k := newCursor(4)
 		for i := 0; i < b.N; i++ {
-			bk.book(uint64(i))
+			k.book(uint64(i))
 		}
 	})
 	b.Run("monotone/lockstep", func(b *testing.B) {
 		// Width-limited fill: four requests land per cycle, the common
 		// dispatch/commit shape.
-		bk := newMonoBooking(4, false)
+		k := newCursor(4)
 		var last uint64
 		for i := 0; i < b.N; i++ {
-			last = bk.book(last)
-		}
-	})
-	b.Run("group/burst", func(b *testing.B) {
-		// Pre-book 8-uop bursts and consume them in lockstep, the DISE
-		// expansion shape beginBurstGroups feeds.
-		const k = 8
-		bk := newMonoBooking(4, false)
-		var last uint64
-		for i := 0; i < b.N; i += k {
-			bk.groupBegin(k)
-			for j := 0; j < k; j++ {
-				if at, ok := bk.groupTake(last); ok {
-					last = at
-				} else {
-					last = bk.book(last)
-				}
-			}
+			last = k.book(last)
 		}
 	})
 }

@@ -24,24 +24,20 @@
 // Timing-core scheduling is event-edge driven: instead of re-deriving
 // per-resource state for every uop, each resource maintains the next
 // cycle at which its state can change and the hot path consults those
-// edges. Bandwidth-limited resources (fetch, dispatch, commit slots,
-// function units, load ports) keep a known-full interval and a next-free
-// edge, so long fully-booked runs — e.g. commit slots across a
-// debugger-transition stall — are vaulted and reservations past all
-// existing bookings cost O(1) (see booking.go); the fetch, dispatch,
-// and commit books additionally exploit their monotone request streams
-// with a (cycle, count) cursor — two word updates per reservation, the
-// ring kept lazily coherent — and batch a DISE expansion burst's
-// reservations into pre-booked issue groups, consumed (or exactly
-// rewound) as the burst dispatches; the ROB/RS/LSQ occupancy
-// rings maintain their dispatch edge incrementally at push time; the
-// store queue
-// exposes a next-drain edge (storeQMaxCommit) and an occupancy count
-// that bound its search; and the fetch path keeps line- and
-// page-granular refill windows (lastFetchLine, the predecoder MRU
-// window). Config.LinearTiming retains the linear reference paths; the
-// differential property tests prove both produce bit-identical cycles
-// and statistics.
+// edges. The fetch, dispatch, and commit slots see non-decreasing request
+// streams, so each is a (cycle, count) cursor — the newest booked cycle
+// is the only one a request can still reach. The function units and load
+// ports keep a ring over absolute cycles, grown whenever a reservation
+// would overwrite a live entry so it never aliases, plus a known-full
+// interval and a next-free edge, so fully-booked runs are vaulted and
+// reservations past all existing bookings cost O(1) (see booking.go);
+// the ROB/RS/LSQ occupancy rings maintain their dispatch edge
+// incrementally at push time; the store queue exposes a next-drain edge
+// (storeQMaxCommit) and an occupancy count that bound its search; and
+// the fetch path keeps line- and page-granular refill windows
+// (lastFetchLine, the predecoder MRU window). Config.LinearTiming retains
+// the linear reference paths; the differential property tests prove both
+// produce bit-identical cycles and statistics.
 package pipeline
 
 import (

@@ -43,24 +43,17 @@ type Core struct {
 	stopReq    bool
 
 	// --- timing state ---
-	fetchCursor  uint64 // earliest cycle the next fetch may happen
-	fetchBook    *booking
-	dispatchBook *booking
-	commitBook   *booking
-	lastFetch    uint64
-	lastDispatch uint64
-	lastCommit   uint64
+	fetchCursor uint64 // earliest cycle the next fetch may happen
 
-	// grpActive is true while the fetch/dispatch/commit books carry an
-	// in-flight issue group for the current DISE expansion burst: the
-	// burst's reservations were pre-booked in one ring transaction per
-	// table (booking.groupBegin) and each uop consumes its slot with one
-	// compare (groupTake). Groups are semantically invisible — a slot is
-	// consumed only when the actual request would have been granted that
-	// exact cycle, and anything unconsumed is rewound bit-exactly — so
-	// they never outlive a snapshot (Snapshot aborts them) and the linear
-	// reference never builds them.
-	grpActive bool
+	// Fetch, dispatch, and commit requests are non-decreasing by
+	// construction (each is clamped by the previous result, kept in
+	// lastFetch/lastDispatch/lastCommit), so event-edge cores book them
+	// on cursors. LinearTiming cores book them on plain rings instead
+	// (fetchRef, dispatchRef, commitRef, nil otherwise): the reference
+	// the cursors are checked against.
+	fetchBook, dispatchBook, commitBook cursor
+	fetchRef, dispatchRef, commitRef    *booking
+	lastFetch, lastDispatch, lastCommit uint64
 
 	aluBook  *booking
 	mulBook  *booking
@@ -80,7 +73,7 @@ type Core struct {
 
 	// linear selects the retained linear-reference timing paths
 	// (Config.LinearTiming): ring occupancy via oldest(), store-queue
-	// search via full scan, bookings via bookRef.
+	// search via full scan, bookings via bookRef on rings.
 	linear bool
 
 	appReady  [isa.NumRegs]uint64
@@ -146,13 +139,10 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, bp *bpred.Predictor, 
 		Hier:         hier,
 		BP:           bp,
 		Engine:       eng,
-		linear: cfg.LinearTiming,
-		// Fetch, dispatch, and commit requests are non-decreasing by
-		// construction (each is clamped by the previous result), so these
-		// three tables run in the monotone cursor mode.
-		fetchBook:    newMonoBooking(cfg.Width, cfg.LinearTiming),
-		dispatchBook: newMonoBooking(cfg.Width, cfg.LinearTiming),
-		commitBook:   newMonoBooking(cfg.Width, cfg.LinearTiming),
+		linear:       cfg.LinearTiming,
+		fetchBook:    newCursor(cfg.Width),
+		dispatchBook: newCursor(cfg.Width),
+		commitBook:   newCursor(cfg.Width),
 		aluBook:      newBooking(cfg.IntALUs, cfg.LinearTiming),
 		mulBook:      newBooking(cfg.IntMuls, cfg.LinearTiming),
 		loadBook:     newBooking(cfg.LoadPorts, cfg.LinearTiming),
@@ -160,6 +150,11 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, bp *bpred.Predictor, 
 		rsRing:       newRing(cfg.RSSize),
 		lsqRing:      newRing(cfg.LSQSize),
 		storeQ:       make([]storeRec, sqSize),
+	}
+	if c.linear {
+		c.fetchRef = newBooking(cfg.Width, true)
+		c.dispatchRef = newBooking(cfg.Width, true)
+		c.commitRef = newBooking(cfg.Width, true)
 	}
 	c.fetchCursor = 1
 	c.storeQGen = 1
@@ -216,8 +211,12 @@ func (c *Core) Reset() {
 	c.fetchBook.reset()
 	c.dispatchBook.reset()
 	c.commitBook.reset()
+	if c.linear {
+		c.fetchRef.reset()
+		c.dispatchRef.reset()
+		c.commitRef.reset()
+	}
 	c.lastFetch, c.lastDispatch, c.lastCommit = 0, 0, 0
-	c.grpActive = false
 	c.aluBook.reset()
 	c.mulBook.reset()
 	c.loadBook.reset()
@@ -323,21 +322,6 @@ func (c *Core) RequestStop() { c.stopReq = true }
 // replacement buffers, or the expansion scratch — so nothing here
 // re-derives per-instruction facts; exec and time read fields.
 func (c *Core) step() {
-	// Issue-group maintenance: a burst that ended retires its groups
-	// (rewinding whatever it did not consume), and a burst entering its
-	// second uop pre-books the remainder in one group per table. The
-	// begin fires here, after the trigger's own bookings have advanced
-	// the cursors, and also re-arms a sequence resumed after a DISE call.
-	if c.grpActive {
-		if c.exp == nil {
-			c.endBurstGroups()
-		}
-	} else if c.exp != nil && !c.linear {
-		if rem := len(c.exp.Uops) - (c.dpc - 1); rem >= 2 {
-			c.beginBurstGroups(rem)
-		}
-	}
-
 	pc, dpc := c.pc, c.dpc
 	var u *isa.Uop
 	expExtra := 0
@@ -400,40 +384,15 @@ func (c *Core) fetchAt(pc uint64, dpc int, expExtra uint64) uint64 {
 		}
 	}
 	var at uint64
-	if c.grpActive {
-		var ok bool
-		if at, ok = c.fetchBook.groupTake(earliest); !ok {
-			at = c.fetchBook.book(earliest)
-		}
+	if c.linear {
+		// Requests never go below earliest again, so it is the floor.
+		at = c.fetchRef.bookRef(earliest, earliest)
 	} else {
 		at = c.fetchBook.book(earliest)
 	}
 	c.lastFetch = at
 	c.fetchCursor = at
 	return at + expExtra
-}
-
-// beginBurstGroups pre-books the next k fetch, dispatch, and commit
-// reservations as one group per table: a replacement burst's uops flow
-// through all three tables back to back, so the group's constant-earliest
-// assumption holds for the whole burst whenever nothing (a trap stall, a
-// cache miss, an operand stall) pushes an individual uop past its
-// pre-booked slot — and when something does, that table's group aborts
-// and the uop books normally.
-func (c *Core) beginBurstGroups(k int) {
-	c.fetchBook.groupBegin(k)
-	c.dispatchBook.groupBegin(k)
-	c.commitBook.groupBegin(k)
-	c.grpActive = true
-}
-
-// endBurstGroups retires the burst's issue groups, rewinding unconsumed
-// reservations so the tables are bit-identical to a never-grouped run.
-func (c *Core) endBurstGroups() {
-	c.fetchBook.groupAbort()
-	c.dispatchBook.groupAbort()
-	c.commitBook.groupAbort()
-	c.grpActive = false
 }
 
 // execResult carries the functional outcome a uop's timing needs.
@@ -694,18 +653,20 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 		earliest = c.lastDispatch
 	}
 	var dispatchAt uint64
-	if c.grpActive {
-		var ok bool
-		if dispatchAt, ok = c.dispatchBook.groupTake(earliest); !ok {
-			dispatchAt = c.dispatchBook.book(earliest)
-		}
+	if c.linear {
+		dispatchAt = c.dispatchRef.bookRef(earliest, earliest)
 	} else {
 		dispatchAt = c.dispatchBook.book(earliest)
 	}
 	c.lastDispatch = dispatchAt
 
+	// Every port request from here on — this uop's and every later one's,
+	// since dispatch only moves forward — issues after dispatchAt, so the
+	// port tables may drop any booking below floor.
+	floor := dispatchAt + 1
+
 	// Operand readiness, over the pre-resolved source references.
-	issueEarliest := dispatchAt + 1
+	issueEarliest := floor
 	for k := 0; k < int(u.NSrc); k++ {
 		s := u.Srcs[k]
 		if t := c.readyAt(s.Reg, s.Space); t > issueEarliest {
@@ -723,7 +684,7 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 			// forward and instead holds the load until the store drains.
 			issueEarliest = ready + 1
 		}
-		issueAt = c.loadBook.book(issueEarliest)
+		issueAt = c.loadBook.book(issueEarliest, floor)
 		if fwd && issueAt <= fwdCommit {
 			// The store still occupies its queue entry at the load's
 			// actual issue cycle (entries live through their commit
@@ -736,13 +697,13 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 			doneAt = issueAt + c.Hier.DataLatency(ev.addr, false, issueAt)
 		}
 	case ev.isStore:
-		issueAt = c.aluBook.book(issueEarliest) // address generation
+		issueAt = c.aluBook.book(issueEarliest, floor) // address generation
 		doneAt = issueAt + 1
 	case u.Flags&isa.UopMul != 0:
-		issueAt = c.mulBook.book(issueEarliest)
+		issueAt = c.mulBook.book(issueEarliest, floor)
 		doneAt = issueAt + uint64(c.cfg.MulLatency)
 	default:
-		issueAt = c.aluBook.book(issueEarliest)
+		issueAt = c.aluBook.book(issueEarliest, floor)
 		doneAt = issueAt + 1
 	}
 
@@ -763,11 +724,8 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 		commitEarliest = c.lastCommit
 	}
 	var commitAt uint64
-	if c.grpActive {
-		var ok bool
-		if commitAt, ok = c.commitBook.groupTake(commitEarliest); !ok {
-			commitAt = c.commitBook.book(commitEarliest)
-		}
+	if c.linear {
+		commitAt = c.commitRef.bookRef(commitEarliest, commitEarliest)
 	} else {
 		commitAt = c.commitBook.book(commitEarliest)
 	}

@@ -113,7 +113,7 @@ func BenchmarkDispatch(b *testing.B) {
 
 // TestDispatchAllocFree pins the hot-loop invariant the dispatch refactor
 // must preserve: once warm, dispatching instructions — plain, through
-// DISE expansion (issue groups included), or store-dominated — performs
+// DISE expansion, or store-dominated — performs
 // zero heap allocations.
 func TestDispatchAllocFree(t *testing.T) {
 	for _, v := range []struct {

@@ -1,43 +1,39 @@
 // Snapshot/Restore for the pipeline core. The captured surface is exactly
 // the one Core.Reset enumerates — architectural registers, page
 // protections, front-end cursors and the in-flight expansion, timing
-// books and rings, the store queue, the predecoded-text cache, and
+// tables and rings, the store queue, the predecoded-text cache, and
 // statistics — so Snapshot-then-Restore composes with the pool-recycle
 // contract: a restored core continues bit-identically to the original.
 //
-// Bookings and rings are copied raw, stale entries included: a booking
-// slot participates in the cycle-tag aliasing check (cycle[i] != c), so
-// dropping "expired" entries would change future probe results. The
-// predecoder is captured as metadata only (which pages, LRU stamps);
+// The timing tables serialize what can still affect a future decision:
+//
+//   - a fetch, dispatch, or commit table is its cursor, (cycle, count):
+//     every older cycle is behind every future request. A LinearTiming
+//     core reads the same pair off its reference ring (the newest slot,
+//     at lastFetch/lastDispatch/lastCommit) and restores a ring holding
+//     only that slot, so both timing modes encode these tables alike;
+//   - a port table is its ring at its current length, stale entries
+//     included, plus the known-full interval and maxBooked (which is not
+//     reconstructible: its slot may have expired below the floor).
+//     Restore resizes the ring to the snapshot's length;
+//   - a ROB/RS/LSQ ring is copied raw, and its occupancy edge is
+//     recomputed from (buf, head, n) — push maintains it as exactly
+//     oldest()+1 when full, 0 otherwise — with the ring's single write
+//     index mapped to the head/tail pair the encoding has always carried
+//     (ring.snapshot). Core.structEdge is recomputed as the max of the
+//     restored ROB/RS edges, which is precisely how the push site
+//     maintains it;
+//   - the store queue's drain edge (storeQMaxCommit) is part of the
+//     captured surface, and the predecoder's refill window shadows the
+//     MRU page, which predState carries.
+//
+// The predecoder is captured as metadata only (which pages, LRU stamps);
 // Restore re-decodes the micro-ops from the restored memory — resolution
 // is a pure function of the instruction word, and the invalidation hook
 // guarantees the restored bytes are what was cached — so the rebuilt uop
-// cache is bit-identical to the donor's. The in-flight expansion
-// likewise serializes only the instructions; derived uop fields
-// re-resolve on restore.
-//
-// Event edges (the next-cycle-anything-changes values the timing core
-// consults instead of re-deriving per-resource state) are either carried
-// or provably reconstructible, so a restored core skips exactly like the
-// donor would have:
-//
-//   - booking.maxBooked is serialized: a later reservation at a lower
-//     cycle can alias over the ring entry that held the maximum, so the
-//     ring alone under-reconstructs it. Monotone tables (fetch, dispatch,
-//     commit) serialize through materialize — the lazy (curCycle,
-//     curCount) cursor is flushed into the ring and maxBooked set to the
-//     cursor cycle — and restore rebuilds the cursor from maxBooked plus
-//     the slot it names, so neither the cursor nor any in-flight issue
-//     group (retired before capture) appears on the wire;
-//   - ring.edge is recomputed from the serialized (buf, head, n) — push
-//     maintains it as exactly oldest()+1 when full, 0 otherwise — and the
-//     ring's single write index maps to the head/tail pair the encoding
-//     has always carried (ring.snapshot);
-//   - Core.structEdge is recomputed as the max of the restored ROB/RS
-//     ring edges, which is precisely how the push site maintains it;
-//   - the store queue's drain edge (storeQMaxCommit) was already part of
-//     the captured surface, and the predecoder's refill window shadows
-//     the MRU page, which predState carries.
+// cache is bit-identical to the donor's. The in-flight expansion likewise
+// serializes only the instructions; derived uop fields re-resolve on
+// restore.
 package pipeline
 
 import (
@@ -48,6 +44,39 @@ import (
 	"repro/internal/mem"
 )
 
+// cursorState is a cursor's serialized form, and a LinearTiming core's
+// reference ring reduced to the same pair.
+type cursorState struct {
+	cycle uint64
+	count uint16
+}
+
+// monoState snapshots a fetch, dispatch, or commit table: the cursor, or
+// on a LinearTiming core its reference ring read as one — last, the
+// newest booked cycle, and that cycle's count.
+func monoState(k *cursor, ref *booking, last uint64) cursorState {
+	if ref == nil {
+		return cursorState{cycle: k.cycle, count: k.count}
+	}
+	st := cursorState{cycle: last}
+	if i := last & uint64(len(ref.cycle)-1); ref.cycle[i] == last {
+		st.count = ref.count[i]
+	}
+	return st
+}
+
+// restoreMono restores a fetch, dispatch, or commit table. A LinearTiming
+// core's reference ring gets back only the cursor's slot: every other
+// slot holds a cycle below any future request, which no probe can match.
+func restoreMono(k *cursor, ref *booking, st cursorState) {
+	k.cycle, k.count = st.cycle, st.count
+	if ref != nil {
+		ref.reset()
+		i := st.cycle & uint64(len(ref.cycle)-1)
+		ref.cycle[i], ref.count[i] = st.cycle, st.count
+	}
+}
+
 type bookingState struct {
 	cycle          []uint64
 	count          []uint16
@@ -56,12 +85,6 @@ type bookingState struct {
 }
 
 func (b *booking) snapshot() bookingState {
-	// A monotone table carries its newest cycle in the (curCycle,
-	// curCount) cursor and flushes it to the ring lazily; fold it in so
-	// the serialized ring is complete and maxBooked names the cursor
-	// cycle the restore rebuilds from. Safe on the live table: the
-	// cursor keeps going and re-flushes on its next advance.
-	b.materialize()
 	return bookingState{
 		cycle:     append([]uint64(nil), b.cycle...),
 		count:     append([]uint16(nil), b.count...),
@@ -73,28 +96,13 @@ func (b *booking) snapshot() bookingState {
 
 func (b *booking) restore(st *bookingState) {
 	if len(st.cycle) != len(b.cycle) {
-		panic("pipeline: booking restore geometry mismatch")
+		b.cycle = make([]uint64, len(st.cycle))
+		b.count = make([]uint16, len(st.count))
 	}
 	copy(b.cycle, st.cycle)
 	copy(b.count, st.count)
 	b.fullLo, b.fullHi = st.fullLo, st.fullHi
 	b.maxBooked = st.maxBooked
-	if b.mono {
-		// Rebuild the cursor from the materialized edge: the snapshot was
-		// taken through materialize, so the ring slot at maxBooked holds
-		// the cursor cycle's count (a fresh table has neither). In-flight
-		// groups never survive a snapshot (Core.Snapshot retires them).
-		b.curCycle = st.maxBooked
-		i := b.curCycle & uint64(len(b.cycle)-1)
-		if b.cycle[i] == b.curCycle {
-			b.curCount = b.count[i]
-		} else {
-			b.curCount = 0
-		}
-		b.grp = b.grp[:0]
-		b.grpIdx = 0
-		b.gsIdx, b.gsCyc, b.gsCnt = b.gsIdx[:0], b.gsCyc[:0], b.gsCnt[:0]
-	}
 }
 
 type ringState struct {
@@ -237,7 +245,7 @@ type State struct {
 	stopReq    bool
 
 	fetchCursor                         uint64
-	fetchBook, dispatchBook, commitBook bookingState
+	fetchBook, dispatchBook, commitBook cursorState
 	lastFetch, lastDispatch, lastCommit uint64
 	aluBook, mulBook, loadBook          bookingState
 	robRing, rsRing, lsqRing            ringState
@@ -268,15 +276,8 @@ func (st *State) Halted() bool { return st.halted }
 // it (via dise.State.IndexOf) to name the production by table index.
 func (st *State) ExpansionProd() *dise.Production { return st.expProd }
 
-// Snapshot captures the core state. A live issue group (a snapshot can
-// land mid-burst via RequestStop) is retired first: rewinding unconsumed
-// reservations is bit-equivalent to never having pre-booked them, so the
-// donor continues identically — it just books the rest of the burst
-// per-uop — and the captured tables match a never-grouped run.
+// Snapshot captures the core state. It does not modify the core.
 func (c *Core) Snapshot() *State {
-	if c.grpActive {
-		c.endBurstGroups()
-	}
 	st := &State{
 		regs:      c.Regs,
 		protPages: c.Prot.Pages(),
@@ -289,9 +290,9 @@ func (c *Core) Snapshot() *State {
 		stopReq:    c.stopReq,
 
 		fetchCursor:  c.fetchCursor,
-		fetchBook:    c.fetchBook.snapshot(),
-		dispatchBook: c.dispatchBook.snapshot(),
-		commitBook:   c.commitBook.snapshot(),
+		fetchBook:    monoState(&c.fetchBook, c.fetchRef, c.lastFetch),
+		dispatchBook: monoState(&c.dispatchBook, c.dispatchRef, c.lastDispatch),
+		commitBook:   monoState(&c.commitBook, c.commitRef, c.lastCommit),
 		lastFetch:    c.lastFetch,
 		lastDispatch: c.lastDispatch,
 		lastCommit:   c.lastCommit,
@@ -360,10 +361,9 @@ func (c *Core) Restore(st *State) {
 	c.stopReq = st.stopReq
 
 	c.fetchCursor = st.fetchCursor
-	c.grpActive = false // snapshots never carry a live issue group
-	c.fetchBook.restore(&st.fetchBook)
-	c.dispatchBook.restore(&st.dispatchBook)
-	c.commitBook.restore(&st.commitBook)
+	restoreMono(&c.fetchBook, c.fetchRef, st.fetchBook)
+	restoreMono(&c.dispatchBook, c.dispatchRef, st.dispatchBook)
+	restoreMono(&c.commitBook, c.commitRef, st.commitBook)
 	c.lastFetch, c.lastDispatch, c.lastCommit = st.lastFetch, st.lastDispatch, st.lastCommit
 	c.aluBook.restore(&st.aluBook)
 	c.mulBook.restore(&st.mulBook)
@@ -429,10 +429,11 @@ func (st *State) AppendBinary(dst []byte, expProdIdx int) []byte {
 	dst = appendFlag(dst, st.stopReq)
 
 	dst = binary.LittleEndian.AppendUint64(dst, st.fetchCursor)
-	for _, b := range []*bookingState{
-		&st.fetchBook, &st.dispatchBook, &st.commitBook,
-		&st.aluBook, &st.mulBook, &st.loadBook,
-	} {
+	for _, k := range []cursorState{st.fetchBook, st.dispatchBook, st.commitBook} {
+		dst = binary.LittleEndian.AppendUint64(dst, k.cycle)
+		dst = binary.LittleEndian.AppendUint16(dst, k.count)
+	}
+	for _, b := range []*bookingState{&st.aluBook, &st.mulBook, &st.loadBook} {
 		dst = appendBooking(dst, b)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, st.lastFetch)

@@ -3,6 +3,7 @@ package serve
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -638,42 +639,72 @@ func TestSessionStep(t *testing.T) {
 }
 
 // TestSchedulerFairness runs more never-halting sessions than workers and
-// checks round-robin progress: by the time the first session has executed
-// many quanta, every session must have executed several.
+// checks round-robin progress. All four sessions are created before any
+// of them runs and are continued back to back, so session creation does
+// not leak into the measurement. Counts are taken at the top of session
+// 0's quanta (Config.FaultInject runs there): with one worker no other
+// session is mid-quantum, so every session's statistics are exact. The
+// first such point after all four are queued is the baseline; over
+// session 0's next 20 quanta, every other session must run at least 4
+// quanta' worth of instructions (FIFO round-robin gives each exactly 20).
 func TestSchedulerFairness(t *testing.T) {
-	const quantum = 1000
-	srv := newTestServer(t, Config{Workers: 1, Quantum: quantum})
-	const n = 4
-	sessions := make([]*Session, n)
+	const (
+		quantum = 1000
+		n       = 4
+		window  = 20
+	)
+	var (
+		sessions [n]*Session
+		queued   atomic.Bool // set once all n sessions are continued
+		done     = make(chan struct{})
+		// Touched only by the worker until done is closed.
+		seen        int
+		base, delta [n]uint64
+	)
+	appInsts := func(s *Session) uint64 {
+		st, _ := s.Stats()
+		return st.AppInsts
+	}
+	srv := newTestServer(t, Config{Workers: 1, Quantum: quantum,
+		FaultInject: func(id, _ uint64, _ *machine.Machine) error {
+			if !queued.Load() || id != sessions[0].ID || seen > window {
+				return nil
+			}
+			for i, s := range sessions {
+				if seen == 0 {
+					base[i] = appInsts(s)
+				} else if seen == window {
+					delta[i] = appInsts(s) - base[i]
+				}
+			}
+			if seen++; seen > window {
+				close(done)
+			}
+			return nil
+		}})
 	for i := range sessions {
 		s, err := srv.CreateSource(spinProg, debug.DefaultOptions(debug.BackendDise))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sessions[i] = s
+	}
+	for _, s := range sessions {
 		if err := s.Continue(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, _ := sessions[0].Stats()
-		if st.AppInsts >= 20*quantum {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session 0 made no progress")
-		}
-		time.Sleep(time.Millisecond)
+	queued.Store(true)
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("session 0 did not run %d quanta", window)
 	}
-	for i, s := range sessions[1:] {
-		st, _ := s.Stats()
-		// With FIFO round-robin the spread between sessions is bounded by
-		// one quantum; 5x headroom keeps the assertion unflaky while still
-		// catching starvation.
-		if st.AppInsts < 4*quantum {
+	t.Logf("instructions per session over session 0's %d quanta: %v", window, delta)
+	for i := 1; i < n; i++ {
+		if delta[i] < 4*quantum {
 			t.Errorf("session %d starved: %d insts while session 0 ran %d",
-				i+1, st.AppInsts, 20*quantum)
+				i, delta[i], delta[0])
 		}
 	}
 	for _, s := range sessions {

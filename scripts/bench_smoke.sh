@@ -44,15 +44,22 @@ go test -bench='BenchmarkDispatch$' -benchmem \
     -run=NONE -benchtime=1s -count=1 ./internal/pipeline | grep -E 'Benchmark|^ok' || true
 
 # Timing-core micros (informational, not gated): the booking reservation
-# shapes — the eager edge cases (the stall-vault case is the event-edge
-# scheduler's reason to exist) plus the monotone-cursor chain/lockstep
-# and issue-group burst variants the dispatch loop actually runs — and
-# the Core.time hot loop, event-edge vs the retained linear reference.
-# BenchmarkBooking$ anchors per path element, so the monotone/* and
-# group/* sub-benchmarks are all included.
+# shapes — the port-table edge cases (the stall-vault case is the
+# event-edge scheduler's reason to exist) plus the fetch/dispatch/commit
+# cursor's chain and lockstep shapes — and the Core.time hot loop,
+# event-edge vs the retained linear reference. BenchmarkBooking$ anchors
+# per path element, so the monotone/* sub-benchmarks are included.
 echo "-- timing-core micros (informational) --"
 go test -bench='BenchmarkBooking$|BenchmarkTimeEdge$' \
     -run=NONE -benchtime=1s -count=1 ./internal/pipeline | grep -E 'Benchmark|^ok' || true
+
+# Machine construction (informational, not gated): one machine.New per
+# preset, the cost of a session the serve pool cannot recycle. -benchmem
+# shows the bytes a machine holds; the core's share is bounded by
+# TestCoreFootprint.
+echo "-- machine construction (informational) --"
+go test -bench='BenchmarkMachineNew$' -benchmem \
+    -run=NONE -benchtime=1s -count=1 ./internal/machine | grep -E 'Benchmark|^ok' || true
 
 # Crash-safety micros (informational, not gated): the incremental machine
 # snapshot (the per-checkpoint price) and the serve workload rerun with
