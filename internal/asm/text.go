@@ -33,6 +33,8 @@ import (
 //	    la r1, symbol        load address pseudo-op (expands to ldah+lda)
 //	    li r1, 42            load immediate pseudo-op
 //	    ctrap r1 / trap / halt / nop / codeword 7
+//
+// .space and .align may not grow the data image past MaxTextData bytes.
 func Assemble(src string) (*Program, error) {
 	return AssembleAt(src, DefaultTextBase, DefaultDataBase)
 }
@@ -124,15 +126,44 @@ func directive(b *Builder, mnem, rest string, inData *bool) error {
 		if err != nil {
 			return fmt.Errorf("bad .space operand %q", rest)
 		}
+		if n < 0 {
+			return fmt.Errorf(".space %d is negative", n)
+		}
+		if err := checkDataGrowth(b, uint64(n)); err != nil {
+			return err
+		}
 		b.Space(n)
 	case ".align":
 		n, err := strconv.ParseUint(rest, 0, 64)
 		if err != nil {
 			return fmt.Errorf("bad .align operand %q", rest)
 		}
+		if n != 0 && n&(n-1) == 0 {
+			// The padding to the next multiple of n (DataAlign rejects
+			// the other alignments itself).
+			if err := checkDataGrowth(b, -b.DataAddr()&(n-1)); err != nil {
+				return err
+			}
+		}
 		b.DataAlign(n)
 	default:
 		return fmt.Errorf("unknown directive %q", mnem)
+	}
+	return nil
+}
+
+// MaxTextData caps the data image the text assembler lets .space and
+// .align build: 4 MiB, the largest request line the debug service reads,
+// so a one-line program cannot make the assembler allocate more than a
+// request could carry. Programs built directly with a Builder are not
+// capped.
+const MaxTextData = 4 << 20
+
+// checkDataGrowth rejects growing b's data image by n bytes when that
+// would take it past MaxTextData. It runs before anything is allocated.
+func checkDataGrowth(b *Builder, n uint64) error {
+	if have := uint64(len(b.data)); have > MaxTextData || n > MaxTextData-have {
+		return fmt.Errorf("data image of %d bytes cannot grow by %d: the cap is %d bytes", have, n, MaxTextData)
 	}
 	return nil
 }

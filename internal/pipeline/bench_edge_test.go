@@ -7,8 +7,8 @@ import (
 	"repro/internal/machine"
 )
 
-// timeEdgeProg exercises every edge Core.time consults in one loop:
-// ALU chains (register-ready edges), a multiply (the limit-1 unit
+// timeEdgeProg exercises every constraint Core.time applies in one loop:
+// ALU chains (register readiness), a multiply (the limit-1 unit
 // booking), mixed-size stores and loads over one line (store-queue
 // drain edge, forwarding), and a taken branch (fetch redirect). The
 // loop never exits; the benchmark bounds it by instruction count.
@@ -34,10 +34,11 @@ loop:
 `
 
 // BenchmarkTimeEdge measures the Core.time hot loop on a timing-stress
-// kernel, for the event-edge scheduler and the retained linear
-// reference (informational in scripts/bench_smoke.sh — the spread
-// between the two is the edge model's win on a plain stream; the
-// differential tests prove the cycles are bit-identical).
+// kernel, for the default core and the LinearTiming reference
+// (informational in scripts/bench_smoke.sh — the spread between the two
+// is what the fetch/dispatch/commit cursors and the store-queue filters
+// save on a plain stream; the differential tests prove the cycles are
+// bit-identical).
 func BenchmarkTimeEdge(b *testing.B) {
 	p, err := asm.Assemble(timeEdgeProg)
 	if err != nil {

@@ -39,9 +39,10 @@ func TestCoreFootprint(t *testing.T) {
 	t.Logf("New allocates %d bytes per core", got)
 }
 
-// refBooking is the pre-cursor reference implementation: the same ring
-// without the known-full interval, probing linearly from earliest. The
-// cursor is a pure optimization, so book must return identical cycles.
+// refBooking is an independent reference: a fixed 16,384-slot ring with
+// no floor and no growth, probing linearly from earliest. The streams fed
+// to it keep their live windows far inside its span, so it answers
+// exactly.
 type refBooking struct {
 	cycle []uint64
 	count []uint16
@@ -109,30 +110,26 @@ func suffixFloors(reqs []uint64) []uint64 {
 
 // requireSameRing fails unless two bookings hold bit-identical rings, at
 // the same length.
-func requireSameRing(t *testing.T, what string, b, lin *booking) {
+func requireSameRing(t *testing.T, what string, a, b *booking) {
 	t.Helper()
-	if len(b.cycle) != len(lin.cycle) {
-		t.Fatalf("%s: ring length diverged: event %d vs linear %d", what, len(b.cycle), len(lin.cycle))
+	if len(a.cycle) != len(b.cycle) {
+		t.Fatalf("%s: ring length diverged: %d vs %d", what, len(a.cycle), len(b.cycle))
 	}
-	for i := range b.cycle {
-		if b.cycle[i] != lin.cycle[i] || b.count[i] != lin.count[i] {
-			t.Fatalf("%s: ring slot %d diverged: event (%d,%d) vs linear (%d,%d)",
-				what, i, b.cycle[i], b.count[i], lin.cycle[i], lin.count[i])
+	for i := range a.cycle {
+		if a.cycle[i] != b.cycle[i] || a.count[i] != b.count[i] {
+			t.Fatalf("%s: ring slot %d diverged: (%d,%d) vs (%d,%d)",
+				what, i, a.cycle[i], a.count[i], b.cycle[i], b.count[i])
 		}
 	}
 }
 
-// TestBookingMatchesReference drives the event-edge booking, the package's
-// retained linear path (a LinearTiming booking routing through bookRef),
-// and this test's independent reference with identical pseudo-random
-// request streams — including the mostly-monotonic-with-jitter pattern the
-// pipeline produces, replays of older earliest cycles, and abrupt forward
-// jumps like debugger-transition stalls — and requires bit-equal results.
-// Each request carries its true floor (the lowest cycle it or any later
-// request names), so the rings may drop what is below it. Afterwards the
-// event-edge and linear bookings must hold bit-identical rings: the
-// snapshot encoding copies them raw, so a divergence here would break the
-// round-trip contract even with equal returned cycles.
+// TestBookingMatchesReference drives the port table and this test's
+// independent reference with identical pseudo-random request streams —
+// including the mostly-monotonic-with-jitter pattern the pipeline
+// produces, replays of older earliest cycles, and abrupt forward jumps
+// like debugger-transition stalls — and requires bit-equal results. Each
+// request carries its true floor (the lowest cycle it or any later
+// request names), so the ring may drop what is below it.
 func TestBookingMatchesReference(t *testing.T) {
 	for _, limit := range []int{1, 2, 4} {
 		rng := rand.New(rand.NewSource(int64(42 + limit)))
@@ -152,8 +149,7 @@ func TestBookingMatchesReference(t *testing.T) {
 			reqs[i] = base + uint64(rng.Intn(8))
 		}
 		floors := suffixFloors(reqs)
-		b := newBooking(limit, false)
-		lin := newBooking(limit, true)
+		b := newBooking(limit)
 		ref := newRefBooking(limit)
 		for i, earliest := range reqs {
 			got, want := b.book(earliest, floors[i]), ref.book(earliest)
@@ -161,42 +157,34 @@ func TestBookingMatchesReference(t *testing.T) {
 				t.Fatalf("limit=%d step=%d book(%d) = %d, reference = %d",
 					limit, i, earliest, got, want)
 			}
-			if lg := lin.book(earliest, floors[i]); lg != want {
-				t.Fatalf("limit=%d step=%d linear book(%d) = %d, reference = %d",
-					limit, i, earliest, lg, want)
-			}
 		}
-		requireSameRing(t, fmt.Sprintf("limit=%d", limit), b, lin)
 	}
 }
 
 // TestBookingExactBeyondRingSpan pins the port tables' exactness: live
 // windows far longer than the starting ring — and than the fixed 16,384-
 // slot ring the tables once had — must book exactly what the map
-// reference books, with the event and linear rings growing in lockstep,
-// and reset must return a grown ring to its starting size.
+// reference books, and reset must return a grown ring to its starting
+// size.
 func TestBookingExactBeyondRingSpan(t *testing.T) {
 	t.Run("alias", func(t *testing.T) {
 		// 16,484 and 100 share a slot in every ring up to 16,384 slots:
 		// a ring that overwrote the live reservation at 100 would grant
 		// 100 twice on a limit-1 table.
-		for _, linear := range []bool{false, true} {
-			b := newBooking(1, linear)
-			for _, step := range []struct{ earliest, want uint64 }{{100, 100}, {16_484, 16_484}, {100, 101}} {
-				if got := b.book(step.earliest, 100); got != step.want {
-					t.Fatalf("linear=%v book(%d) = %d, want %d", linear, step.earliest, got, step.want)
-				}
+		b := newBooking(1)
+		for _, step := range []struct{ earliest, want uint64 }{{100, 100}, {16_484, 16_484}, {100, 101}} {
+			if got := b.book(step.earliest, 100); got != step.want {
+				t.Fatalf("book(%d) = %d, want %d", step.earliest, got, step.want)
 			}
-			if len(b.cycle) != 1<<15 {
-				t.Fatalf("linear=%v ring holds %d slots, want %d", linear, len(b.cycle), 1<<15)
-			}
+		}
+		if len(b.cycle) != 1<<15 {
+			t.Fatalf("ring holds %d slots, want %d", len(b.cycle), 1<<15)
 		}
 	})
 	for _, limit := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(500 + limit)))
-			b := newBooking(limit, false)
-			lin := newBooking(limit, true)
+			b := newBooking(limit)
 			ref := newMapBooking(limit)
 			floor := uint64(1)
 			for i := 0; i < 50_000; i++ {
@@ -209,11 +197,7 @@ func TestBookingExactBeyondRingSpan(t *testing.T) {
 				if got != want {
 					t.Fatalf("step=%d book(%d, floor %d) = %d, exact = %d", i, earliest, floor, got, want)
 				}
-				if lg := lin.book(earliest, floor); lg != want {
-					t.Fatalf("step=%d linear book(%d, floor %d) = %d, exact = %d", i, earliest, floor, lg, want)
-				}
 			}
-			requireSameRing(t, "after the stream", b, lin)
 			if len(b.cycle) <= 1<<14 {
 				t.Fatalf("ring holds %d slots: the stream never outgrew a 16,384-cycle window", len(b.cycle))
 			}
@@ -224,7 +208,7 @@ func TestBookingExactBeyondRingSpan(t *testing.T) {
 			if len(b.cycle) != bookingSlots {
 				t.Fatalf("reset ring holds %d slots, want %d", len(b.cycle), bookingSlots)
 			}
-			fresh := newBooking(limit, false)
+			fresh := newBooking(limit)
 			for i := 0; i < 1000; i++ {
 				earliest := uint64(1 + i/2)
 				if got, want := b.book(earliest, 1), fresh.book(earliest, 1); got != want {
@@ -241,7 +225,7 @@ func TestBookingExactBeyondRingSpan(t *testing.T) {
 // are non-decreasing, and a booked cycle is never before its request.
 func TestBookingCursorMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	b := newBooking(2, false)
+	b := newBooking(2)
 	earliest := uint64(1)
 	last := uint64(0)
 	for i := 0; i < 100_000; i++ {
@@ -257,11 +241,11 @@ func TestBookingCursorMonotonic(t *testing.T) {
 	}
 }
 
-// TestBookingSkipsFullRun is the cursor's reason to exist: after a long
-// fully-booked run, a request behind the run must land just past it (the
-// correctness half; the O(1) probe is what the profile shows).
+// TestBookingSkipsFullRun checks the probe across a long fully booked
+// run: a request below the run still gets its own free cycle, and one
+// inside the run lands just past it.
 func TestBookingSkipsFullRun(t *testing.T) {
-	b := newBooking(1, false)
+	b := newBooking(1)
 	for c := uint64(100); c < 3100; c++ {
 		if got := b.book(100, 50); got != c {
 			t.Fatalf("book(100) = %d, want %d", got, c)
@@ -301,25 +285,13 @@ func TestRingWrapNonPowerOfTwo(t *testing.T) {
 				fifo = fifo[1:]
 			}
 			fifo = append(fifo, v)
-			wantEdge := uint64(0)
-			if len(fifo) == size {
-				wantEdge = fifo[0] + 1
-			}
-			oldEdge := r.edge
-			if moved := r.push(v); moved != (wantEdge != oldEdge) {
-				t.Fatalf("size=%d step=%d push(%d) moved = %v, want %v (edge %d -> %d)",
-					size, i, v, moved, wantEdge != oldEdge, oldEdge, wantEdge)
-			}
-			if r.edge != wantEdge {
-				t.Fatalf("size=%d step=%d push(%d) edge = %d, want %d",
-					size, i, v, r.edge, wantEdge)
-			}
+			r.push(v)
 		}
 	}
 }
 
 // TestBookingMonotoneMatchesReference drives the cursor, a LinearTiming
-// ring (bookRef, with each request as its own floor), and the test's
+// reference ring (with each request as its own floor), and the test's
 // independent reference with identical clamped request streams — the
 // non-decreasing-by-construction shape the fetch/dispatch/commit tables
 // see, stall jumps included — and requires bit-equal results. Afterwards
@@ -329,7 +301,7 @@ func TestBookingMonotoneMatchesReference(t *testing.T) {
 	for _, limit := range []int{1, 2, 4} {
 		rng := rand.New(rand.NewSource(int64(91 + limit)))
 		k := newCursor(limit)
-		lin := newBooking(limit, true)
+		lin := newBooking(limit)
 		ref := newRefBooking(limit)
 		earliest := uint64(1)
 		last := uint64(0)
@@ -361,45 +333,20 @@ func TestBookingMonotoneMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkBooking measures the two reservation shapes the timing core
-// produces, for both the event-edge path and the linear reference
-// (informational in scripts/bench_smoke.sh):
-//
-//   - chain: mostly-monotonic earliest cycles, the common dispatch
-//     stream — both paths are O(1), the edge path via maxBooked;
-//   - stall-vault: probes from below a multi-thousand-cycle fully-booked
-//     run (a debugger-transition stall), where the known-full interval
-//     makes the event path O(1) while the reference re-walks the run.
+// BenchmarkBooking measures the reservation shapes the timing core
+// produces (informational in scripts/bench_smoke.sh). chain is a port
+// table fed mostly-monotonic earliest cycles, the common issue stream,
+// where each probe lands on its first cycle. There is no long-run shape:
+// a port probe starts at or above its floor, and no fully booked run
+// there is longer than (ROBSize-1)/limit cycles (see booking.book).
 func BenchmarkBooking(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		linear bool
-	}{{"event", false}, {"linear", true}} {
-		b.Run("chain/"+mode.name, func(b *testing.B) {
-			bk := newBooking(4, mode.linear)
-			for i := 0; i < b.N; i++ {
-				bk.book(uint64(i), uint64(i))
-			}
-		})
-		b.Run("stall-vault/"+mode.name, func(b *testing.B) {
-			const run = 4096 // rebooked per batch; well under one ring span
-			bk := newBooking(1, mode.linear)
-			base := uint64(1)
-			for i := 0; i < b.N; i++ {
-				if i%1024 == 0 {
-					// Re-establish the fully-booked stall run (amortized
-					// across the batch; each probe below extends it by one).
-					bk.reset()
-					for c := base; c < base+run; c++ {
-						bk.book(c, base)
-					}
-				}
-				bk.book(base, base)
-			}
-		})
-	}
-	// The cursor (fetch/dispatch/commit tables), reported informationally
-	// by scripts/bench_smoke.sh alongside the port tables above.
+	b.Run("chain", func(b *testing.B) {
+		bk := newBooking(4)
+		for i := 0; i < b.N; i++ {
+			bk.book(uint64(i), uint64(i))
+		}
+	})
+	// The cursor (fetch/dispatch/commit tables).
 	b.Run("monotone/chain", func(b *testing.B) {
 		k := newCursor(4)
 		for i := 0; i < b.N; i++ {

@@ -21,22 +21,20 @@
 // address bounds so the common searches — empty queue, fully drained
 // queue, or a disjoint load — cost O(1) (see storeRec in core.go).
 //
-// Timing-core scheduling is event-edge driven: instead of re-deriving
-// per-resource state for every uop, each resource maintains the next
-// cycle at which its state can change and the hot path consults those
-// edges. The fetch, dispatch, and commit slots see non-decreasing request
-// streams, so each is a (cycle, count) cursor — the newest booked cycle
-// is the only one a request can still reach. The function units and load
-// ports keep a ring over absolute cycles, grown whenever a reservation
-// would overwrite a live entry so it never aliases, plus a known-full
-// interval and a next-free edge, so fully-booked runs are vaulted and
-// reservations past all existing bookings cost O(1) (see booking.go);
-// the ROB/RS/LSQ occupancy rings maintain their dispatch edge
-// incrementally at push time; the store queue exposes a next-drain edge
-// (storeQMaxCommit) and an occupancy count that bound its search; and
-// the fetch path keeps line- and page-granular refill windows
-// (lastFetchLine, the predecoder MRU window). Config.LinearTiming retains
-// the linear reference paths; the differential property tests prove both
+// Timing-core bookkeeping keeps only what can still affect a future
+// decision. The fetch, dispatch, and commit slots see non-decreasing
+// request streams, so each is a (cycle, count) cursor — the newest booked
+// cycle is the only one a request can still reach. The function units
+// and load ports keep a ring over absolute cycles, grown whenever a
+// reservation would overwrite a live entry so it never aliases, and book
+// by probing upward from the earliest cycle (see booking.go). The
+// ROB/RS/LSQ occupancy rings admit a uop the cycle after their oldest
+// occupant releases. The store queue keeps an occupancy count, a
+// next-drain edge (storeQMaxCommit), and address bounds that answer most
+// searches without a scan, and the fetch path keeps line- and
+// page-granular windows (lastFetchLine, the predecoder's fetch window).
+// Config.LinearTiming swaps the cursors and the store-queue filters for
+// their linear references; the differential property tests prove both
 // produce bit-identical cycles and statistics.
 package pipeline
 
@@ -71,12 +69,12 @@ type Config struct {
 	MaxUops uint64
 
 	// LinearTiming selects the retained linear-reference timing paths:
-	// bookings probe cycle by cycle, structure occupancy re-reads the ring
-	// heads, and store-queue searches scan every entry, with none of the
-	// event edges consulted or maintained. Cycle counts and Stats are
-	// bit-identical to the default event-edge scheduling — the
-	// differential property tests assert exactly that — so the only reason
-	// to set it is as the oracle in those tests.
+	// fetch, dispatch, and commit book on reference rings probed cycle by
+	// cycle instead of on cursors, and store-queue searches scan every
+	// entry instead of consulting the occupancy count, drain edge, and
+	// address bounds. Cycle counts and Stats are bit-identical to the
+	// default — the differential property tests assert exactly that — so
+	// the only reason to set it is as the oracle in those tests.
 	LinearTiming bool
 }
 

@@ -47,8 +47,8 @@ type Core struct {
 
 	// Fetch, dispatch, and commit requests are non-decreasing by
 	// construction (each is clamped by the previous result, kept in
-	// lastFetch/lastDispatch/lastCommit), so event-edge cores book them
-	// on cursors. LinearTiming cores book them on plain rings instead
+	// lastFetch/lastDispatch/lastCommit), so default cores book them on
+	// cursors. LinearTiming cores book them on plain rings instead
 	// (fetchRef, dispatchRef, commitRef, nil otherwise): the reference
 	// the cursors are checked against.
 	fetchBook, dispatchBook, commitBook cursor
@@ -63,17 +63,10 @@ type Core struct {
 	rsRing  *ring
 	lsqRing *ring
 
-	// structEdge aggregates the ROB and RS occupancy edges (every uop is
-	// constrained by both, so time reads their max as one word); the LSQ
-	// edge stays separate because only memory ops consult it. It is a
-	// pure function of the two rings — maintained at the shared ring-push
-	// site in both timing modes, read only by the event-edge path, and
-	// reconstructed rather than serialized on restore.
-	structEdge uint64
-
 	// linear selects the retained linear-reference timing paths
-	// (Config.LinearTiming): ring occupancy via oldest(), store-queue
-	// search via full scan, bookings via bookRef on rings.
+	// (Config.LinearTiming): fetch, dispatch, and commit booked on the
+	// reference rings instead of the cursors, and the store-queue search
+	// as a full scan.
 	linear bool
 
 	appReady  [isa.NumRegs]uint64
@@ -143,18 +136,18 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, bp *bpred.Predictor, 
 		fetchBook:    newCursor(cfg.Width),
 		dispatchBook: newCursor(cfg.Width),
 		commitBook:   newCursor(cfg.Width),
-		aluBook:      newBooking(cfg.IntALUs, cfg.LinearTiming),
-		mulBook:      newBooking(cfg.IntMuls, cfg.LinearTiming),
-		loadBook:     newBooking(cfg.LoadPorts, cfg.LinearTiming),
+		aluBook:      newBooking(cfg.IntALUs),
+		mulBook:      newBooking(cfg.IntMuls),
+		loadBook:     newBooking(cfg.LoadPorts),
 		robRing:      newRing(cfg.ROBSize),
 		rsRing:       newRing(cfg.RSSize),
 		lsqRing:      newRing(cfg.LSQSize),
 		storeQ:       make([]storeRec, sqSize),
 	}
 	if c.linear {
-		c.fetchRef = newBooking(cfg.Width, true)
-		c.dispatchRef = newBooking(cfg.Width, true)
-		c.commitRef = newBooking(cfg.Width, true)
+		c.fetchRef = newBooking(cfg.Width)
+		c.dispatchRef = newBooking(cfg.Width)
+		c.commitRef = newBooking(cfg.Width)
 	}
 	c.fetchCursor = 1
 	c.storeQGen = 1
@@ -223,7 +216,6 @@ func (c *Core) Reset() {
 	c.robRing.reset()
 	c.rsRing.reset()
 	c.lsqRing.reset()
-	c.structEdge = 0
 	c.appReady = [isa.NumRegs]uint64{}
 	c.diseReady = [isa.NumDiseRegs]uint64{}
 	clear(c.storeQ)
@@ -386,7 +378,7 @@ func (c *Core) fetchAt(pc uint64, dpc int, expExtra uint64) uint64 {
 	var at uint64
 	if c.linear {
 		// Requests never go below earliest again, so it is the floor.
-		at = c.fetchRef.bookRef(earliest, earliest)
+		at = c.fetchRef.book(earliest, earliest)
 	} else {
 		at = c.fetchBook.book(earliest)
 	}
@@ -615,7 +607,7 @@ func (c *Core) execDise(inst *isa.Inst, pc uint64, dpc int, ev *execResult) {
 // time runs the uop through the timing model, updates the front-end
 // cursors for flushes and stalls, and advances the functional front-end
 // cursor to the next uop — the dispatch tail of step, fused so the
-// booking-table writes, edge maintenance, and the redirect handling all
+// booking-table writes, ring releases, and the redirect handling all
 // happen in one pass per uop instead of two calls with a second
 // redirect dispatch. inFunc is whether the uop was fetched inside a
 // DISE-called function (captured before exec); pc/dpc are the fetch
@@ -623,30 +615,20 @@ func (c *Core) execDise(inst *isa.Inst, pc uint64, dpc int, ev *execResult) {
 func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc bool, pc uint64, dpc int) {
 	arrival := fetchAt + uint64(c.cfg.FrontEndDepth)
 
-	// Structure occupancy: ROB, RS, and (for memory ops) LSQ. The
-	// event-edge path reads the precomputed occupancy edges (the rings
-	// update them at push time); the linear reference re-derives fullness
-	// and the oldest release from the rings every uop.
+	// Structure occupancy: ROB, RS, and (for memory ops) LSQ. A full
+	// structure admits the uop the cycle after its oldest occupant
+	// releases.
 	earliest := arrival
 	isMem := ev.isLoad || ev.isStore
-	if c.linear {
-		if t, full := c.robRing.oldest(); full && t+1 > earliest {
+	if t, full := c.robRing.oldest(); full && t+1 > earliest {
+		earliest = t + 1
+	}
+	if t, full := c.rsRing.oldest(); full && t+1 > earliest {
+		earliest = t + 1
+	}
+	if isMem {
+		if t, full := c.lsqRing.oldest(); full && t+1 > earliest {
 			earliest = t + 1
-		}
-		if t, full := c.rsRing.oldest(); full && t+1 > earliest {
-			earliest = t + 1
-		}
-		if isMem {
-			if t, full := c.lsqRing.oldest(); full && t+1 > earliest {
-				earliest = t + 1
-			}
-		}
-	} else {
-		if c.structEdge > earliest {
-			earliest = c.structEdge
-		}
-		if isMem && c.lsqRing.edge > earliest {
-			earliest = c.lsqRing.edge
 		}
 	}
 	if earliest < c.lastDispatch {
@@ -654,7 +636,7 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 	}
 	var dispatchAt uint64
 	if c.linear {
-		dispatchAt = c.dispatchRef.bookRef(earliest, earliest)
+		dispatchAt = c.dispatchRef.book(earliest, earliest)
 	} else {
 		dispatchAt = c.dispatchBook.book(earliest)
 	}
@@ -725,24 +707,15 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 	}
 	var commitAt uint64
 	if c.linear {
-		commitAt = c.commitRef.bookRef(commitEarliest, commitEarliest)
+		commitAt = c.commitRef.book(commitEarliest, commitEarliest)
 	} else {
 		commitAt = c.commitBook.book(commitEarliest)
 	}
 	c.lastCommit = commitAt
 
-	// Structure releases. The pushes refresh each ring's own edge; the
-	// ROB/RS aggregate refolds only when a push actually moved an edge —
-	// consecutive occupants usually release on the same cycle, so most
-	// pushes move nothing.
-	moved := c.robRing.push(commitAt)
-	if c.rsRing.push(issueAt+1) || moved {
-		if se := c.rsRing.edge; se > c.robRing.edge {
-			c.structEdge = se
-		} else {
-			c.structEdge = c.robRing.edge
-		}
-	}
+	// Structure releases.
+	c.robRing.push(commitAt)
+	c.rsRing.push(issueAt + 1)
 	if isMem {
 		c.lsqRing.push(commitAt)
 	}

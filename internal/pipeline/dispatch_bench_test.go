@@ -58,6 +58,40 @@ loop:
     br  loop
 `
 
+// mulKernel saturates the single multiplier with independent mulq back
+// to back. Four dispatch per cycle and one issues, so the multiplier is
+// booked solid as far ahead as the ROB reaches, and every reservation
+// probes across that run — up to (ROBSize-1)/IntMuls = 127 cycles on the
+// default machine. No paper kernel or benchmark workload has this
+// shape; it keeps the probe's worst case on view.
+const mulKernel = `
+.text
+.entry main
+main:
+loop:
+    mulq r1, r2, r3
+    mulq r1, r2, r4
+    mulq r1, r2, r5
+    mulq r1, r2, r6
+    mulq r1, r2, r7
+    mulq r1, r2, r8
+    mulq r1, r2, r9
+    br  loop
+`
+
+// dispatchVariants are the steady-state loops the dispatch benchmark and
+// the allocation test run.
+var dispatchVariants = []struct {
+	name   string
+	kernel string
+	dise   bool
+}{
+	{"plain", dispatchKernel, false},
+	{"dise", dispatchKernel, true},
+	{"stores", storeKernel, false},
+	{"mul", mulKernel, false},
+}
+
 // dispatchMachine loads a kernel and runs it past the cold-start
 // transient (page resolution, predictor warm-up, cache fills), returning
 // the machine and the cumulative app-instruction target reached. Core.Run
@@ -84,20 +118,12 @@ func dispatchMachine(tb testing.TB, kernel string, dise bool) (*machine.Machine,
 // instructions per second, without the machine-construction and workload-
 // generation costs the macro throughput benchmark includes. The dise
 // variant keeps a store-class watchpoint production installed, so every
-// fourth-ish instruction takes the ExpandInto path. Both must run the hot
-// loop allocation-free (TestDispatchAllocFree asserts it; -benchmem
-// shows it here).
+// fourth-ish instruction takes the ExpandInto path, and mul saturates
+// the multiplier. All must run the hot loop allocation-free
+// (TestDispatchAllocFree asserts it; -benchmem shows it here).
 func BenchmarkDispatch(b *testing.B) {
 	const chunk = 10_000
-	for _, v := range []struct {
-		name   string
-		kernel string
-		dise   bool
-	}{
-		{"plain", dispatchKernel, false},
-		{"dise", dispatchKernel, true},
-		{"stores", storeKernel, false},
-	} {
+	for _, v := range dispatchVariants {
 		b.Run(v.name, func(b *testing.B) {
 			m, target := dispatchMachine(b, v.kernel, v.dise)
 			b.ReportAllocs()
@@ -113,18 +139,10 @@ func BenchmarkDispatch(b *testing.B) {
 
 // TestDispatchAllocFree pins the hot-loop invariant the dispatch refactor
 // must preserve: once warm, dispatching instructions — plain, through
-// DISE expansion, or store-dominated — performs
-// zero heap allocations.
+// DISE expansion, store-dominated, or multiplier-bound — performs zero
+// heap allocations.
 func TestDispatchAllocFree(t *testing.T) {
-	for _, v := range []struct {
-		name   string
-		kernel string
-		dise   bool
-	}{
-		{"plain", dispatchKernel, false},
-		{"dise", dispatchKernel, true},
-		{"stores", storeKernel, false},
-	} {
+	for _, v := range dispatchVariants {
 		t.Run(v.name, func(t *testing.T) {
 			m, target := dispatchMachine(t, v.kernel, v.dise)
 			if allocs := testing.AllocsPerRun(50, func() {

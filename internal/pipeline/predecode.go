@@ -41,20 +41,13 @@ type predecoder struct {
 	maxPages int
 	clock    uint64 // LRU clock, advanced on every slow-path lookup
 
-	// One-entry MRU: straight-line fetch stays on one page for up to 1024
-	// instructions, so this avoids even the map lookup on most fetches.
-	lastPN   uint64
-	lastPage *decodedPage
-
-	// The MRU as a refill window: fetches inside [winBase,
-	// winBase+PageSize) index win directly, so the hot path is one
-	// subtraction and compare against the window's refill edge instead of
-	// a page-number computation and a pointer/tag pair check. win/winBase
-	// shadow lastPage/lastPN exactly: winBase is the MRU page's base when
-	// the MRU is valid and noWindow otherwise, which no fetchable pc can
-	// fall within. Reconstructible from the MRU, so snapshots don't carry
-	// it.
-	win     *[instsPerPage]isa.Uop
+	// The fetch window is the most recently used page: straight-line
+	// fetch stays on one page for up to 1024 instructions, and a fetch
+	// inside [winBase, winBase+PageSize) indexes win directly — one
+	// subtraction and compare, no map lookup. win is nil and winBase is
+	// noWindow, which no fetchable pc can fall within, while no page is
+	// the window.
+	win     *decodedPage
 	winBase uint64
 
 	// [loPN, hiPN] bounds every page ever cached, so the write hook can
@@ -110,7 +103,7 @@ func newPredecoder(m *mem.Memory, maxPages int) *predecoder {
 func (d *predecoder) fetch(pc uint64) *isa.Uop {
 	if off := pc - d.winBase; off < mem.PageSize && pc&3 == 0 {
 		d.hits++
-		return &d.win[off>>2]
+		return &d.win.uops[off>>2]
 	}
 	return d.fetchSlow(pc)
 }
@@ -153,30 +146,28 @@ func (d *predecoder) fetchSlow(pc uint64) *isa.Uop {
 		d.hits++
 	}
 	pg.lastUse = d.clock
-	d.lastPN, d.lastPage = pn, pg
-	d.win, d.winBase = &pg.uops, mem.PageBase(pc)
+	d.win, d.winBase = pg, mem.PageBase(pc)
 	return &pg.uops[(pc&(mem.PageSize-1))>>2]
 }
 
 // evictLRU drops the least-recently-used page. It runs only when a decode
 // would overflow the cap, so a linear scan of the map is fine.
 func (d *predecoder) evictLRU() {
-	if d.lastPage != nil {
-		// MRU fast-path hits don't restamp the active page; refresh it so
-		// the scan never victimizes the page fetch is sitting on.
-		d.lastPage.lastUse = d.clock
+	if d.win != nil {
+		// Window hits don't restamp the active page; refresh it so the
+		// scan never victimizes the page fetch is sitting on.
+		d.win.lastUse = d.clock
 	}
 	var victim uint64
-	oldest := ^uint64(0)
+	var vpg *decodedPage
 	for pn, pg := range d.pages {
-		if pg.lastUse < oldest {
-			victim, oldest = pn, pg.lastUse
+		if vpg == nil || pg.lastUse < vpg.lastUse {
+			victim, vpg = pn, pg
 		}
 	}
 	delete(d.pages, victim)
 	d.evictions++
-	if d.lastPage != nil && d.lastPN == victim {
-		d.lastPage = nil
+	if d.win == vpg {
 		d.win, d.winBase = nil, noWindow
 	}
 }
@@ -188,7 +179,6 @@ func (d *predecoder) evictLRU() {
 func (d *predecoder) reset() {
 	d.pages = make(map[uint64]*decodedPage)
 	d.clock = 0
-	d.lastPN, d.lastPage = 0, nil
 	d.win, d.winBase = nil, noWindow
 	d.loPN, d.hiPN = 1, 0
 	d.hits, d.decodes, d.evictions, d.invalidations = 0, 0, 0, 0
@@ -215,8 +205,7 @@ func (d *predecoder) invalidate(loPN, hiPN uint64) {
 			d.invalidations++
 			d.uopInvals += instsPerPage
 		}
-		if d.lastPage != nil && d.lastPN == pn {
-			d.lastPage = nil
+		if d.win != nil && d.winBase == pn*mem.PageSize {
 			d.win, d.winBase = nil, noWindow
 		}
 	}

@@ -13,19 +13,13 @@
 //     at lastFetch/lastDispatch/lastCommit) and restores a ring holding
 //     only that slot, so both timing modes encode these tables alike;
 //   - a port table is its ring at its current length, stale entries
-//     included, plus the known-full interval and maxBooked (which is not
-//     reconstructible: its slot may have expired below the floor).
-//     Restore resizes the ring to the snapshot's length;
-//   - a ROB/RS/LSQ ring is copied raw, and its occupancy edge is
-//     recomputed from (buf, head, n) — push maintains it as exactly
-//     oldest()+1 when full, 0 otherwise — with the ring's single write
+//     included. Restore resizes the ring to the snapshot's length;
+//   - a ROB/RS/LSQ ring is copied raw, with the ring's single write
 //     index mapped to the head/tail pair the encoding has always carried
-//     (ring.snapshot). Core.structEdge is recomputed as the max of the
-//     restored ROB/RS edges, which is precisely how the push site
-//     maintains it;
+//     (ring.snapshot);
 //   - the store queue's drain edge (storeQMaxCommit) is part of the
-//     captured surface, and the predecoder's refill window shadows the
-//     MRU page, which predState carries.
+//     captured surface, and predState carries the predecoder's fetch
+//     window as its page number.
 //
 // The predecoder is captured as metadata only (which pages, LRU stamps);
 // Restore re-decodes the micro-ops from the restored memory — resolution
@@ -78,19 +72,14 @@ func restoreMono(k *cursor, ref *booking, st cursorState) {
 }
 
 type bookingState struct {
-	cycle          []uint64
-	count          []uint16
-	fullLo, fullHi uint64
-	maxBooked      uint64
+	cycle []uint64
+	count []uint16
 }
 
 func (b *booking) snapshot() bookingState {
 	return bookingState{
-		cycle:     append([]uint64(nil), b.cycle...),
-		count:     append([]uint16(nil), b.count...),
-		fullLo:    b.fullLo,
-		fullHi:    b.fullHi,
-		maxBooked: b.maxBooked,
+		cycle: append([]uint64(nil), b.cycle...),
+		count: append([]uint16(nil), b.count...),
 	}
 }
 
@@ -101,8 +90,6 @@ func (b *booking) restore(st *bookingState) {
 	}
 	copy(b.cycle, st.cycle)
 	copy(b.count, st.count)
-	b.fullLo, b.fullHi = st.fullLo, st.fullHi
-	b.maxBooked = st.maxBooked
 }
 
 type ringState struct {
@@ -134,15 +121,11 @@ func (r *ring) restore(st *ringState) {
 	}
 	copy(r.buf, st.buf)
 	r.n = st.n
-	// Reconstruct the write index from the head/tail pair (see snapshot)
-	// and the occupancy edge: push keeps it at exactly oldest()+1 once
-	// the structure is full and 0 while it fills.
+	// Reconstruct the write index from the head/tail pair (see snapshot).
 	if r.n == len(r.buf) {
 		r.pos = st.head
-		r.edge = r.buf[r.pos] + 1
 	} else {
 		r.pos = st.tail
-		r.edge = 0
 	}
 }
 
@@ -154,8 +137,8 @@ type predPageState struct {
 type predState struct {
 	pages      []predPageState // ascending pn
 	clock      uint64
-	lastPN     uint64
-	lastValid  bool
+	winPN      uint64 // the fetch window's page, when winValid
+	winValid   bool
 	loPN, hiPN uint64
 
 	hits, decodes, evictions, invalidations uint64
@@ -165,8 +148,8 @@ type predState struct {
 func (d *predecoder) snapshot() predState {
 	st := predState{
 		clock:         d.clock,
-		lastPN:        d.lastPN,
-		lastValid:     d.lastPage != nil,
+		winPN:         mem.PageOf(d.winBase),
+		winValid:      d.win != nil,
 		loPN:          d.loPN,
 		hiPN:          d.hiPN,
 		hits:          d.hits,
@@ -210,12 +193,9 @@ func (d *predecoder) restore(st *predState) {
 		d.pages[ps.pn] = pg
 	}
 	d.clock = st.clock
-	d.lastPN = st.lastPN
-	if st.lastValid {
-		d.lastPage = d.pages[st.lastPN]
-		d.win, d.winBase = &d.lastPage.uops, st.lastPN*mem.PageSize
+	if st.winValid {
+		d.win, d.winBase = d.pages[st.winPN], st.winPN*mem.PageSize
 	} else {
-		d.lastPage = nil
 		d.win, d.winBase = nil, noWindow
 	}
 	d.loPN, d.hiPN = st.loPN, st.hiPN
@@ -371,13 +351,6 @@ func (c *Core) Restore(st *State) {
 	c.robRing.restore(&st.robRing)
 	c.rsRing.restore(&st.rsRing)
 	c.lsqRing.restore(&st.lsqRing)
-	// Reconstruct the dispatch-edge aggregate the same way the push site
-	// maintains it.
-	if se := c.rsRing.edge; se > c.robRing.edge {
-		c.structEdge = se
-	} else {
-		c.structEdge = c.robRing.edge
-	}
 
 	c.appReady = st.appReady
 	c.diseReady = st.diseReady
@@ -498,9 +471,6 @@ func appendBooking(dst []byte, b *bookingState) []byte {
 	for _, n := range b.count {
 		dst = binary.LittleEndian.AppendUint16(dst, n)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, b.fullLo)
-	dst = binary.LittleEndian.AppendUint64(dst, b.fullHi)
-	dst = binary.LittleEndian.AppendUint64(dst, b.maxBooked)
 	return dst
 }
 
@@ -522,8 +492,8 @@ func appendPred(dst []byte, p *predState) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, pg.lastUse)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, p.clock)
-	dst = binary.LittleEndian.AppendUint64(dst, p.lastPN)
-	dst = appendFlag(dst, p.lastValid)
+	dst = binary.LittleEndian.AppendUint64(dst, p.winPN)
+	dst = appendFlag(dst, p.winValid)
 	dst = binary.LittleEndian.AppendUint64(dst, p.loPN)
 	dst = binary.LittleEndian.AppendUint64(dst, p.hiPN)
 	dst = binary.LittleEndian.AppendUint64(dst, p.hits)

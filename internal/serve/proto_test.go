@@ -496,6 +496,25 @@ func TestProtocolServerStats(t *testing.T) {
 	}
 }
 
+// TestProtocolCreateDataCap: one-line programs whose data directives
+// once panicked the assembler or exhausted memory on the request path
+// are ordinary create errors, and the connection keeps being served.
+func TestProtocolCreateDataCap(t *testing.T) {
+	srv := newTestServer(t, DefaultConfig())
+	c := newProtoClient(t, srv)
+	for _, src := range []string{
+		"x: .space -5",
+		"x: .space 99999999999",
+		".data\n.align 4294967296",
+	} {
+		resp := c.call(Request{Op: "create", Program: src})
+		if resp.OK || resp.Code != "" || !strings.Contains(resp.Err, "asm:") {
+			t.Errorf("create %q = %+v, want an uncoded asm error", src, resp)
+		}
+		c.ok(Request{Op: "ping"})
+	}
+}
+
 func TestProtocolErrors(t *testing.T) {
 	srv := newTestServer(t, DefaultConfig())
 	c := newProtoClient(t, srv)

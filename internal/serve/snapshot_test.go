@@ -95,11 +95,9 @@ func (dw *debugWorkload) fingerprint() machineFingerprint {
 // Each preset is exercised at two snapshot points: a fixed mid-run
 // instruction count, and a "mid-skip" point — the first instruction
 // boundary after a charged debugger-transition stall, where the timing
-// core's event edges (the commit booking's known-full run and next-free
-// edge, the pushed-ahead fetch cursor) sit thousands of cycles past the
-// dispatch stream. A restored machine must resume skipping exactly like
-// the donor, which is precisely the edge-serialization half of the
-// event-edge refactor's snapshot contract.
+// core's fetch cursor sits thousands of cycles past the dispatch stream.
+// A restored machine must resume skipping exactly like the donor, which
+// is the cursor-serialization half of the snapshot contract.
 func TestSnapshotRoundTripDeterminism(t *testing.T) {
 	const mid, end = 15_000, 40_000
 	for _, preset := range machine.Presets() {
@@ -122,8 +120,8 @@ func TestSnapshotRoundTripDeterminism(t *testing.T) {
 
 // findMidSkip locates the first instruction boundary at which the
 // workload has charged a debugger-transition stall: a snapshot taken
-// there lands between event edges, with long fully-booked runs still
-// ahead of the dispatch stream.
+// there lands while the fetch cursor is still far ahead of the dispatch
+// stream.
 func findMidSkip(t *testing.T, cfg machine.Config, backend debug.Backend) uint64 {
 	t.Helper()
 	const limit = 30_000

@@ -36,18 +36,19 @@ go test -bench='BenchmarkCacheAccess$|BenchmarkHierarchyDataLatency$' \
 # Dispatch micros (informational, not gated): the steady-state uop
 # dispatch loop — fetch from the pre-resolved uop cache through exec and
 # the fused time/advance — plain, with a store-class DISE production
-# installed, and store-dominated (the store-queue push path). All must
-# stay 0 allocs/op (TestDispatchAllocFree enforces it; -benchmem shows
-# it here).
+# installed, store-dominated (the store-queue push path), and
+# multiplier-saturated (the port probe's worst case, a booked-solid run
+# as long as the ROB allows). All must stay 0 allocs/op
+# (TestDispatchAllocFree enforces it; -benchmem shows it here).
 echo "-- dispatch micros (informational) --"
 go test -bench='BenchmarkDispatch$' -benchmem \
     -run=NONE -benchtime=1s -count=1 ./internal/pipeline | grep -E 'Benchmark|^ok' || true
 
 # Timing-core micros (informational, not gated): the booking reservation
-# shapes — the port-table edge cases (the stall-vault case is the
-# event-edge scheduler's reason to exist) plus the fetch/dispatch/commit
-# cursor's chain and lockstep shapes — and the Core.time hot loop,
-# event-edge vs the retained linear reference. BenchmarkBooking$ anchors
+# shapes — a port table's issue chain and the fetch/dispatch/commit
+# cursor's chain and lockstep shapes — and the Core.time hot loop on the
+# default core vs the LinearTiming reference (cursors and store-queue
+# filters against their linear references). BenchmarkBooking$ anchors
 # per path element, so the monotone/* sub-benchmarks are included.
 echo "-- timing-core micros (informational) --"
 go test -bench='BenchmarkBooking$|BenchmarkTimeEdge$' \
