@@ -15,7 +15,9 @@
 // create op's "machine" field). -queue-depth bounds how many sessions may
 // be runnable at once and -shed picks what happens beyond it: reject new
 // admissions, or pause the lowest-priority queued session. -push-buffer
-// sizes the per-subscription event buffers for the subscribe op.
+// is the default queue depth of a subscribe op's subscription: how far an
+// ordinary subscriber may fall behind before it is disconnected, or a
+// backpressure one before its session waits for it.
 //
 // -checkpoint-every N checkpoints each session every N quanta, enabling
 // crash recovery (a panicked quantum rebuilds the session from its last
@@ -92,7 +94,7 @@ func main() {
 			"default machine preset ("+strings.Join(machine.Presets(), "|")+")")
 		queueDepth = flag.Int("queue-depth", 0, "runnable-session bound before load shedding (default max-sessions)")
 		shed       = flag.String("shed", "reject", "load-shedding policy past queue-depth (reject|pause)")
-		pushBuffer = flag.Int("push-buffer", 0, "per-subscription event buffer depth (default 128)")
+		pushBuffer = flag.Int("push-buffer", 0, "default subscription queue depth: events a subscriber may fall behind (default 128)")
 		checkpoint = flag.Int("checkpoint-every", 0, "checkpoint each session every N quanta (0 = off)")
 		readTO     = flag.Duration("read-timeout", 0, "sever TCP clients idle past this (0 = none)")
 		writeTO    = flag.Duration("write-timeout", 0, "sever TCP clients wedging a write past this (0 = none)")

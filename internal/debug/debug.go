@@ -210,6 +210,12 @@ func (c *Condition) Eval(v uint64) bool {
 	return false
 }
 
+// MaxRangeLength caps a range watchpoint's length in bytes. The debugger
+// copies the whole region at Install and on every check, and the length
+// reaches Watch from clients unchecked, so without a cap one request
+// could allocate without bound. The paper's kernels watch 256 bytes.
+const MaxRangeLength = 1 << 20
+
 // Watchpoint is a data breakpoint specification.
 type Watchpoint struct {
 	Name string
@@ -341,8 +347,15 @@ func (d *Debugger) Watch(w *Watchpoint) error {
 			return fmt.Errorf("debug: watchpoint %q has bad size %d", w.Name, w.Size)
 		}
 	}
-	if w.Kind == WatchRange && w.Length == 0 {
-		return fmt.Errorf("debug: range watchpoint %q has zero length", w.Name)
+	if w.Kind == WatchRange {
+		switch {
+		case w.Length == 0:
+			return fmt.Errorf("debug: range watchpoint %q has zero length", w.Name)
+		case w.Length > MaxRangeLength:
+			return fmt.Errorf("debug: range watchpoint %q length %d exceeds %d bytes", w.Name, w.Length, MaxRangeLength)
+		case w.Addr+w.Length < w.Addr:
+			return fmt.Errorf("debug: range watchpoint %q at %#x wraps past the end of memory", w.Name, w.Addr)
+		}
 	}
 	if w.Kind == WatchExpr && len(w.Terms) == 0 {
 		return fmt.Errorf("debug: expression watchpoint %q has no terms", w.Name)

@@ -318,6 +318,32 @@ main:
 	}
 }
 
+// TestWatchRangeBounds: Watch rejects a range longer than MaxRangeLength
+// or one whose end does not fit below 2^64, before Install would copy it.
+func TestWatchRangeBounds(t *testing.T) {
+	m := loadProg(t, watchProg)
+	v := m.Program.MustSymbol("v")
+	top := ^uint64(0) - 7 // the last quad of the address space
+	for _, tc := range []struct {
+		name   string
+		addr   uint64
+		length uint64
+		ok     bool
+	}{
+		{"at cap", v, debug.MaxRangeLength, true},
+		{"past cap", v, debug.MaxRangeLength + 1, false},
+		{"huge", v, 1 << 62, false},
+		{"wraps", top, 16, false},
+		{"ends at 2^64", top, 8, false},
+	} {
+		d := debug.New(m, debug.DefaultOptions(debug.BackendDise))
+		err := d.Watch(&debug.Watchpoint{Name: "r", Kind: debug.WatchRange, Addr: tc.addr, Length: tc.length})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Watch = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestDiseExprWatch(t *testing.T) {
 	m := loadProg(t, `
 .data

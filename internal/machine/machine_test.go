@@ -35,6 +35,23 @@ main:
 	}
 }
 
+// TestRunTextAtHighHalf: a program whose text starts at 1<<63 runs to
+// halt on a fresh machine; its first fetch happens while the predecoder
+// has no window.
+func TestRunTextAtHighHalf(t *testing.T) {
+	b := asm.NewAt(1<<63, asm.DefaultDataBase)
+	b.Halt()
+	p, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewDefault()
+	m.Load(p)
+	if st := m.MustRun(0); !st.Halted {
+		t.Fatal("did not halt")
+	}
+}
+
 func TestRunWithoutProgram(t *testing.T) {
 	m := NewDefault()
 	if _, err := m.Run(0); err == nil {

@@ -45,8 +45,8 @@ type predecoder struct {
 	// fetch stays on one page for up to 1024 instructions, and a fetch
 	// inside [winBase, winBase+PageSize) indexes win directly — one
 	// subtraction and compare, no map lookup. win is nil and winBase is
-	// noWindow, which no fetchable pc can fall within, while no page is
-	// the window.
+	// noWindow, against which no pc takes that path, while no page is the
+	// window.
 	win     *decodedPage
 	winBase uint64
 
@@ -75,9 +75,12 @@ type predecoder struct {
 	misal isa.Uop
 }
 
-// noWindow poisons winBase so that pc-winBase overflows past PageSize for
-// every realizable pc (text addresses stay far below 1<<63).
-const noWindow = uint64(1) << 63
+// noWindow poisons winBase while no page is the window. Its low bits are
+// 2, so off = pc-noWindow and pc never share alignment and no pc passes
+// fetch's (off|pc)&3 == 0 test, not even one in [1<<63, 1<<63+PageSize);
+// a real window base is page-aligned, where the test reads pc&3 == 0.
+// Snapshots store the window's page, which the low bits do not change.
+const noWindow = uint64(1)<<63 | 2
 
 func newPredecoder(m *mem.Memory, maxPages int) *predecoder {
 	if maxPages <= 0 {
@@ -101,7 +104,7 @@ func newPredecoder(m *mem.Memory, maxPages int) *predecoder {
 // unlinked), so a self-modifying store may invalidate the page of the
 // very uop executing it without corrupting that uop.
 func (d *predecoder) fetch(pc uint64) *isa.Uop {
-	if off := pc - d.winBase; off < mem.PageSize && pc&3 == 0 {
+	if off := pc - d.winBase; off < mem.PageSize && (off|pc)&3 == 0 {
 		d.hits++
 		return &d.win.uops[off>>2]
 	}

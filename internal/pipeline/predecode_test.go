@@ -44,6 +44,26 @@ func TestPredecoderServesAndInvalidates(t *testing.T) {
 	}
 }
 
+// TestPredecoderNoWindowHighPC: with no page as the window, an aligned
+// fetch just above 1<<63 must take the slow path, not index a nil window.
+func TestPredecoderNoWindowHighPC(t *testing.T) {
+	m := mem.New()
+	d := newPredecoder(m, 0)
+	m.AddWriteHook(d.invalidate)
+
+	addq := isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 5, UseImm: true}
+	for _, pc := range []uint64{1 << 63, 1<<63 + 4, 1<<63 + mem.PageSize - 4} {
+		m.Write(pc, 4, uint64(encodeOrDie(t, addq)))
+		d.reset() // no window
+		if got := d.fetch(pc); got.Inst != addq {
+			t.Errorf("fetch(%#x) = %v, want %v", pc, got.Inst, addq)
+		}
+		if got := d.fetch(pc); got.Inst != addq { // now through the window
+			t.Errorf("windowed fetch(%#x) = %v, want %v", pc, got.Inst, addq)
+		}
+	}
+}
+
 func TestPredecoderWriteBytesInvalidates(t *testing.T) {
 	m := mem.New()
 	d := newPredecoder(m, 0)

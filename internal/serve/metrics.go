@@ -48,6 +48,7 @@ type serveMetrics struct {
 	evDropped       *obs.Counter
 	faults          *obs.Counter
 	recoveries      *obs.Counter
+	requestPanics   *obs.Counter
 
 	// Latency distributions (hot path: three atomic adds each).
 	quantumNs    *obs.Histogram
@@ -75,6 +76,7 @@ func newServeMetrics() *serveMetrics {
 		evDropped:       reg.Counter("dise_events_dropped_total", "", "pull-queue events discarded at EventBuffer"),
 		faults:          reg.Counter("dise_faults_total", "", "quanta that panicked"),
 		recoveries:      reg.Counter("dise_recoveries_total", "", "sessions rebuilt from a checkpoint"),
+		requestPanics:   reg.Counter("dise_request_panics_total", "", "wire requests that panicked and failed with code internal"),
 		quantumNs:       reg.Histogram("dise_quantum_latency_ns", "", "wall-clock duration of one completed scheduling quantum"),
 		checkpointNs:    reg.Histogram("dise_checkpoint_latency_ns", "", "wall-clock duration of one checkpoint capture"),
 		snapshotB:       reg.Histogram("dise_snapshot_bytes", "", "encoded size of explicit snapshots (snapshot wire op)"),

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	rtdebug "runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,12 +40,15 @@ import (
 //	{"op":"subscribe","session":1}               -> {"ok":true}
 //	                                             <- {"session":1,"event":{"kind":"watch",...}}
 //
-// A connection has one writer goroutine and a bounded outbox, so pushed
-// frames never corrupt request/response framing; a subscriber that stops
-// reading is disconnected (slow consumer), leaving its session intact
-// and attachable. Blocking ops (wait) block the connection; clients
-// wanting concurrent sessions open one connection per session, multiplex
-// with seq, or subscribe.
+// A connection has one writer goroutine: it writes the responses from a
+// bounded outbox and pushes the frames its subscriptions' queues hold
+// itself, so pushed frames never corrupt request/response framing. An
+// ordinary subscriber that stops reading falls its depth behind and is
+// disconnected (slow consumer), leaving its session intact and
+// attachable; a backpressure subscriber holds its session instead.
+// Blocking ops (wait) block the connection; clients wanting concurrent
+// sessions open one connection per session, multiplex with seq, or
+// subscribe.
 //
 // The snapshot op checkpoints an idle session and reports the encoded
 // snapshot's size and content hash; the restore op rewinds the session to
@@ -58,7 +62,9 @@ import (
 // applies: "overloaded" (load shedding rejected the continue/step),
 // "running", "halted", "closed", "no-server", "draining" (the server is
 // shutting down gracefully), "errored" (the session faulted beyond
-// recovery), "no-checkpoint" (restore with nothing to rewind to).
+// recovery), "no-checkpoint" (restore with nothing to rewind to),
+// "internal" (the request panicked; the server logged it and keeps
+// serving).
 
 // Request is one protocol request.
 type Request struct {
@@ -95,11 +101,11 @@ type Request struct {
 	Budget uint64 `json:"budget,omitempty"`
 	Count  uint64 `json:"count,omitempty"`
 
-	// subscribe: per-subscription buffer depth (0 = server default), and
+	// subscribe: per-subscription queue depth (0 = server default), and
 	// the lossless backpressure mode — instead of severing the connection
 	// when it falls behind, the session pauses at its next quantum
-	// boundary until the subscriber drains (tracing clients that must not
-	// lose events).
+	// boundary until the subscriber catches up (tracing clients that must
+	// not lose events).
 	Depth        int  `json:"depth,omitempty"`
 	Backpressure bool `json:"backpressure,omitempty"`
 
@@ -183,6 +189,11 @@ type Response struct {
 	Metrics map[string]any `json:"metrics,omitempty"`
 	// trace: the session's scheduling timeline, oldest first.
 	Trace []obs.TraceEvent `json:"trace,omitempty"`
+
+	// sub is the subscription a subscribe response starts; the writer
+	// pushes it only after writing the response, so the response precedes
+	// the first frame.
+	sub *Subscription
 }
 
 // EventFrame is one asynchronously pushed event on a subscribed
@@ -192,6 +203,9 @@ type EventFrame struct {
 	Session uint64 `json:"session"`
 	Event   *Event `json:"event"`
 }
+
+// ErrInternal fails a request that panicked on the request path.
+var ErrInternal = errors.New("serve: internal error")
 
 // errCode maps session/server errors to wire codes.
 func errCode(err error) string {
@@ -212,48 +226,39 @@ func errCode(err error) string {
 		return "errored"
 	case errors.Is(err, ErrNoCheck):
 		return "no-checkpoint"
+	case errors.Is(err, ErrInternal):
+		return "internal"
 	}
 	return ""
 }
 
-// protoConn is one protocol connection: a read loop (ServeConn itself),
-// a writer goroutine serializing responses and pushed event frames, and
-// the connection's push subscriptions.
+// protoConn is one protocol connection: a read loop (ServeConn itself)
+// and a writer goroutine that writes responses and pushes the
+// connection's subscriptions as event frames.
 type protoConn struct {
 	srv *Server
 	rw  io.ReadWriter
 
-	outc       chan any      // *Response and *EventFrame, in write order
+	// outc carries *Response and *Subscription items in write order. For
+	// a subscription the writer pushes its queued events, and keeps
+	// pushing it on every wake while it is live.
+	outc       chan any
+	wake       chan struct{} // capacity 1, shared by the connection's subscriptions
 	done       chan struct{} // closed once, on teardown or slow-consumer kill
 	writerDone chan struct{} // closed when the writer goroutine exits
 	stopOnce   sync.Once
 	killOnce   sync.Once
 
-	// ops counts requests handled, written only on the read-loop
-	// goroutine and reported in the connection-close log line.
-	ops uint64
-
-	mu   sync.Mutex
-	subs map[uint64]*connSub // session id -> live subscription
-
-	// afterSend is deferred by a handler and run by the read loop right
-	// after the response is enqueued. Written and cleared only on the
-	// read-loop goroutine — deliberately outside the mu-guarded fields.
-	afterSend func()
-}
-
-// connSub pairs a subscription with its forwarder goroutine's lifetime,
-// so unsubscribe can wait for the forwarder to stop before acking —
-// after the unsubscribe response no more frames arrive for the session.
-type connSub struct {
-	sub  *Subscription
-	quit chan struct{} // closed by retire: stop even if the outbox is full
-	done chan struct{} // closed when the forwarder exits
+	// ops counts requests handled, reported in the connection-close log
+	// line, and subs maps a session id to its live subscription. Both
+	// belong to the read-loop goroutine.
+	ops  uint64
+	subs map[uint64]*Subscription
 }
 
 // stop begins teardown: senders give up and the writer drains what the
-// outbox already holds, then exits. The transport stays open so the
-// flush can land (graceful EOF path).
+// outbox already holds, then exits. The transport stays open so those
+// last writes can land (graceful EOF path).
 func (c *protoConn) stop() {
 	c.stopOnce.Do(func() { close(c.done) })
 }
@@ -278,35 +283,81 @@ func (c *protoConn) send(v any) {
 	}
 }
 
-// writer drains the outbox onto the transport. On teardown it flushes
-// whatever the outbox still holds — a severed transport just errors the
-// writes out — so a response enqueued right before EOF is not lost.
+// unsubscribe cancels the session's subscription, if any, and hands it to
+// the writer, which pushes the events it still holds ahead of anything
+// sent later: an unsubscribe ack follows every frame of the subscription.
+func (c *protoConn) unsubscribe(id uint64) {
+	if sub := c.subs[id]; sub != nil {
+		delete(c.subs, id)
+		sub.Cancel()
+		c.send(sub)
+	}
+}
+
+// writer writes the outbox and pushes the live subscriptions onto the
+// transport. On teardown it writes whatever the outbox still holds — a
+// severed transport just errors the writes out — so a response enqueued
+// right before EOF is not lost.
 func (c *protoConn) writer() {
 	defer close(c.writerDone)
 	// On deadline-capable transports (TCP), each frame write is bounded by
 	// Config.WriteTimeout: a client wedging the transport mid-write is
 	// severed instead of pinning the writer goroutine forever.
 	wd, _ := c.rw.(interface{ SetWriteDeadline(time.Time) error })
-	arm := func() {
+	enc := json.NewEncoder(c.rw)
+	encode := func(v any) error {
 		if wd != nil && c.srv.cfg.WriteTimeout > 0 {
 			_ = wd.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 		}
+		return enc.Encode(v)
 	}
-	enc := json.NewEncoder(c.rw)
+	var live []*Subscription // pushed again on every wake
+	// push writes sub's queued events as frames, keeping sub in live
+	// while it has not ended.
+	push := func(sub *Subscription) error {
+		for {
+			ev, ok, more := sub.take()
+			if !ok {
+				if more {
+					live = append(live, sub)
+				}
+				return nil
+			}
+			if err := encode(&EventFrame{Session: sub.s.ID, Event: &ev}); err != nil {
+				return err
+			}
+		}
+	}
+	write := func(v any) error {
+		if r, ok := v.(*Response); ok {
+			if err := encode(r); err != nil || r.sub == nil {
+				return err
+			}
+			// A new subscription: the wake for events queued before it got
+			// here may already be spent, so push it once straight away.
+			v = r.sub
+		}
+		return push(v.(*Subscription))
+	}
 	for {
+		var err error
 		select {
 		case v := <-c.outc:
-			arm()
-			if err := enc.Encode(v); err != nil {
-				c.sever()
-				return
+			err = write(v)
+		case <-c.wake:
+			subs := live
+			live = subs[:0] // refilled in place by push
+			for _, sub := range subs {
+				if err = push(sub); err != nil {
+					break
+				}
 			}
+			clear(subs[len(live):])
 		case <-c.done:
 			for {
 				select {
 				case v := <-c.outc:
-					arm()
-					if enc.Encode(v) != nil {
+					if write(v) != nil {
 						return
 					}
 				default:
@@ -314,62 +365,11 @@ func (c *protoConn) writer() {
 				}
 			}
 		}
-	}
-}
-
-// forward streams one subscription's events to the outbox as frames.
-func (c *protoConn) forward(id uint64, cs *connSub) {
-	defer close(cs.done)
-	for ev := range cs.sub.Events() {
-		ev := ev
-		frame := &EventFrame{Session: id, Event: &ev}
-		select {
-		case c.outc <- frame: // outbox has room: always flush
-			continue
-		default:
-		}
-		select {
-		case c.outc <- frame:
-		case <-c.done:
-			cs.sub.Cancel()
-			return
-		case <-cs.quit:
-			// Retired while the outbox is full: abandon the remaining
-			// frames rather than wedge on a client that stopped reading.
-			// Nothing is lost — a subscription is a tee, so the events
-			// are still in the session's pull queue.
+		if err != nil {
+			c.sever()
 			return
 		}
 	}
-}
-
-// setSub registers a subscription for a session. The subscribe handler
-// retires any previous subscription before creating the new one, so
-// registration never clobbers a live entry.
-func (c *protoConn) setSub(id uint64, cs *connSub) {
-	c.mu.Lock()
-	c.subs[id] = cs
-	c.mu.Unlock()
-}
-
-// takeSub removes and returns the session's subscription, if any.
-func (c *protoConn) takeSub(id uint64) *connSub {
-	c.mu.Lock()
-	cs := c.subs[id]
-	delete(c.subs, id)
-	c.mu.Unlock()
-	return cs
-}
-
-// retire cancels the subscription and waits for its forwarder to stop,
-// so every frame it emitted precedes anything enqueued afterwards (the
-// unsubscribe ack in particular). Buffered frames flush while the
-// outbox has room; when it is full — the client stopped reading — the
-// forwarder abandons them instead of wedging the read loop.
-func (cs *connSub) retire() {
-	cs.sub.Cancel()
-	close(cs.quit)
-	<-cs.done
 }
 
 // remoteName labels a transport for the connection logs: its remote
@@ -385,7 +385,8 @@ func remoteName(rw io.ReadWriter) string {
 
 // ServeConn handles one protocol connection until EOF or a read error.
 // Sessions created on the connection outlive it; close them explicitly
-// or let Server.Close reap them. Subscriptions die with the connection.
+// or let Server.Close reap them. Subscriptions die with the connection,
+// releasing any session a backpressure subscription had parked.
 // With Config.Logger set, connection open and close are logged with the
 // remote address and the number of ops the connection handled.
 func (srv *Server) ServeConn(rw io.ReadWriter) error {
@@ -393,9 +394,10 @@ func (srv *Server) ServeConn(rw io.ReadWriter) error {
 		srv:        srv,
 		rw:         rw,
 		outc:       make(chan any, srv.cfg.PushBuffer),
+		wake:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		writerDone: make(chan struct{}),
-		subs:       make(map[uint64]*connSub),
+		subs:       make(map[uint64]*Subscription),
 	}
 	remote := remoteName(rw)
 	srv.logger.Info("conn open", "remote", remote)
@@ -404,14 +406,10 @@ func (srv *Server) ServeConn(rw io.ReadWriter) error {
 		srv.logger.Info("conn close", "remote", remote, "ops", c.ops)
 	}()
 	defer func() {
-		c.mu.Lock()
-		subs := c.subs
-		c.subs = map[uint64]*connSub{}
-		c.mu.Unlock()
-		for _, cs := range subs {
-			cs.sub.Cancel()
+		for _, sub := range c.subs {
+			sub.Cancel()
 		}
-		c.stop() // forwarders blocked on a full outbox exit via done
+		c.stop()
 		<-c.writerDone
 	}()
 
@@ -442,13 +440,6 @@ func (srv *Server) ServeConn(rw io.ReadWriter) error {
 			resp = srv.handle(c, &req)
 		}
 		c.send(&resp)
-		if f := c.afterSend; f != nil {
-			// Subscription forwarding starts only after the subscribe
-			// response is in the outbox, so the response frame precedes
-			// the first pushed event frame.
-			c.afterSend = nil
-			f()
-		}
 		select {
 		case <-c.done:
 			return nil // severed (slow consumer or write failure)
@@ -478,7 +469,7 @@ func (srv *Server) Serve(l net.Listener) error {
 // latency a client experienced, not just compute).
 func (srv *Server) handle(c *protoConn, req *Request) Response {
 	t0 := time.Now()
-	resp, err := srv.handleErr(c, req)
+	resp, err := srv.handleGuarded(c, req)
 	srv.met.observeWireOp(req.Op, int64(time.Since(t0)))
 	resp.Seq = req.Seq
 	if err != nil {
@@ -489,6 +480,21 @@ func (srv *Server) handle(c *protoConn, req *Request) Response {
 		resp.OK = true
 	}
 	return resp
+}
+
+// handleGuarded is handleErr under panic isolation: client input that
+// panics the request path fails only its own request, with ErrInternal,
+// counted in dise_request_panics_total and logged with the stack.
+func (srv *Server) handleGuarded(c *protoConn, req *Request) (resp Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			srv.met.requestPanics.Inc()
+			srv.logger.Error("request panic", "op", req.Op, "session", req.Session,
+				"panic", r, "stack", string(rtdebug.Stack()))
+			resp, err = Response{}, fmt.Errorf("%w: %v", ErrInternal, r)
+		}
+	}()
+	return srv.handleErr(c, req)
 }
 
 func (srv *Server) handleErr(c *protoConn, req *Request) (Response, error) {
@@ -580,27 +586,19 @@ func (srv *Server) handleErr(c *protoConn, req *Request) (Response, error) {
 	case "events":
 		return Response{State: s.State().String(), Events: s.Events()}, nil
 	case "subscribe":
-		id := s.ID
-		if prev := c.takeSub(id); prev != nil {
-			// Replacing a live subscription: retire the old one before the
-			// new one registers, so no event is ever teed to both (which
-			// would push duplicate frames) and no stale frame trails the
-			// new subscribe's response.
-			prev.retire()
-		}
+		// Replacing a live subscription: cancel the old one before the new
+		// one registers, so no event is ever teed to both (which would push
+		// duplicate frames) and no stale frame trails this response.
+		c.unsubscribe(s.ID)
 		// Slow consumers lose the connection — unless they asked for
 		// backpressure, in which case their session waits for them.
-		sub := s.SubscribeWith(SubscribeOptions{
+		sub := s.subscribe(SubscribeOptions{
 			Depth:        req.Depth,
 			OnDrop:       c.sever,
 			Backpressure: req.Backpressure,
-		})
-		c.afterSend = func() {
-			cs := &connSub{sub: sub, quit: make(chan struct{}), done: make(chan struct{})}
-			c.setSub(id, cs)
-			go c.forward(id, cs)
-		}
-		return Response{Session: id, State: s.State().String()}, nil
+		}, c.wake)
+		c.subs[s.ID] = sub
+		return Response{Session: s.ID, State: s.State().String(), sub: sub}, nil
 	case "rerank":
 		// Runtime shed-priority migration: no close/recreate, the session
 		// keeps its machine, events, and subscriptions.
@@ -610,10 +608,7 @@ func (srv *Server) handleErr(c *protoConn, req *Request) (Response, error) {
 		prio := s.Priority()
 		return Response{Session: s.ID, State: s.State().String(), Priority: &prio}, nil
 	case "unsubscribe":
-		if cs := c.takeSub(s.ID); cs != nil {
-			// Buffered frames flush before the ack; none follow it.
-			cs.retire()
-		}
+		c.unsubscribe(s.ID) // queued frames precede the ack; none follow it
 		return Response{Session: s.ID}, nil
 	case "stats":
 		st, tr := s.Stats()

@@ -281,13 +281,18 @@ func TestProtocolUnsubscribe(t *testing.T) {
 	id := created.Session
 	c.ok(Request{Op: "watch", Session: id, Sym: "v"})
 	c.ok(Request{Op: "subscribe", Session: id})
-	// Generate one event while subscribed so the buffer is non-empty at
-	// unsubscribe time; its frame must arrive no later than the ack.
-	c.ok(Request{Op: "continue", Session: id})
-	resp, early := c.callCollect(Request{Op: "wait", Session: id})
+	// Generate one event while subscribed so the queue is non-empty at
+	// unsubscribe time; its frame must arrive no later than the ack, and
+	// may arrive before the continue response.
+	resp, early := c.callCollect(Request{Op: "continue", Session: id})
+	if !resp.OK {
+		t.Fatalf("continue: %+v", resp)
+	}
+	resp, waited := c.callCollect(Request{Op: "wait", Session: id})
 	if !resp.OK {
 		t.Fatalf("wait: %+v", resp)
 	}
+	early = append(early, waited...)
 	_, flushed := c.callCollect(Request{Op: "unsubscribe", Session: id})
 	if got := len(early) + len(flushed); got != 1 {
 		t.Fatalf("frames before/at unsubscribe = %d (early %+v, flushed %+v), want 1",
@@ -360,8 +365,12 @@ func TestProtocolSubscribeDepthClamped(t *testing.T) {
 	id := created.Session
 	c.ok(Request{Op: "watch", Session: id, Sym: "v"})
 	c.ok(Request{Op: "subscribe", Session: id, Depth: 1 << 30})
-	c.ok(Request{Op: "continue", Session: id})
-	resp, evs := c.callCollect(Request{Op: "wait", Session: id})
+	cont, evs := c.callCollect(Request{Op: "continue", Session: id})
+	if !cont.OK {
+		t.Fatalf("continue: %+v", cont)
+	}
+	resp, waited := c.callCollect(Request{Op: "wait", Session: id})
+	evs = append(evs, waited...)
 	deadline := time.Now().Add(30 * time.Second)
 	for len(evs) == 0 && time.Now().Before(deadline) {
 		_, more := c.callCollect(Request{Op: "ping"})
@@ -423,6 +432,43 @@ func TestProtocolSlowConsumer(t *testing.T) {
 	if st.Stats == nil || st.Stats.User != 30 {
 		t.Fatalf("stats after slow-consumer drop = %+v", st)
 	}
+}
+
+// TestProtocolBackpressureDisconnectWhileParked: severing the connection
+// of a backpressure subscriber that stopped reading releases the session
+// it parked, which runs on to halt.
+func TestProtocolBackpressureDisconnectWhileParked(t *testing.T) {
+	srv := newTestServer(t, Config{Quantum: 200, PushBuffer: 2})
+	c := newProtoClient(t, srv)
+	id := c.ok(Request{Op: "create", Program: bpProg}).Session
+	c.ok(Request{Op: "watch", Session: id, Sym: "v"})
+	c.ok(Request{Op: "subscribe", Session: id, Backpressure: true})
+	// The subscriber now stops reading; the session is driven directly.
+	s, ok := srv.Attach(id)
+	if !ok {
+		t.Fatalf("no session %d", id)
+	}
+	driveUntilParked(t, srv, s)
+	if err := c.rw.(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := s.WaitTimeout(5 * time.Second); !ok {
+		t.Fatalf("session still %v 5 s after its subscriber disconnected", st)
+	}
+}
+
+// TestProtocolWatchRangeCap: a range watch past debug.MaxRangeLength,
+// which once panicked the request goroutine at the next continue, is an
+// ordinary watch error, and the connection keeps being served.
+func TestProtocolWatchRangeCap(t *testing.T) {
+	srv := newTestServer(t, DefaultConfig())
+	c := newProtoClient(t, srv)
+	id := c.ok(Request{Op: "create", Program: countdownProg}).Session
+	resp := c.call(Request{Op: "watch", Session: id, Sym: "v", Kind: "range", Length: 1 << 62})
+	if resp.OK || resp.Code != "" || !strings.Contains(resp.Err, "range") {
+		t.Errorf("huge range watch = %+v, want an uncoded range error", resp)
+	}
+	c.ok(Request{Op: "ping"})
 }
 
 // TestProtocolMachinePresets: create takes a machine preset, echoes it on

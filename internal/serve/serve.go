@@ -12,8 +12,8 @@
 //   - Session is one create/watch/break/continue/step/stats/close
 //     lifecycle with a per-session event queue. Execution is asynchronous:
 //     Continue returns immediately and Wait observes the next pause.
-//     Subscribe additionally streams events to a bounded channel as they
-//     fire, for push-style clients.
+//     Subscribe additionally tees events into a bounded queue per
+//     subscriber as they fire, for push-style clients.
 //   - Server owns the sessions and runs them: each of M worker goroutines
 //     repeatedly pops a runnable session from a FIFO run queue and
 //     executes one bounded step-quantum (Config.Quantum application
@@ -124,18 +124,20 @@ type Config struct {
 	QueueDepth int
 	// Shed selects the overload policy (default ShedRejectNew).
 	Shed ShedPolicy
-	// PushBuffer is the per-subscription event buffer depth used by the
-	// wire protocol's subscribe op; a subscriber that falls this many
-	// events behind is dropped as a slow consumer. It also sizes each
-	// protocol connection's outbox (the queue between the request
-	// handler and the per-connection writer goroutine), so very small
-	// values throttle response pipelining as well as push (default 128).
+	// PushBuffer is the default subscription queue depth (a subscribe op
+	// or SubscribeOptions without a depth of its own): an ordinary
+	// subscriber that falls this many events behind is dropped as a slow
+	// consumer, and a backpressure one holds its session. It also sizes
+	// each protocol connection's response outbox (the queue between the
+	// request handler and the per-connection writer goroutine), so very
+	// small values throttle response pipelining (default 128).
 	PushBuffer int
 	// EventBuffer bounds each session's pull-side event queue (the one
 	// wait/events drain). When it fills — a client that only subscribes,
 	// or never polls — the oldest half is discarded, counted in
 	// ServerStats.EventsDropped, so an undrained hot-loop watchpoint
-	// cannot grow server memory without bound (default 65536).
+	// cannot grow server memory without bound (default 65536). It also
+	// caps every subscription's depth.
 	EventBuffer int
 	// CheckpointEvery, when positive, checkpoints each session every K
 	// completed quanta (a machine snapshot plus the debugger companion),

@@ -409,7 +409,7 @@ func TestSubscribeBackpressure(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sub := s.SubscribeWith(SubscribeOptions{Depth: 1, Backpressure: true})
+	sub := s.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
 
 	done := make(chan State, 1)
 	go func() {
@@ -478,8 +478,9 @@ func TestSubscribeBackpressure(t *testing.T) {
 		t.Errorf("SlowConsumers = %d, want 0 — backpressure must not count as a drop", n)
 	}
 	s.Close()
-	if _, ok := <-sub.Events(); ok {
-		t.Error("subscription channel still open after session close")
+	for range sub.Events() {
+		t.Error("subscription still delivering after session close")
+		break
 	}
 }
 
@@ -497,7 +498,60 @@ func TestSubscribeBackpressureCloseWhileParked(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sub := s.SubscribeWith(SubscribeOptions{Depth: 1, Backpressure: true})
+	sub := s.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
+	driveUntilParked(t, srv, s)
+	s.Close()
+	if st := s.Wait(); st != StateClosed {
+		t.Fatalf("state after close = %v, want closed", st)
+	}
+	// The wedged subscriber is released: its queue drains and ends.
+	drained := make(chan struct{})
+	go func() {
+		for range sub.Events() {
+		}
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("subscription never ended after Close")
+	}
+}
+
+// TestSubscribeBackpressureCancelWhileParked: canceling the backpressure
+// subscription a session is parked on releases the session, which runs
+// on to halt, and the ended subscription still delivers the one event its
+// depth holds.
+func TestSubscribeBackpressureCancelWhileParked(t *testing.T) {
+	srv := newTestServer(t, Config{Quantum: 200})
+	s, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Watch(&debug.Watchpoint{
+		Name: "v", Kind: debug.WatchScalar, Addr: mustSym(t, s, "v"), Size: 8,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sub := s.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
+	driveUntilParked(t, srv, s)
+	sub.Cancel()
+	if st, ok := s.WaitTimeout(5 * time.Second); !ok || st != StateHalted {
+		t.Fatalf("state after cancel = %v (stopped in time: %v), want halted", st, ok)
+	}
+	var got []Event
+	for ev := range sub.Events() {
+		got = append(got, ev)
+	}
+	if len(got) != 1 || got[0].Kind != EventWatch || got[0].Value != 10 {
+		t.Errorf("canceled depth-1 subscription delivered %+v, want the first watch event", got)
+	}
+}
+
+// driveUntilParked resumes s through every pause on a goroutine of its
+// own and returns once the server has parked a session for backpressure.
+func driveUntilParked(t *testing.T, srv *Server, s *Session) {
+	t.Helper()
 	go func() {
 		if err := s.Continue(0); err != nil {
 			return
@@ -514,22 +568,6 @@ func TestSubscribeBackpressureCloseWhileParked(t *testing.T) {
 			t.Fatal("session never parked")
 		}
 		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	if st := s.Wait(); st != StateClosed {
-		t.Fatalf("state after close = %v, want closed", st)
-	}
-	// The wedged subscriber is released: its channel drains and closes.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-		case <-time.After(time.Until(deadline)):
-			t.Fatal("subscription channel never closed after Close")
-		}
 	}
 }
 
@@ -833,7 +871,7 @@ func TestServeSoakMixedPush(t *testing.T) {
 		}
 		sessions[i] = s
 		if i%2 == 0 {
-			sub := s.Subscribe(64, nil)
+			sub := s.Subscribe(SubscribeOptions{Depth: 64})
 			ch := make(chan []Event, 1)
 			pushed[i] = ch
 			go func() {
@@ -1348,7 +1386,7 @@ func TestSubscribePush(t *testing.T) {
 	if err := s.Watch(&debug.Watchpoint{Name: "v", Kind: debug.WatchScalar, Addr: v, Size: 8}); err != nil {
 		t.Fatal(err)
 	}
-	sub := s.Subscribe(64, nil)
+	sub := s.Subscribe(SubscribeOptions{Depth: 64})
 	done := make(chan []Event, 1)
 	go func() {
 		var got []Event
@@ -1400,7 +1438,7 @@ func TestSubscribeSlowConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	dropped := make(chan struct{})
-	sub := s.Subscribe(2, func() { close(dropped) }) // room for 2 of the 11 events
+	sub := s.Subscribe(SubscribeOptions{Depth: 2, OnDrop: func() { close(dropped) }}) // room for 2 of the 11 events
 	for s.Wait() != StateHalted {
 		if err := s.Continue(0); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,10 +130,10 @@ type Session struct {
 	err    error
 
 	// bpParked marks a backpressure hold: the session is StateRunning but
-	// off the run queue, waiting at a quantum boundary for a backpressure
-	// subscriber to drain its backlog. The flusher that empties the last
-	// backlog re-enqueues the session (or Close finalizes it directly —
-	// no worker owns a parked session).
+	// off the run queue, waiting at a quantum boundary for its backpressure
+	// subscribers to come back within their depths. The read or Cancel
+	// that does so re-enqueues the session (or Close finalizes it
+	// directly — no worker owns a parked session).
 	bpParked bool
 
 	// Crash-safety state: the last checkpoint (machine snapshot plus
@@ -357,128 +358,154 @@ func (s *Session) Events() []Event {
 
 // Subscription streams a session's events as they are appended, in
 // execution order, independent of the pull-style Events queue (a
-// subscription is a tee, not a drain). The channel is closed when the
-// session closes, the subscription is canceled, or — for ordinary
-// subscriptions — the subscriber falls more than its buffer depth
-// behind: the slow-consumer case, reported by Dropped and by the
-// optional onDrop callback.
+// subscription is a tee, not a drain). Each subscription is a queue
+// bounded by its depth, kept under the session's lock; the modes differ
+// only in what a full queue does. An ordinary subscription that falls
+// its depth behind is dropped as a slow consumer, reported by Dropped
+// and the optional OnDrop callback: the push path runs on the scheduler
+// workers and must never wait for a client.
 //
 // A backpressure subscription (SubscribeOptions.Backpressure) is never
-// severed. Events beyond the buffer accumulate in an overflow backlog
-// that a flusher goroutine drains into the channel at the subscriber's
-// pace, and a session that reaches a quantum boundary with a backlog
-// still pending parks there — off the run queue, still StateRunning —
-// until the subscriber catches up. Tracing clients that must not lose
-// events trade throughput for completeness; a subscriber that stops
-// reading suspends its session indefinitely (Close still tears it
-// down), so backpressure subscriptions must be drained concurrently
-// with any Wait on the session.
+// dropped. While it holds more than its depth, its session parks at the
+// next quantum boundary — off the run queue, still StateRunning — until
+// a read or Cancel brings the queue back within its depth. Tracing
+// clients that must not lose events trade throughput for completeness;
+// a subscriber that stops reading suspends its session until it cancels
+// or the session closes, so backpressure subscriptions must be read
+// concurrently with any Wait on the session.
+//
+// A subscription ends when it is canceled or dropped, or when its
+// session closes or errors; it still delivers at most its depth of the
+// events queued by then.
 type Subscription struct {
-	s  *Session
-	ch chan Event
-
-	backpressure bool
-	quit         chan struct{} // closed with the subscription: unblocks a mid-send flusher
+	s    *Session
+	opts SubscribeOptions // Depth resolved and clamped
+	wake chan struct{}    // capacity 1: an event was queued or the subscription ended
 
 	// guarded by s.mu
-	done     bool
-	dropped  bool
-	onDrop   func()
-	overflow []Event // events past the buffer, awaiting the flusher (backpressure only)
-	ovHead   int     // first undelivered overflow entry
-	flushing bool    // a flusher goroutine owns overflow draining
+	queue   []Event
+	done    bool
+	dropped bool
 }
 
-// maxSubscribeDepth caps a subscription's buffer. The depth reaches
-// Subscribe straight from the wire protocol, so it must be clamped
-// before the allocation: a huge requested depth would otherwise allocate
-// gigabytes or panic in make(chan), killing the whole server.
-const maxSubscribeDepth = 1 << 16
-
-// SubscribeOptions parameterizes SubscribeWith.
+// SubscribeOptions parameterizes Subscribe.
 type SubscribeOptions struct {
-	// Depth is the subscription's buffer depth (<= 0 selects the server's
-	// Config.PushBuffer; clamped to maxSubscribeDepth).
+	// Depth bounds the subscription's queue (<= 0 selects the server's
+	// Config.PushBuffer). It arrives from the wire protocol unchecked, so
+	// it is clamped to Config.EventBuffer, the pull queue's bound.
 	Depth int
 	// OnDrop, if non-nil, is invoked from a fresh goroutine if the
 	// subscriber is dropped for falling behind. Never invoked for
 	// backpressure subscriptions, which are not dropped.
 	OnDrop func()
-	// Backpressure selects lossless delivery: instead of severing the
+	// Backpressure selects lossless delivery: instead of dropping the
 	// subscription when it falls behind, the session pauses at its next
-	// quantum boundary until the subscriber drains (see Subscription).
+	// quantum boundary until the subscriber catches up (see Subscription).
 	Backpressure bool
 }
 
-// Subscribe registers a push subscriber with the given buffer depth and
-// slow-consumer callback (see SubscribeOptions for both).
-func (s *Session) Subscribe(depth int, onDrop func()) *Subscription {
-	return s.SubscribeWith(SubscribeOptions{Depth: depth, OnDrop: onDrop})
+// Subscribe registers a push subscriber. Subscribing to a closed or
+// errored session returns an already-ended subscription.
+func (s *Session) Subscribe(opts SubscribeOptions) *Subscription {
+	return s.subscribe(opts, make(chan struct{}, 1))
 }
 
-// SubscribeWith registers a push subscriber. Subscribing to a closed
-// session returns an already-closed subscription.
-func (s *Session) SubscribeWith(opts SubscribeOptions) *Subscription {
-	depth := opts.Depth
-	if depth <= 0 {
-		depth = s.srv.cfg.PushBuffer
+// subscribe is Subscribe with the reader's wake channel supplied: a
+// protocol connection shares one among all its subscriptions, so its
+// writer waits on a single channel.
+func (s *Session) subscribe(opts SubscribeOptions, wake chan struct{}) *Subscription {
+	if opts.Depth <= 0 {
+		opts.Depth = s.srv.cfg.PushBuffer
 	}
-	if depth > maxSubscribeDepth {
-		depth = maxSubscribeDepth
-	}
-	sub := &Subscription{
-		s:            s,
-		ch:           make(chan Event, depth),
-		onDrop:       opts.OnDrop,
-		backpressure: opts.Backpressure,
-		quit:         make(chan struct{}),
-	}
+	opts.Depth = min(opts.Depth, s.srv.cfg.EventBuffer)
+	sub := &Subscription{s: s, opts: opts, wake: wake}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == StateClosed {
+	if s.state == StateClosed || s.state == StateErrored {
 		sub.done = true
-		close(sub.ch)
 		return sub
 	}
 	s.subs = append(s.subs, sub)
 	return sub
 }
 
-// Events returns the subscription's channel. It delivers events appended
-// after Subscribe and is closed on session close, Cancel, or overflow.
-func (sub *Subscription) Events() <-chan Event { return sub.ch }
+// Events returns the subscription's events, appended after Subscribe,
+// in execution order. The sequence blocks while the queue is empty and
+// ends once the subscription has ended and its queue is read; a loop
+// that breaks early leaves the later events queued.
+func (sub *Subscription) Events() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for {
+			ev, ok, live := sub.take()
+			switch {
+			case ok:
+				if !yield(ev) {
+					return
+				}
+			case !live:
+				sub.signal() // pass the end on to any other reader
+				return
+			default:
+				<-sub.wake
+			}
+		}
+	}
+}
+
+// take pops the oldest queued event without blocking: ok reports whether
+// there was one, live whether more may follow. A pop that brings a
+// backpressure subscription back within its depth may resume its parked
+// session.
+func (sub *Subscription) take() (ev Event, ok, live bool) {
+	s := sub.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ok = len(sub.queue) > 0; ok {
+		ev = sub.queue[0]
+		sub.queue = sub.queue[1:]
+		s.resumeLocked()
+	}
+	return ev, ok, !sub.done
+}
 
 // Dropped reports whether the subscription was severed for falling
-// behind (meaningful once the channel is closed).
+// behind.
 func (sub *Subscription) Dropped() bool {
 	sub.s.mu.Lock()
 	defer sub.s.mu.Unlock()
 	return sub.dropped
 }
 
-// Cancel removes the subscription and closes its channel.
+// Cancel ends the subscription. Canceling a backpressure subscription
+// releases a session parked on it.
 func (sub *Subscription) Cancel() {
-	sub.s.mu.Lock()
-	defer sub.s.mu.Unlock()
-	sub.closeLocked()
-	sub.s.removeSubLocked(sub)
-}
-
-// closeLocked closes the subscription once. Caller holds s.mu. While a
-// flusher is mid-drain the event channel is left open — the flusher may
-// be blocked sending on it, and closing it under that send would panic —
-// and closing quit wakes the flusher, which observes done and closes the
-// channel itself on exit.
-func (sub *Subscription) closeLocked() {
+	s := sub.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if sub.done {
 		return
 	}
+	sub.endLocked()
+	s.removeSubLocked(sub)
+	s.resumeLocked()
+}
+
+// endLocked ends the subscription, keeping the oldest depth of its
+// queued events (a backpressure queue may hold more), and wakes its
+// reader. Caller holds s.mu.
+func (sub *Subscription) endLocked() {
 	sub.done = true
-	if sub.quit != nil {
-		close(sub.quit)
+	if len(sub.queue) > sub.opts.Depth {
+		sub.queue = sub.queue[:sub.opts.Depth]
 	}
-	if !sub.flushing {
-		close(sub.ch)
+	sub.signal()
+}
+
+// signal wakes the subscription's reader without blocking.
+func (sub *Subscription) signal() {
+	select {
+	case sub.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -495,11 +522,9 @@ func (s *Session) removeSubLocked(sub *Subscription) {
 	}
 }
 
-// appendEventLocked queues ev and tees it to every subscriber. A
-// subscriber whose buffer is full is severed on the spot — the push path
-// runs on the scheduler workers and must never block on a slow client.
-// Caller holds s.mu; channel sends and closes both happen under it, in
-// append order, so subscribers observe events in execution order.
+// appendEventLocked queues ev and tees it to every subscriber, dropping
+// ordinary subscribers whose queue is full. Caller holds s.mu, so
+// subscribers observe events in execution order.
 func (s *Session) appendEventLocked(ev Event) {
 	if len(s.events) >= s.srv.cfg.EventBuffer {
 		// The pull queue is full — a push-only or non-polling client.
@@ -513,99 +538,46 @@ func (s *Session) appendEventLocked(ev Event) {
 	s.events = append(s.events, ev)
 	for i := 0; i < len(s.subs); {
 		sub := s.subs[i]
-		if sub.backpressure {
-			// Lossless mode: a direct send is only legal while no backlog
-			// is pending (the flusher delivers in append order); otherwise
-			// the event joins the backlog and a flusher is started if none
-			// is draining yet.
-			if !sub.flushing && sub.ovHead == len(sub.overflow) {
-				select {
-				case sub.ch <- ev:
-					i++
-					continue
-				default:
-				}
+		if len(sub.queue) >= sub.opts.Depth && !sub.opts.Backpressure {
+			sub.dropped = true
+			sub.endLocked()
+			s.removeSubLocked(sub) // swaps the tail into position i
+			s.srv.noteSlowConsumer()
+			if sub.opts.OnDrop != nil {
+				go sub.opts.OnDrop()
 			}
-			sub.overflow = append(sub.overflow, ev)
-			if !sub.flushing {
-				sub.flushing = true
-				go sub.flush()
-			}
-			i++
 			continue
 		}
-		select {
-		case sub.ch <- ev:
-			i++
-			continue
-		default:
-		}
-		sub.dropped = true
-		sub.closeLocked()
-		s.removeSubLocked(sub) // swaps the tail into position i
-		s.srv.noteSlowConsumer()
-		if sub.onDrop != nil {
-			go sub.onDrop()
-		}
+		sub.queue = append(sub.queue, ev)
+		sub.signal()
+		i++
 	}
 }
 
-// flush drains a backpressure subscription's backlog into its channel at
-// the subscriber's pace; it is the only goroutine sending while a
-// backlog is pending, so delivery stays in append order. When the
-// backlog empties with the session parked on it, the flusher lifts the
-// hold and re-enqueues the session.
-func (sub *Subscription) flush() {
-	s := sub.s
-	for {
-		s.mu.Lock()
-		if sub.done {
-			// Canceled or session closed: drop the backlog (the events
-			// remain in the pull queue) and complete the deferred close.
-			sub.flushing = false
-			sub.overflow, sub.ovHead = nil, 0
-			close(sub.ch)
-			s.mu.Unlock()
-			return
-		}
-		if sub.ovHead == len(sub.overflow) {
-			sub.overflow, sub.ovHead = sub.overflow[:0], 0
-			sub.flushing = false
-			resume := false
-			if s.bpParked && !s.backlogPendingLocked() {
-				s.bpParked = false
-				resume = true
-			}
-			s.mu.Unlock()
-			if resume {
-				if err := s.srv.enqueue(s); err != nil {
-					// Draining or overloaded: park idle with an EventShed,
-					// like a load-shedding pause; Continue resumes later.
-					s.pauseShed()
-				}
-			}
-			return
-		}
-		ev := sub.overflow[sub.ovHead]
-		sub.ovHead++
-		s.mu.Unlock()
-		select {
-		case sub.ch <- ev:
-		case <-sub.quit:
-			// Closed while blocked: the next iteration observes done.
-		}
-	}
-}
-
-// backlogPendingLocked reports whether any backpressure subscriber still
-// has undelivered backlog. Caller holds s.mu.
-func (s *Session) backlogPendingLocked() bool {
+// behindLocked reports whether a backpressure subscriber holds more than
+// its depth, which parks the session at its next quantum boundary.
+// Caller holds s.mu.
+func (s *Session) behindLocked() bool {
 	for _, sub := range s.subs {
-		if sub.backpressure && (sub.flushing || sub.ovHead < len(sub.overflow)) {
+		if sub.opts.Backpressure && len(sub.queue) > sub.opts.Depth {
 			return true
 		}
 	}
 	return false
+}
+
+// resumeLocked re-enqueues a backpressure-parked session once no
+// subscriber holds it back. Caller holds s.mu.
+func (s *Session) resumeLocked() {
+	if !s.bpParked || s.behindLocked() {
+		return
+	}
+	s.bpParked = false
+	if err := s.srv.enqueue(s); err != nil {
+		// Draining or overloaded: park idle with an EventShed, like a
+		// load-shedding pause; Continue resumes later.
+		s.pauseShedLocked()
+	}
 }
 
 // Stats returns the latest execution statistics snapshot. While the
@@ -643,8 +615,7 @@ func (s *Session) Close() {
 		s.closeReq = true // the worker finalizes at the quantum boundary
 		if s.bpParked {
 			// No worker owns a backpressure-parked session, so nobody else
-			// would see the close request: finalize here. The flushers wake
-			// on their quit channels and discard their backlogs.
+			// would see the close request: finalize here.
 			s.bpParked = false
 			s.finalizeLocked()
 		}
@@ -663,7 +634,7 @@ func (s *Session) finalizeLocked() {
 	m := s.m
 	s.m, s.d = nil, nil
 	for _, sub := range s.subs {
-		sub.closeLocked()
+		sub.endLocked()
 	}
 	s.subs = nil
 	s.srv.dropSession(s.ID)
@@ -678,6 +649,13 @@ func (s *Session) finalizeLocked() {
 func (s *Session) pauseShed() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.pauseShedLocked()
+}
+
+// pauseShedLocked is pauseShed with s.mu held. It also pauses a
+// backpressure-parked session that could not be re-enqueued; no worker
+// owns that one's machine.
+func (s *Session) pauseShedLocked() {
 	if s.state == StateRunning {
 		s.state = StateIdle
 		s.appendEventLocked(Event{Kind: EventShed, PC: s.m.Core.PC()})
@@ -762,7 +740,7 @@ func (s *Session) recoverFault(r any) (again bool) {
 
 // errorLocked moves the session to the terminal errored state: the
 // machine (if any) is discarded, the panic value is retained for Err and
-// wait, subscribers get a final EventError and are closed. The session
+// wait, subscribers get a final EventError and are ended. The session
 // stays in the server table so clients can attach and read the failure;
 // Close releases it. Caller holds s.mu.
 func (s *Session) errorLocked(err error) {
@@ -778,7 +756,7 @@ func (s *Session) errorLocked(err error) {
 	s.appendEventLocked(Event{Kind: EventError, Err: err.Error(), Gen: s.gen})
 	s.srv.logger.Error("session errored", "session", s.ID, "generation", s.gen, "err", err)
 	for _, sub := range s.subs {
-		sub.closeLocked()
+		sub.endLocked()
 	}
 	s.subs = nil
 	s.cond.Broadcast()
@@ -931,10 +909,10 @@ func (s *Session) runQuantum(quantum uint64) bool {
 			s.finalizeLocked()
 			return false
 		}
-		if s.backlogPendingLocked() {
+		if s.behindLocked() {
 			// Backpressure: a lossless subscriber is still behind. Hold the
 			// session at this quantum boundary — off the queue, still
-			// StateRunning — until the last flusher drains and re-enqueues.
+			// StateRunning — until a read or Cancel re-enqueues it.
 			s.bpParked = true
 			s.srv.noteBackpressureStall()
 			s.trace.Append(obs.TraceEvent{Kind: TracePark, PC: m.Core.PC(), Note: "backpressure"})

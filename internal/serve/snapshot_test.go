@@ -234,7 +234,7 @@ func TestServeFaultRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := s.Subscribe(64, nil)
+	sub := s.Subscribe(SubscribeOptions{Depth: 64})
 	if err := s.Continue(0); err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,7 @@ func TestServeFaultRecovery(t *testing.T) {
 		t.Errorf("stats faults/recoveries = %d/%d, want 1/1", st.Faults, st.Recoveries)
 	}
 	var fault, halt bool
-	for {
-		ev, ok := <-sub.Events()
-		if !ok {
-			t.Fatal("subscription closed before halt event")
-		}
+	for ev := range sub.Events() {
 		if ev.Kind == EventFault {
 			fault = true
 			if ev.Gen != 1 {
@@ -621,9 +617,9 @@ func TestChaosSoak(t *testing.T) {
 		}
 		// Wedged subscriber: never reads, tiny buffer — must be severed as
 		// a slow consumer without stalling the workers.
-		s.Subscribe(1, nil)
+		s.Subscribe(SubscribeOptions{Depth: 1})
 		// Slow subscriber: drains with a delay.
-		slow := s.Subscribe(16, nil)
+		slow := s.Subscribe(SubscribeOptions{Depth: 16})
 		go func() {
 			for range slow.Events() {
 				time.Sleep(100 * time.Microsecond)
