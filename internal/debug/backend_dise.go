@@ -279,7 +279,7 @@ func (d *Debugger) watchQuads() []uint64 {
 	var out []uint64
 	seen := map[uint64]bool{}
 	add := func(lo, hi uint64) {
-		for q := lo &^ 7; q < hi; q += 8 {
+		for q := range quads(lo, hi) {
 			if !seen[q] {
 				seen[q] = true
 				out = append(out, q)

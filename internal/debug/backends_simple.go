@@ -158,9 +158,7 @@ func (d *Debugger) installHardwareReg() error {
 			return fmt.Errorf("debug: hardware backend cannot watch complex expression %q", w.Name)
 		}
 		if len(regs) < d.opts.HWWatchRegs {
-			lo := w.Addr &^ 7
-			hi := (w.Addr + uint64(w.Size) + 7) &^ 7
-			for q := lo; q < hi; q += 8 {
+			for q := range quads(w.Addr, w.Addr+uint64(w.Size)) {
 				regs = append(regs, hwReg{quad: q, w: w})
 			}
 		} else {

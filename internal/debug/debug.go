@@ -346,6 +346,15 @@ func (d *Debugger) Watch(w *Watchpoint) error {
 		if w.Size <= 0 || w.Size > 8 {
 			return fmt.Errorf("debug: watchpoint %q has bad size %d", w.Name, w.Size)
 		}
+		// A scalar's own bytes are its value; an indirect watch's are the
+		// 8-byte pointer. Neither may run past the end of memory.
+		span := uint64(w.Size)
+		if w.Kind == WatchIndirect {
+			span = 8
+		}
+		if w.Addr+span-1 < w.Addr {
+			return fmt.Errorf("debug: watchpoint %q at %#x wraps past the end of memory", w.Name, w.Addr)
+		}
 	}
 	if w.Kind == WatchRange {
 		switch {

@@ -318,28 +318,88 @@ main:
 	}
 }
 
-// TestWatchRangeBounds: Watch rejects a range longer than MaxRangeLength
-// or one whose end does not fit below 2^64, before Install would copy it.
+// TestWatchRangeBounds: Watch rejects a range longer than MaxRangeLength,
+// and a range, scalar or indirect pointer whose bytes do not fit below
+// 2^64, before Install would copy or enumerate them.
 func TestWatchRangeBounds(t *testing.T) {
 	m := loadProg(t, watchProg)
 	v := m.Program.MustSymbol("v")
 	top := ^uint64(0) - 7 // the last quad of the address space
 	for _, tc := range []struct {
 		name   string
+		kind   debug.WatchKind
 		addr   uint64
+		size   int
 		length uint64
 		ok     bool
 	}{
-		{"at cap", v, debug.MaxRangeLength, true},
-		{"past cap", v, debug.MaxRangeLength + 1, false},
-		{"huge", v, 1 << 62, false},
-		{"wraps", top, 16, false},
-		{"ends at 2^64", top, 8, false},
+		{"at cap", debug.WatchRange, v, 0, debug.MaxRangeLength, true},
+		{"past cap", debug.WatchRange, v, 0, debug.MaxRangeLength + 1, false},
+		{"huge", debug.WatchRange, v, 0, 1 << 62, false},
+		{"wraps", debug.WatchRange, top, 0, 16, false},
+		{"ends at 2^64", debug.WatchRange, top, 0, 8, false},
+		{"scalar in the top quad", debug.WatchScalar, top + 4, 4, 0, true},
+		{"scalar on the last byte", debug.WatchScalar, top + 7, 1, 0, true},
+		{"scalar wraps", debug.WatchScalar, top + 6, 4, 0, false},
+		{"pointer in the top quad", debug.WatchIndirect, top, 1, 0, true},
+		{"pointer wraps", debug.WatchIndirect, top + 4, 1, 0, false},
 	} {
 		d := debug.New(m, debug.DefaultOptions(debug.BackendDise))
-		err := d.Watch(&debug.Watchpoint{Name: "r", Kind: debug.WatchRange, Addr: tc.addr, Length: tc.length})
+		err := d.Watch(&debug.Watchpoint{Name: "r", Kind: tc.kind, Addr: tc.addr, Size: tc.size, Length: tc.length})
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: Watch = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// topQuadProg stores one byte into the last quad of the address space,
+// at 2^64-4.
+const topQuadProg = `
+.data
+.align 8
+ptr: .quad 0
+.text
+main:
+    li  r2, 5
+    lda r1, -4(r31)
+    stb r2, 0(r1)
+    halt
+`
+
+// TestWatchTopQuad: a watch on the last quad of memory, whose exclusive
+// end wraps to 0, installs in bounded time and fires exactly once for the
+// one store that changes it, on every back end that supports the kind.
+// Enumerating its quads up to the end address had wrapped to 0 and grown
+// without bound, and the hardware back end had armed no register.
+func TestWatchTopQuad(t *testing.T) {
+	const addr = ^uint64(0) - 3
+	all := []debug.Backend{debug.BackendSingleStep, debug.BackendVirtualMemory,
+		debug.BackendHardwareReg, debug.BackendDise, debug.BackendBinaryRewrite}
+	for _, tc := range []struct {
+		kind     debug.WatchKind
+		backends []debug.Backend
+	}{
+		{debug.WatchScalar, all},
+		{debug.WatchIndirect, []debug.Backend{debug.BackendSingleStep, debug.BackendDise}},
+	} {
+		for _, b := range tc.backends {
+			m := loadProg(t, topQuadProg)
+			w := &debug.Watchpoint{Name: "top", Kind: tc.kind, Addr: addr, Size: 1}
+			if tc.kind == debug.WatchIndirect {
+				w.Addr = m.Program.MustSymbol("ptr")
+				m.WriteQuad(w.Addr, addr)
+			}
+			d := debug.New(m, debug.DefaultOptions(b))
+			if err := d.Watch(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Install(); err != nil {
+				t.Fatalf("%v %v: Install: %v", tc.kind, b, err)
+			}
+			m.MustRun(0)
+			if s := d.Stats(); s.User != 1 || s.Spurious() != 0 {
+				t.Errorf("%v %v: stats %+v, want one user transition", tc.kind, b, s)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package debug
 
-import "bytes"
+import (
+	"bytes"
+	"iter"
+)
 
 // evalExpr computes a watched expression's current value from simulated
 // memory (the debugger-side evaluator used by the classifying backends;
@@ -23,7 +26,9 @@ func (d *Debugger) evalExpr(w *Watchpoint) uint64 {
 }
 
 // watchedRanges returns the address ranges whose modification could change
-// the expression's value right now.
+// the expression's value right now. A range [lo, hi) is never empty, and
+// one that ends at the top of memory has hi wrapped to 0; its last byte
+// hi-1 never wraps, so range arithmetic below works on last bytes.
 func (d *Debugger) watchedRanges(w *Watchpoint) [][2]uint64 {
 	switch w.Kind {
 	case WatchScalar:
@@ -46,8 +51,22 @@ func (d *Debugger) watchedRanges(w *Watchpoint) [][2]uint64 {
 	return nil
 }
 
+// rangesOverlap reports whether the non-empty ranges [aLo, aHi) and
+// [bLo, bHi) share a byte.
 func rangesOverlap(aLo, aHi, bLo, bHi uint64) bool {
-	return aLo < bHi && bLo < aHi
+	return aLo <= bHi-1 && bLo <= aHi-1
+}
+
+// quads yields the aligned quads the non-empty range [lo, hi) touches,
+// lo&^7 through (hi-1)&^7. Stopping at the last byte's quad, rather than
+// at the first quad not below hi, keeps a range that ends at the top of
+// memory from walking on past 2^64.
+func quads(lo, hi uint64) iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		last := (hi - 1) &^ 7
+		for q := lo &^ 7; yield(q) && q != last; q += 8 {
+		}
+	}
 }
 
 // storeHits reports whether a store to [addr, addr+size) touches data the

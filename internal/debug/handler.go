@@ -67,13 +67,13 @@ func (d *Debugger) buildHandler(st *diseState) ([]uint32, error) {
 		// Address dispatch: with several candidates (or a Bloom probable
 		// match) the function must check precisely which quad was hit.
 		if needDispatch := needAddr; needDispatch {
-			var quads []uint64
+			var wq []uint64
 			for _, r := range d.watchedRanges(w) {
-				for q := r[0] &^ 7; q < r[1]; q += 8 {
-					quads = append(quads, q)
+				for q := range quads(r[0], r[1]) {
+					wq = append(wq, q)
 				}
 			}
-			if w.Kind == WatchRange && len(quads) > 4 {
+			if w.Kind == WatchRange && len(wq) > 4 {
 				// Bound dispatch code size: range membership via compares.
 				b.Li32(rA, int64(w.Addr&^7))
 				b.Op3(isa.OpCmpule, rA, rAddr, rA)
@@ -83,7 +83,7 @@ func (d *Debugger) buildHandler(st *diseState) ([]uint32, error) {
 				b.CondBr(isa.OpBeq, rA, blockEnd)
 			} else {
 				hit := fmt.Sprintf("wp%d_hit", i)
-				for _, q := range quads {
+				for _, q := range wq {
 					b.Li32(rA, int64(q))
 					b.Op3(isa.OpCmpeq, rAddr, rA, rA)
 					b.CondBr(isa.OpBne, rA, hit)
@@ -299,7 +299,7 @@ func (d *Debugger) diseTrapHook(ev *pipeline.TrapEvent) uint64 {
 func (d *Debugger) wpForAddr(addr uint64) *Watchpoint {
 	for _, w := range d.watchpoints {
 		for _, r := range d.watchedRanges(w) {
-			if addr >= r[0]&^7 && addr < (r[1]+7)&^7 {
+			if rangesOverlap(addr, addr+1, r[0]&^7, (r[1]+7)&^7) {
 				return w
 			}
 		}

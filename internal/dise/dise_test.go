@@ -1,6 +1,7 @@
 package dise
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -283,37 +284,25 @@ func TestTemplateConstructors(t *testing.T) {
 	}
 }
 
-// TestInstallTimeUopBuffers exercises the install-time uop lifecycle: a
-// production's literal replacement slots are pre-resolved at Install,
-// trigger-dependent slots re-resolve per expansion, and Remove/Clear
-// invalidate the buffers so a stale production can never serve uops.
-func TestInstallTimeUopBuffers(t *testing.T) {
+// TestExpansionSlotSources covers where each replacement slot comes from:
+// a T.INST slot copies the trigger's uop, a literal slot resolves its own
+// instruction, and only the trigger-parameterized slot counts in
+// Resolved. The memo serves the same sequence, and Remove and Clear make
+// a filled memo stale.
+func TestExpansionSlotSources(t *testing.T) {
 	e := NewEngine(DefaultConfig())
 	p := &Production{
 		Name:    "mixed",
 		Pattern: MatchClass(isa.ClassStore),
 		Replacement: []TemplateInst{
 			TInst(), // trigger copy: no resolution needed
-			Lit(isa.Inst{Op: isa.OpAddq, RA: isa.R1, RB: isa.R2, RC: isa.R3}),                                // literal: resolved at Install
+			Lit(isa.Inst{Op: isa.OpAddq, RA: isa.R1, RB: isa.R2, RC: isa.R3}),                                // literal
 			{Inst: isa.Inst{Op: isa.OpAddq, RB: isa.Zero, RC: isa.DR1, RCSp: isa.DiseSpace}, RAFrom: FromRA}, // parameterized
 		},
-	}
-	if p.uops != nil || p.lit != nil {
-		t.Fatal("uop buffers resolved before Install")
 	}
 	if err := e.Install(p); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.uops) != 3 || len(p.lit) != 3 {
-		t.Fatalf("Install left buffers at %d/%d slots, want 3/3", len(p.uops), len(p.lit))
-	}
-	if p.lit[0] || !p.lit[1] || p.lit[2] {
-		t.Fatalf("literal flags = %v, want [false true false]", p.lit)
-	}
-	if p.uops[1] != isa.ResolveUop(p.Replacement[1].Inst) {
-		t.Fatal("literal slot not pre-resolved to its template instruction")
-	}
-
 	trig := isa.Inst{Op: isa.OpStq, RA: isa.R7, RB: isa.SP, Imm: 8}
 	exp, ok := e.Expand(trig, 0x1000)
 	if !ok {
@@ -322,40 +311,47 @@ func TestInstallTimeUopBuffers(t *testing.T) {
 	if len(exp.Uops) != 3 {
 		t.Fatalf("expansion length %d, want 3", len(exp.Uops))
 	}
-	// Only the parameterized slot needed resolution; the trigger copy and
-	// the install-time literal were served pre-resolved.
 	if exp.Resolved != 1 {
 		t.Fatalf("Resolved = %d, want 1 (parameterized slot only)", exp.Resolved)
 	}
 	if exp.Uops[0].Inst != trig {
 		t.Fatalf("trigger copy = %v, want %v", exp.Uops[0].Inst, trig)
 	}
+	if exp.Uops[1] != isa.ResolveUop(p.Replacement[1].Inst) {
+		t.Fatal("literal slot not resolved to its template instruction")
+	}
 	if exp.Uops[2].Inst.RA != isa.R7 {
 		t.Fatalf("parameterized slot RA = %v, want trigger's R7", exp.Uops[2].Inst.RA)
 	}
 
+	u := isa.ResolveUop(trig)
+	var m Memo
+	var mexp Expansion
+	if ok := e.ExpandMemo(&u, 0x1000, &m, &mexp); !ok || mexp.Prod != p || mexp.Resolved != 1 || !slices.Equal(mexp.Uops, exp.Uops) {
+		t.Fatalf("memo expansion = %+v, want %+v", mexp, exp)
+	}
 	if !e.Remove(p) {
 		t.Fatal("Remove failed")
 	}
-	if p.uops != nil || p.lit != nil {
-		t.Fatal("Remove left stale install-time uop buffers")
+	if e.ReexpandMemo(&u, 0x1000, &m, &mexp) {
+		t.Fatal("memo still expands after Remove")
 	}
 	if err := e.Install(p); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.uops) != 3 {
-		t.Fatal("re-Install did not re-resolve the uop buffers")
+	if !e.ReexpandMemo(&u, 0x1000, &m, &mexp) {
+		t.Fatal("memo does not expand after re-Install")
 	}
 	e.Clear()
-	if p.uops != nil || p.lit != nil {
-		t.Fatal("Clear left stale install-time uop buffers")
+	if e.ReexpandMemo(&u, 0x1000, &m, &mexp) {
+		t.Fatal("memo still expands after Clear")
 	}
 }
 
-// TestRestoreReresolvesUopBuffers covers the snapshot contract: a
-// production invalidated by Remove between capture and restore must come
-// back with fresh install-time uop buffers.
-func TestRestoreReresolvesUopBuffers(t *testing.T) {
+// TestRestoreStalesMemo covers the snapshot contract: a memo filled
+// before a restore is refilled after it, and answers like the restored
+// table.
+func TestRestoreStalesMemo(t *testing.T) {
 	e := NewEngine(DefaultConfig())
 	p := &Production{
 		Name:        "lit",
@@ -369,14 +365,14 @@ func TestRestoreReresolvesUopBuffers(t *testing.T) {
 	if !e.Remove(p) {
 		t.Fatal("Remove failed")
 	}
-	if p.uops != nil {
-		t.Fatal("Remove left uop buffers")
+	u := isa.ResolveUop(isa.Inst{Op: isa.OpStq, RA: isa.R3, RB: isa.SP})
+	var m Memo
+	var exp Expansion
+	if e.ReexpandMemo(&u, 0x40, &m, &exp) {
+		t.Fatal("memo expands with the production removed")
 	}
 	e.Restore(st)
-	if len(p.uops) != 2 || !p.lit[1] {
-		t.Fatalf("Restore did not re-resolve buffers: uops=%d lit=%v", len(p.uops), p.lit)
-	}
-	if _, ok := e.Expand(isa.Inst{Op: isa.OpStq, RA: isa.R3, RB: isa.SP}, 0x40); !ok {
-		t.Fatal("restored production does not expand")
+	if ok := e.ExpandMemo(&u, 0x40, &m, &exp); !ok || exp.Prod != p || len(exp.Uops) != 2 {
+		t.Fatalf("restored memo expansion = %+v, want %q's two slots", exp, p.Name)
 	}
 }

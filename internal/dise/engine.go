@@ -2,6 +2,7 @@ package dise
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -16,41 +17,6 @@ type Production struct {
 	// seq is the install order, assigned by Engine.Install; equal-
 	// specificity matches tie-break toward the earliest installed.
 	seq uint64
-
-	// Install-time pre-resolved replacement micro-ops: uops[i] holds
-	// template i decoded to a Uop when lit[i] — i.e. when the template
-	// has no trigger-dependent hole, so its instantiation is the same
-	// for every expansion. Trigger-parameterized slots resolve per
-	// expansion. Remove/Clear invalidate the buffers (nil lit), and
-	// instantiation falls back to full per-slot resolution for any
-	// production expanded without them (e.g. one shared with a second
-	// engine after removal from the first).
-	uops []isa.Uop
-	lit  []bool
-}
-
-// preresolve (re)builds the production's install-time uop buffers. A
-// template is expansion-invariant exactly when nothing in it is filled
-// from the trigger.
-func (p *Production) preresolve() {
-	p.uops = make([]isa.Uop, len(p.Replacement))
-	p.lit = make([]bool, len(p.Replacement))
-	for i := range p.Replacement {
-		t := &p.Replacement[i]
-		if t.UseTrigger || t.OpFromTrigger || t.ImmFromTrigger ||
-			t.RAFrom != FromNone || t.RBFrom != FromNone || t.RCFrom != FromNone {
-			continue
-		}
-		p.uops[i] = isa.ResolveUop(t.Inst)
-		p.lit[i] = true
-	}
-}
-
-// invalidateUops drops the install-time buffers; the production must be
-// re-resolved by the next Install before the fast literal path is used
-// again.
-func (p *Production) invalidateUops() {
-	p.uops, p.lit = nil, nil
 }
 
 func (p *Production) String() string {
@@ -109,14 +75,26 @@ const numClasses = int(isa.ClassHalt) + 1
 // is the difference between O(installed) and O(1) when, as in the paper's
 // debugger back ends, the installed productions target stores or specific
 // PCs while the stream is dominated by ALU ops and branches.
+//
+// The fetch path scans even less: the pipeline keeps a Memo per static
+// instruction and rescans only when the engine's generation has moved
+// since the memo was filled. Install, Remove, Clear, Reset and Restore
+// move the generation; it never goes backwards, so no memo filled under
+// an earlier installed set can pass for the current one.
 type Engine struct {
 	cfg   Config
 	prods []*Production
+	// stamp[i] is prods[i]'s replacement-table LRU stamp, 0 while its
+	// sequence is not resident. It lives beside prods rather than in the
+	// Production because productions are shared across engines (a
+	// restored dise.State installs the donor's pointers).
+	stamp []uint64
 
 	byClass  [numClasses][]*Production
 	byPC     map[uint64][]*Production
 	anyClass []*Production
 	seq      uint64
+	gen      uint64 // see Memo
 
 	// Active is false while the core executes a DISE-called function;
 	// expansion is disabled there to keep replacement sequences
@@ -132,8 +110,8 @@ type Engine struct {
 	DLinkPC  uint64
 	DLinkDPC int
 
-	// replacement-table residency model, production-granular LRU.
-	resident map[*Production]uint64
+	// replacement-table residency model, production-granular LRU over
+	// stamp.
 	replUsed int
 	lruClock uint64
 
@@ -143,10 +121,9 @@ type Engine struct {
 // NewEngine returns an empty, enabled engine.
 func NewEngine(cfg Config) *Engine {
 	return &Engine{
-		cfg:      cfg,
-		Active:   true,
-		byPC:     make(map[uint64][]*Production),
-		resident: make(map[*Production]uint64),
+		cfg:    cfg,
+		Active: true,
+		byPC:   make(map[uint64][]*Production),
 	}
 }
 
@@ -168,8 +145,9 @@ func (e *Engine) Install(p *Production) error {
 	}
 	e.seq++
 	p.seq = e.seq
-	p.preresolve()
+	e.gen++
 	e.prods = append(e.prods, p)
+	e.stamp = append(e.stamp, 0)
 	switch {
 	case classKeyed(p):
 		cls, _ := p.Pattern.ClassKey()
@@ -191,32 +169,31 @@ func classKeyed(p *Production) bool {
 // Remove deletes a production by identity; it reports whether it was
 // present.
 func (e *Engine) Remove(p *Production) bool {
-	for i, q := range e.prods {
-		if q == p {
-			e.prods = append(e.prods[:i], e.prods[i+1:]...)
-			switch {
-			case classKeyed(p):
-				cls, _ := p.Pattern.ClassKey()
-				e.byClass[cls] = removeProd(e.byClass[cls], p)
-			case p.Pattern.PC != nil:
-				pc := *p.Pattern.PC
-				if rest := removeProd(e.byPC[pc], p); len(rest) > 0 {
-					e.byPC[pc] = rest
-				} else {
-					delete(e.byPC, pc)
-				}
-			default:
-				e.anyClass = removeProd(e.anyClass, p)
-			}
-			if _, ok := e.resident[p]; ok {
-				delete(e.resident, p)
-				e.replUsed -= len(p.Replacement)
-			}
-			p.invalidateUops()
-			return true
-		}
+	i := slices.Index(e.prods, p)
+	if i < 0 {
+		return false
 	}
-	return false
+	e.gen++
+	if e.stamp[i] != 0 {
+		e.replUsed -= len(p.Replacement)
+	}
+	e.prods = append(e.prods[:i], e.prods[i+1:]...)
+	e.stamp = append(e.stamp[:i], e.stamp[i+1:]...)
+	switch {
+	case classKeyed(p):
+		cls, _ := p.Pattern.ClassKey()
+		e.byClass[cls] = removeProd(e.byClass[cls], p)
+	case p.Pattern.PC != nil:
+		pc := *p.Pattern.PC
+		if rest := removeProd(e.byPC[pc], p); len(rest) > 0 {
+			e.byPC[pc] = rest
+		} else {
+			delete(e.byPC, pc)
+		}
+	default:
+		e.anyClass = removeProd(e.anyClass, p)
+	}
+	return true
 }
 
 func removeProd(list []*Production, p *Production) []*Production {
@@ -230,21 +207,21 @@ func removeProd(list []*Production, p *Production) []*Production {
 
 // Clear removes all productions.
 func (e *Engine) Clear() {
-	for _, p := range e.prods {
-		p.invalidateUops()
-	}
+	e.gen++
 	e.prods = nil
+	e.stamp = nil
 	e.byClass = [numClasses][]*Production{}
 	e.byPC = make(map[uint64][]*Production)
 	e.anyClass = nil
-	e.resident = make(map[*Production]uint64)
 	e.replUsed = 0
 }
 
 // Reset returns the engine to its post-NewEngine state: no productions,
 // expansion enabled, DISE registers and the pending call link zeroed, the
 // install sequence and replacement-table LRU clock rewound, and statistics
-// cleared. A recycled engine behaves bit-identically to a fresh one.
+// cleared. A recycled engine behaves bit-identically to a fresh one; only
+// the generation keeps counting, so memos filled before the reset are
+// stale after it.
 func (e *Engine) Reset() {
 	e.Clear()
 	e.seq = 0
@@ -262,13 +239,17 @@ func (e *Engine) Productions() []*Production { return e.prods }
 // Expansion is the result of expanding one trigger instruction.
 type Expansion struct {
 	Prod *Production
-	Uops []isa.Uop // fully instantiated micro-ops; DISEPC k executes Uops[k-1]
+	// Uops are the instantiated micro-ops; DISEPC k executes Uops[k-1].
+	// From ExpandMemo and ReexpandMemo they alias the memo's sequence,
+	// which is never written after the fill, so an expansion stays valid
+	// however the memo is refilled later.
+	Uops []isa.Uop
 	// ExtraLatency is the replacement-table refill penalty, if any.
 	ExtraLatency int
-	// Resolved counts the slots that had to be resolved at expansion
-	// time (trigger-parameterized templates); the rest were served from
-	// the trigger's own uop or the production's install-time buffers.
-	// The pipeline folds this into its uop decode-amortization counters.
+	// Resolved counts the trigger-parameterized slots: those an engine
+	// without a memo resolves on every expansion. The rest copy the
+	// trigger's own uop (T.INST) or are literals. The pipeline folds it
+	// into its uop decode-amortization counters once per expansion.
 	Resolved int
 }
 
@@ -316,117 +297,165 @@ func (e *Engine) Lookup(inst isa.Inst, pc uint64) (*Production, bool) {
 	return best, best != nil
 }
 
-// instantiate fills buf with p's replacement instantiated against the
-// trigger uop, reusing buf's storage when it has the capacity. Three
-// sources, cheapest first: T.INST slots copy the trigger's already-
-// resolved uop, expansion-invariant slots copy the production's
-// install-time buffer, and only genuinely parameterized slots resolve
-// here (counted in resolved).
-func instantiate(p *Production, trigger *isa.Uop, buf []isa.Uop) (uops []isa.Uop, resolved int) {
-	n := len(p.Replacement)
-	if cap(buf) >= n {
-		buf = buf[:n]
-	} else {
-		buf = make([]isa.Uop, n)
-	}
-	lit := p.lit
+// instantiate builds p's replacement sequence against the trigger uop in
+// fresh storage. T.INST slots copy the trigger's already-resolved uop;
+// every other slot resolves its instantiated instruction, and the
+// trigger-parameterized ones among them are counted in resolved.
+func instantiate(p *Production, trigger *isa.Uop) (uops []isa.Uop, resolved int) {
+	uops = make([]isa.Uop, len(p.Replacement))
 	for i := range p.Replacement {
 		t := &p.Replacement[i]
-		switch {
-		case t.UseTrigger:
-			buf[i] = *trigger
-		case lit != nil && lit[i]:
-			buf[i] = p.uops[i]
-		default:
-			buf[i] = isa.ResolveUop(t.Instantiate(trigger.Inst))
+		if t.UseTrigger {
+			uops[i] = *trigger
+			continue
+		}
+		uops[i] = isa.ResolveUop(t.Instantiate(trigger.Inst))
+		if t.parameterized() {
 			resolved++
 		}
 	}
-	return buf, resolved
+	return uops, resolved
 }
+
+// Armed reports whether a fetch consults the pattern table at all: the
+// engine is active and holds a production. Most simulated machines run
+// with none, so the pipeline checks this before it looks up a memo.
+func (e *Engine) Armed() bool { return e.Active && len(e.prods) != 0 }
 
 // Expand applies the most specific matching production to inst at pc. The
 // boolean result is false if the engine is inactive or nothing matches.
-// Convenience form: it resolves the trigger and allocates the sequence;
-// the pipeline's fetch path uses ExpandInto with its own storage.
+// It scans the pattern table and instantiates on every call: the
+// unmemoized reference that ExpandMemo must answer exactly like.
 func (e *Engine) Expand(inst isa.Inst, pc uint64) (Expansion, bool) {
-	u := isa.ResolveUop(inst)
-	return e.ExpandInto(&u, pc, nil)
-}
-
-// ExpandInto is Expand with a pre-resolved trigger and caller-provided
-// storage: the instantiated sequence reuses buf when it fits, so the
-// pipeline's steady-state expansion path does not allocate. The returned
-// Expansion.Uops aliases buf; the caller owns both and must not reuse
-// buf while the expansion is in flight.
-func (e *Engine) ExpandInto(trigger *isa.Uop, pc uint64, buf []isa.Uop) (Expansion, bool) {
-	// The empty-table check matters: Expand sits on the fetch path of
-	// every uop, and most simulated machines run with no productions.
-	if !e.Active || len(e.prods) == 0 {
+	if !e.Armed() {
 		return Expansion{}, false
 	}
-	p, ok := e.Lookup(trigger.Inst, pc)
+	p, ok := e.Lookup(inst, pc)
 	if !ok {
 		return Expansion{}, false
 	}
-	penalty := e.touchReplacement(p)
-	uops, resolved := instantiate(p, trigger, buf)
+	penalty := e.touchReplacement(slices.Index(e.prods, p))
+	trigger := isa.ResolveUop(inst)
+	uops, resolved := instantiate(p, &trigger)
 	e.stats.Expansions++
 	e.stats.InstsInserted += uint64(len(uops))
 	return Expansion{Prod: p, Uops: uops, ExtraLatency: penalty, Resolved: resolved}, true
 }
 
-// touchReplacement models replacement-table capacity: if the production's
-// sequence is not resident, evict LRU productions until it fits and charge
-// the refill penalty.
-func (e *Engine) touchReplacement(p *Production) int {
+// Reexpand re-instantiates the matching production without touching
+// statistics or the replacement table. The pipeline does this when fetch
+// resumes mid-sequence — after a DISE call returns to ⟨PC:DISEPC⟩ — and
+// the engine must rebuild the expansion of the instruction at PC (paper
+// §3: "the DISE engine ... begins expanding the instruction at
+// newDISEPC"). Like Expand, it is the unmemoized reference for
+// ReexpandMemo.
+func (e *Engine) Reexpand(inst isa.Inst, pc uint64) (Expansion, bool) {
+	best, _ := e.matchBest(inst, pc)
+	if best == nil {
+		return Expansion{}, false
+	}
+	trigger := isa.ResolveUop(inst)
+	uops, resolved := instantiate(best, &trigger)
+	return Expansion{Prod: best, Uops: uops, Resolved: resolved}, true
+}
+
+// Memo holds the part of one static instruction's expansion that cannot
+// change between fetches: which production the pattern table matches
+// (or none), how many productions the scan examined, and the sequence
+// instantiated against the trigger. All three depend only on the
+// instruction word, its PC and the installed set, so a memo filled under
+// the engine's current generation answers every later fetch of that word
+// at that PC. The pipeline keeps one per predecoded slot; a store to the
+// slot's page drops the page and its memos together. The zero Memo is
+// stale for any engine holding a production.
+type Memo struct {
+	gen      uint64
+	uops     []isa.Uop // never written after the fill
+	prod     uint32    // 1 + the match's index in the production table; 0 for none
+	scanned  uint32
+	resolved uint32
+}
+
+// fill scans the pattern table for the trigger at pc and records the
+// outcome in m under the current generation.
+func (e *Engine) fill(m *Memo, trigger *isa.Uop, pc uint64) {
+	p, scanned := e.matchBest(trigger.Inst, pc)
+	*m = Memo{gen: e.gen, scanned: uint32(scanned)}
+	if p != nil {
+		uops, resolved := instantiate(p, trigger)
+		m.uops, m.prod, m.resolved = uops, uint32(slices.Index(e.prods, p)+1), uint32(resolved)
+	}
+}
+
+// ExpandMemo is Expand for the trigger uop at pc through its memo m,
+// refilled first if the generation has moved. Only the stateful part runs
+// per call — the lookup counters, and on a match the replacement-table
+// touch and the expansion counters — so statistics, residency and the
+// expansion are exactly Expand's. On a match it fills *exp and reports
+// true; otherwise it leaves *exp alone. (An Expansion result would be
+// spilled and copied on every fetch, match or not.)
+func (e *Engine) ExpandMemo(trigger *isa.Uop, pc uint64, m *Memo, exp *Expansion) bool {
+	if !e.Armed() {
+		return false
+	}
+	if m.gen != e.gen {
+		e.fill(m, trigger, pc)
+	}
+	e.stats.Lookups++
+	e.stats.PatternsScanned += uint64(m.scanned)
+	if m.prod == 0 {
+		return false
+	}
+	i := int(m.prod - 1)
+	penalty := e.touchReplacement(i)
+	e.stats.Expansions++
+	e.stats.InstsInserted += uint64(len(m.uops))
+	*exp = Expansion{Prod: e.prods[i], Uops: m.uops, ExtraLatency: penalty, Resolved: int(m.resolved)}
+	return true
+}
+
+// ReexpandMemo is Reexpand through the memo m of the trigger at pc,
+// filling *exp like ExpandMemo.
+func (e *Engine) ReexpandMemo(trigger *isa.Uop, pc uint64, m *Memo, exp *Expansion) bool {
+	if m.gen != e.gen {
+		e.fill(m, trigger, pc)
+	}
+	if m.prod == 0 {
+		return false
+	}
+	*exp = Expansion{Prod: e.prods[m.prod-1], Uops: m.uops, Resolved: int(m.resolved)}
+	return true
+}
+
+// touchReplacement models replacement-table capacity for prods[i]: if its
+// sequence is not resident, evict LRU productions until it fits and
+// charge the refill penalty. Stamps are distinct (the clock advances on
+// every touch), so the LRU victim is unique.
+func (e *Engine) touchReplacement(i int) int {
 	e.lruClock++
-	if _, ok := e.resident[p]; ok {
-		e.resident[p] = e.lruClock
+	if e.stamp[i] != 0 {
+		e.stamp[i] = e.lruClock
 		return 0
 	}
 	e.stats.ReplMisses++
-	need := len(p.Replacement)
+	need := len(e.prods[i].Replacement)
 	if need > e.cfg.ReplacementInsts {
 		// Degenerate: sequence larger than the table; always misses.
 		return e.cfg.ReplMissPenalty
 	}
 	for e.replUsed+need > e.cfg.ReplacementInsts {
-		var victim *Production
-		var oldest uint64 = ^uint64(0)
-		for q, at := range e.resident {
-			if at < oldest {
-				victim, oldest = q, at
+		victim := -1
+		for j, at := range e.stamp {
+			if at != 0 && (victim < 0 || at < e.stamp[victim]) {
+				victim = j
 			}
 		}
-		delete(e.resident, victim)
-		e.replUsed -= len(victim.Replacement)
+		e.stamp[victim] = 0
+		e.replUsed -= len(e.prods[victim].Replacement)
 	}
-	e.resident[p] = e.lruClock
+	e.stamp[i] = e.lruClock
 	e.replUsed += need
 	return e.cfg.ReplMissPenalty
-}
-
-// Reexpand re-instantiates the matching production without touching
-// statistics or the replacement table. The pipeline uses it when fetch
-// resumes mid-sequence — after a DISE call returns to ⟨PC:DISEPC⟩ — and
-// the engine must rebuild the expansion of the instruction at PC
-// (paper §3: "the DISE engine ... begins expanding the instruction at
-// newDISEPC").
-func (e *Engine) Reexpand(inst isa.Inst, pc uint64) (Expansion, bool) {
-	u := isa.ResolveUop(inst)
-	return e.ReexpandInto(&u, pc, nil)
-}
-
-// ReexpandInto is Reexpand with a pre-resolved trigger and
-// caller-provided storage, mirroring ExpandInto.
-func (e *Engine) ReexpandInto(trigger *isa.Uop, pc uint64, buf []isa.Uop) (Expansion, bool) {
-	best, _ := e.matchBest(trigger.Inst, pc)
-	if best == nil {
-		return Expansion{}, false
-	}
-	uops, resolved := instantiate(best, trigger, buf)
-	return Expansion{Prod: best, Uops: uops, Resolved: resolved}, true
 }
 
 // DBranchTarget computes the DISEPC a taken DISE branch at disepc jumps

@@ -6,8 +6,12 @@
 // directives (T.OP, T.RD, T.RS1, T.IMM, T.INST), the 32-entry pattern
 // table with most-specific-match semantics, a capacity-modeled replacement
 // table, and the private DISE register file. The pattern table is indexed
-// by instruction class (see Engine), so the per-fetch lookup scans only
-// the productions that could possibly match the fetched instruction.
+// by instruction class (see Engine), so a lookup scans only the
+// productions that could possibly match the fetched instruction, and a
+// Memo keeps a static instruction's match and instantiated sequence
+// until the installed set changes, so the fetch path scans and
+// instantiates once per static instruction rather than once per fetch.
+// Expand and Reexpand are the unmemoized reference forms.
 //
 // The engine itself is purely architectural: it answers "what does this
 // instruction expand to". Timing (expansion bandwidth, DISE-branch

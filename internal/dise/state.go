@@ -71,7 +71,7 @@ func (e *Engine) Snapshot() *State {
 	}
 	for i, p := range e.prods {
 		st.seqs[i] = p.seq
-		if stamp, ok := e.resident[p]; ok {
+		if stamp := e.stamp[i]; stamp != 0 {
 			st.resident = append(st.resident, residentEntry{idx: i, stamp: stamp})
 		}
 	}
@@ -81,18 +81,16 @@ func (e *Engine) Snapshot() *State {
 // Restore replaces the engine state with the snapshot's. The production
 // pointers are installed as-is (identity is preserved across a round
 // trip), their sequence stamps are rewound, and the class/PC buckets and
-// residency map are rebuilt.
+// residency stamps are rebuilt. The generation moves on, as for any
+// change of the installed set; it is not part of the snapshot.
 func (e *Engine) Restore(st *State) {
+	e.gen++
 	e.prods = append(e.prods[:0:0], st.prods...)
 	e.byClass = [numClasses][]*Production{}
 	e.byPC = make(map[uint64][]*Production)
 	e.anyClass = nil
 	for i, p := range e.prods {
 		p.seq = st.seqs[i]
-		// A Remove/Clear between capture and restore invalidated the
-		// production's install-time uop buffers; restoring it to the
-		// table re-resolves them, exactly as Install would.
-		p.preresolve()
 		switch {
 		case classKeyed(p):
 			cls, _ := p.Pattern.ClassKey()
@@ -108,9 +106,9 @@ func (e *Engine) Restore(st *State) {
 	e.Regs = st.regs
 	e.DLinkPC = st.dlinkPC
 	e.DLinkDPC = st.dlinkDPC
-	e.resident = make(map[*Production]uint64, len(st.resident))
+	e.stamp = make([]uint64, len(e.prods))
 	for _, r := range st.resident {
-		e.resident[e.prods[r.idx]] = r.stamp
+		e.stamp[r.idx] = r.stamp
 	}
 	e.replUsed = st.replUsed
 	e.lruClock = st.lruClock

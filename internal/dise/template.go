@@ -77,12 +77,18 @@ func (t TemplateInst) Instantiate(trigger isa.Inst) isa.Inst {
 	return out
 }
 
+// parameterized reports whether any field of the template is filled from
+// the trigger, so that its instantiation differs between triggers.
+func (t *TemplateInst) parameterized() bool {
+	return t.OpFromTrigger || t.ImmFromTrigger || t.RAFrom != FromNone || t.RBFrom != FromNone || t.RCFrom != FromNone
+}
+
 func (t TemplateInst) String() string {
 	if t.UseTrigger {
 		return "T.INST"
 	}
 	s := t.Inst.String()
-	if t.OpFromTrigger || t.ImmFromTrigger || t.RAFrom != FromNone || t.RBFrom != FromNone || t.RCFrom != FromNone {
+	if t.parameterized() {
 		s += " (parameterized)"
 	}
 	return s

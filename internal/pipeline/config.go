@@ -188,12 +188,13 @@ type Stats struct {
 	// Decoded-uop dispatch amortization, across both resolution sites
 	// (predecoded text pages and DISE replacement sequences). A "hit" is
 	// a dispatch served from an already-resolved micro-op — a predecoded
-	// page fetch, an install-time literal replacement slot, or a T.INST
-	// trigger copy; a "resolve" is one micro-op resolution actually
-	// performed — page-fill slots (instsPerPage per page decode),
-	// misaligned fetches, and trigger-parameterized replacement slots.
-	// UopInvalidations counts pre-resolved micro-ops discarded because a
-	// store touched their text page.
+	// page fetch, a literal replacement slot, or a T.INST trigger copy; a
+	// "resolve" is one micro-op resolution — page-fill slots
+	// (instsPerPage per page decode), misaligned fetches, and the
+	// trigger-parameterized replacement slots of each expansion, counted
+	// per expansion as an engine without the expansion memo resolves
+	// them. UopInvalidations counts pre-resolved micro-ops discarded
+	// because a store touched their text page.
 	UopHits          uint64
 	UopResolves      uint64
 	UopInvalidations uint64

@@ -30,14 +30,12 @@ type Core struct {
 	dpc int // 0: fetch raw instruction at pc; >=1: replay expansion
 	// exp points at expBuf while a replacement sequence is in flight and
 	// is nil otherwise. The buffer lives in Core so that taking its
-	// address does not heap-allocate an Expansion on every step, and
-	// expScratch is the micro-op storage the engine instantiates into
-	// (ExpandInto), so steady-state expansion does not allocate either.
-	// At most one expansion is in flight per core, so reusing one buffer
-	// is safe.
+	// address does not heap-allocate an Expansion on every step; its
+	// Uops alias the trigger slot's memo, which is never written after
+	// it is filled. At most one expansion is in flight per core, so
+	// reusing one buffer is safe.
 	exp        *dise.Expansion
 	expBuf     dise.Expansion
-	expScratch []isa.Uop
 	inDiseFunc bool
 	halted     bool
 	stopReq    bool
@@ -152,7 +150,6 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, bp *bpred.Predictor, 
 	c.fetchCursor = 1
 	c.storeQGen = 1
 	c.storeQLo, c.storeQHi = ^uint64(0), 0
-	c.expScratch = make([]isa.Uop, 0, 32)
 	c.lastFetchLine = ^uint64(0)
 	hcfg := hier.Config()
 	c.l1iHitLat = uint64(hcfg.L1I.HitLatency)
@@ -169,7 +166,7 @@ func (c *Core) Config() Config { return c.cfg }
 // cache counters the predecoder keeps privately. The uop counters
 // combine both resolution sites: the predecoder (page fills, misaligned
 // fetches, store invalidations) and the DISE expansion path (c.stats
-// accumulates those at the ExpandInto call site).
+// accumulates those per expansion in step, from the memo's counts).
 func (c *Core) Stats() Stats {
 	st := c.stats
 	st.PredecodeHits = c.pred.hits
@@ -196,7 +193,6 @@ func (c *Core) Reset() {
 	c.pc, c.dpc = 0, 0
 	c.exp = nil
 	c.expBuf = dise.Expansion{}
-	c.expScratch = c.expScratch[:0]
 	c.inDiseFunc = false
 	c.halted = false
 	c.stopReq = false
@@ -310,9 +306,9 @@ func (c *Core) Run(maxAppInsts uint64) error {
 func (c *Core) RequestStop() { c.stopReq = true }
 
 // step fetches, functionally executes, and times exactly one uop. The
-// uop arrives pre-resolved — from the predecoded page, the DISE
-// replacement buffers, or the expansion scratch — so nothing here
-// re-derives per-instruction facts; exec and time read fields.
+// uop arrives pre-resolved — from the predecoded page or the slot's DISE
+// expansion memo — so nothing here re-derives per-instruction facts;
+// exec and time read fields.
 func (c *Core) step() {
 	pc, dpc := c.pc, c.dpc
 	var u *isa.Uop
@@ -321,21 +317,21 @@ func (c *Core) step() {
 	inDise := dpc > 0 || inFunc
 
 	if dpc == 0 {
-		raw := c.pred.fetch(pc)
-		if exp, ok := c.Engine.ExpandInto(raw, pc, c.expScratch); ok {
-			c.expBuf = exp
-			c.exp = &c.expBuf
-			c.expScratch = exp.Uops // adopt any growth for reuse
+		var pg *decodedPage
+		u, pg = c.pred.fetch(pc)
+		if c.Engine.Armed() && c.Engine.ExpandMemo(u, pc, c.pred.memo(pg, pc), &c.expBuf) {
+			exp := &c.expBuf
+			c.exp = exp
+			// The counters read as if the unmemoized engine had resolved
+			// the parameterized slots for this expansion.
 			c.stats.Expansions++
 			c.stats.UopResolves += uint64(exp.Resolved)
 			c.stats.UopHits += uint64(len(exp.Uops) - exp.Resolved)
 			expExtra = exp.ExtraLatency
 			dpc = 1
 			c.dpc = 1
-			u = &c.expBuf.Uops[0]
+			u = &exp.Uops[0]
 			inDise = true
-		} else {
-			u = raw
 		}
 	} else {
 		u = &c.exp.Uops[dpc-1]
@@ -768,20 +764,17 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 	}
 
 	// Advance the functional front-end cursor to the next uop (fused
-	// former advance step; u must not be read past this point — a
-	// redirect resume below may overwrite the expansion scratch it
-	// points into).
+	// former advance step).
 	if ev.redirect {
 		c.pc, c.dpc = ev.nextPC, ev.nextDPC
 		if c.dpc > 0 {
 			if c.exp == nil {
 				// Resuming mid-sequence after a DISE call returned: the
-				// engine re-expands the trigger at the same PC.
-				raw := c.pred.fetch(c.pc)
-				if exp, ok := c.Engine.ReexpandInto(raw, c.pc, c.expScratch); ok {
-					c.expBuf = exp
+				// engine re-expands the trigger at the same PC, from the
+				// same memo.
+				raw, pg := c.pred.fetch(c.pc)
+				if c.Engine.ReexpandMemo(raw, c.pc, c.pred.memo(pg, c.pc), &c.expBuf) {
 					c.exp = &c.expBuf
-					c.expScratch = exp.Uops
 				} else {
 					// The production vanished mid-call; resume raw.
 					c.dpc = 0

@@ -118,7 +118,8 @@ func dispatchMachine(tb testing.TB, kernel string, dise bool) (*machine.Machine,
 // instructions per second, without the machine-construction and workload-
 // generation costs the macro throughput benchmark includes. The dise
 // variant keeps a store-class watchpoint production installed, so every
-// fourth-ish instruction takes the ExpandInto path, and mul saturates
+// fetch consults its slot's expansion memo and every fourth-ish
+// instruction expands from it, and mul saturates
 // the multiplier. All must run the hot loop allocation-free
 // (TestDispatchAllocFree asserts it; -benchmem shows it here).
 func BenchmarkDispatch(b *testing.B) {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"repro/internal/dise"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -16,9 +17,13 @@ const defaultPredecodePages = 64
 // decodedPage holds one text page decoded into micro-ops; slot k is the
 // instruction at page base + 4k, pre-resolved (class, kind flags, operand
 // register references) so the dispatch loop reads fields instead of
-// re-deriving them per dynamic instance.
+// re-deriving them per dynamic instance. memos[k] is slot k's DISE
+// expansion memo: the instrumented half of the code cache, allocated the
+// first time a fetch on the page consults an engine with productions, and
+// dropped with the page when a store touches it.
 type decodedPage struct {
 	uops    [instsPerPage]isa.Uop
+	memos   *[instsPerPage]dise.Memo
 	lastUse uint64 // LRU stamp, updated on page switches (not per fetch)
 }
 
@@ -71,8 +76,10 @@ type predecoder struct {
 
 	// misal is the scratch slot misaligned fetches resolve into; the
 	// returned pointer is valid until the next fetch, which is all the
-	// single-uop-in-flight dispatch loop needs.
-	misal isa.Uop
+	// single-uop-in-flight dispatch loop needs. misalMemo is its memo,
+	// emptied on every use because the slot is never cached.
+	misal     isa.Uop
+	misalMemo dise.Memo
 }
 
 // noWindow poisons winBase while no page is the window. Its low bits are
@@ -96,29 +103,31 @@ func newPredecoder(m *mem.Memory, maxPages int) *predecoder {
 	}
 }
 
-// fetch returns the decoded micro-op at pc. An aligned pc inside the
-// refill window is served with one index; everything else — a window
-// miss, an invalidated window, a misaligned pc — takes the slow path.
-// The returned pointer stays valid until the page is dropped AND the
-// caller lets go of it (pages are never mutated in place, only
-// unlinked), so a self-modifying store may invalidate the page of the
-// very uop executing it without corrupting that uop.
-func (d *predecoder) fetch(pc uint64) *isa.Uop {
+// fetch returns the decoded micro-op at pc and the page serving it (nil
+// for a misaligned pc), which memo takes to find the slot's expansion
+// memo. An aligned pc inside the refill window is served with one index;
+// everything else — a window miss, an invalidated window, a misaligned
+// pc — takes the slow path. The returned pointer stays valid until the
+// page is dropped AND the caller lets go of it (uops are never mutated
+// in place, only unlinked with their page), so a self-modifying store
+// may invalidate the page of the very uop executing it without
+// corrupting that uop.
+func (d *predecoder) fetch(pc uint64) (*isa.Uop, *decodedPage) {
 	if off := pc - d.winBase; off < mem.PageSize && (off|pc)&3 == 0 {
 		d.hits++
-		return &d.win.uops[off>>2]
+		return &d.win.uops[off>>2], d.win
 	}
 	return d.fetchSlow(pc)
 }
 
-func (d *predecoder) fetchSlow(pc uint64) *isa.Uop {
+func (d *predecoder) fetchSlow(pc uint64) (*isa.Uop, *decodedPage) {
 	if pc&3 != 0 {
 		// Misaligned PCs never come from the predecoded image; decode the
 		// straddling word directly, exactly as raw fetch did. Resolved
 		// fresh every time (never cached), into the scratch slot.
 		d.misal = isa.DecodeUop(d.m.ReadInst(pc))
 		d.resolves++
-		return &d.misal
+		return &d.misal, nil
 	}
 	pn := mem.PageOf(pc)
 	d.clock++
@@ -150,7 +159,21 @@ func (d *predecoder) fetchSlow(pc uint64) *isa.Uop {
 	}
 	pg.lastUse = d.clock
 	d.win, d.winBase = pg, mem.PageBase(pc)
-	return &pg.uops[(pc&(mem.PageSize-1))>>2]
+	return &pg.uops[(pc&(mem.PageSize-1))>>2], pg
+}
+
+// memo returns the expansion memo for the uop fetch returned at pc from
+// page pg. The page's memos are allocated on first use, so the fetch
+// path asks only while the engine is Armed.
+func (d *predecoder) memo(pg *decodedPage, pc uint64) *dise.Memo {
+	if pg == nil {
+		d.misalMemo = dise.Memo{}
+		return &d.misalMemo
+	}
+	if pg.memos == nil {
+		pg.memos = new([instsPerPage]dise.Memo)
+	}
+	return &pg.memos[pc>>2&(instsPerPage-1)]
 }
 
 // evictLRU drops the least-recently-used page. It runs only when a decode

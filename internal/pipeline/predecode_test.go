@@ -26,12 +26,12 @@ func TestPredecoderServesAndInvalidates(t *testing.T) {
 	pc := uint64(0x4000)
 	m.Write(pc, 4, uint64(encodeOrDie(t, addq)))
 
-	if got := d.fetch(pc); got.Inst != addq {
+	if got, _ := d.fetch(pc); got.Inst != addq {
 		t.Fatalf("fetch = %v, want %v", got.Inst, addq)
 	}
 	// Patch the word; the write hook must drop the cached page.
 	m.Write(pc, 4, uint64(encodeOrDie(t, subq)))
-	if got := d.fetch(pc); got.Inst != subq {
+	if got, _ := d.fetch(pc); got.Inst != subq {
 		t.Errorf("fetch after patch = %v, want %v (stale cache)", got.Inst, subq)
 	}
 	// Uop-granular accounting: two page fills' worth of resolves, one
@@ -55,10 +55,10 @@ func TestPredecoderNoWindowHighPC(t *testing.T) {
 	for _, pc := range []uint64{1 << 63, 1<<63 + 4, 1<<63 + mem.PageSize - 4} {
 		m.Write(pc, 4, uint64(encodeOrDie(t, addq)))
 		d.reset() // no window
-		if got := d.fetch(pc); got.Inst != addq {
+		if got, _ := d.fetch(pc); got.Inst != addq {
 			t.Errorf("fetch(%#x) = %v, want %v", pc, got.Inst, addq)
 		}
-		if got := d.fetch(pc); got.Inst != addq { // now through the window
+		if got, _ := d.fetch(pc); got.Inst != addq { // now through the window
 			t.Errorf("windowed fetch(%#x) = %v, want %v", pc, got.Inst, addq)
 		}
 	}
@@ -72,13 +72,13 @@ func TestPredecoderWriteBytesInvalidates(t *testing.T) {
 	addq := isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 5, UseImm: true}
 	pc := uint64(0x8000)
 	m.Write(pc, 4, uint64(encodeOrDie(t, addq)))
-	if got := d.fetch(pc); got.Inst != addq {
+	if got, _ := d.fetch(pc); got.Inst != addq {
 		t.Fatalf("fetch = %v, want %v", got.Inst, addq)
 	}
 	// A bulk write spanning the page (e.g. a program reload) must also
 	// invalidate.
 	m.WriteBytes(pc-mem.PageSize, make([]byte, 3*mem.PageSize))
-	if got := d.fetch(pc); got.Inst.Op != isa.OpNop {
+	if got, _ := d.fetch(pc); got.Inst.Op != isa.OpNop {
 		t.Errorf("fetch after bulk overwrite = %v, want nop (zeroed text)", got.Inst)
 	}
 }
@@ -107,7 +107,7 @@ func TestPredecoderMisalignedPCFallsBack(t *testing.T) {
 	w := encodeOrDie(t, isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 9, UseImm: true})
 	m.Write(0x4002, 4, uint64(w))
 	want := isa.Decode(m.ReadInst(0x4002))
-	if got := d.fetch(0x4002); got.Inst != want {
+	if got, _ := d.fetch(0x4002); got.Inst != want {
 		t.Errorf("misaligned fetch = %v, want %v", got.Inst, want)
 	}
 	// And a misaligned fetch on an already-cached page must not read a
@@ -116,7 +116,7 @@ func TestPredecoderMisalignedPCFallsBack(t *testing.T) {
 	m.Write(0x4004, 4, uint64(w))
 	d.fetch(0x4004) // caches the page
 	want = isa.Decode(m.ReadInst(0x4002))
-	if got := d.fetch(0x4002); got.Inst != want {
+	if got, _ := d.fetch(0x4002); got.Inst != want {
 		t.Errorf("misaligned fetch with cached page = %v, want %v", got.Inst, want)
 	}
 }
@@ -138,7 +138,7 @@ func TestPredecoderLRUCap(t *testing.T) {
 	d.fetch(pcs[0])
 	d.fetch(pcs[1])
 	d.fetch(pcs[0]) // page 0 is now MRU of the two resident pages
-	if got := d.fetch(pcs[2]); got.Inst != addq {
+	if got, _ := d.fetch(pcs[2]); got.Inst != addq {
 		t.Fatalf("fetch = %v, want %v", got.Inst, addq)
 	}
 	if len(d.pages) != 2 {
@@ -154,7 +154,7 @@ func TestPredecoderLRUCap(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", d.evictions)
 	}
 	// The evicted page re-decodes correctly on demand.
-	if got := d.fetch(pcs[1]); got.Inst != addq {
+	if got, _ := d.fetch(pcs[1]); got.Inst != addq {
 		t.Errorf("refetch of evicted page = %v, want %v", got.Inst, addq)
 	}
 	if d.decodes != 4 {

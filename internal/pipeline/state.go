@@ -302,9 +302,11 @@ func (c *Core) Snapshot() *State {
 		stats: c.stats,
 	}
 	if c.exp != nil {
+		// Expansion uops are never written after their memo is filled,
+		// so the snapshot shares them.
 		st.expValid = true
 		st.expProd = c.exp.Prod
-		st.expUops = append([]isa.Uop(nil), c.exp.Uops...)
+		st.expUops = c.exp.Uops
 		st.expExtraLatency = c.exp.ExtraLatency
 	}
 	return st
@@ -324,17 +326,15 @@ func (c *Core) Restore(st *State) {
 
 	c.pc, c.dpc = st.pc, st.dpc
 	if st.expValid {
-		c.expScratch = append(c.expScratch[:0], st.expUops...)
 		c.expBuf = dise.Expansion{
 			Prod:         st.expProd,
-			Uops:         c.expScratch,
+			Uops:         st.expUops,
 			ExtraLatency: st.expExtraLatency,
 		}
 		c.exp = &c.expBuf
 	} else {
 		c.exp = nil
 		c.expBuf = dise.Expansion{}
-		c.expScratch = c.expScratch[:0]
 	}
 	c.inDiseFunc = st.inDiseFunc
 	c.halted = st.halted

@@ -471,6 +471,21 @@ func TestProtocolWatchRangeCap(t *testing.T) {
 	c.ok(Request{Op: "ping"})
 }
 
+// TestProtocolWatchTopQuad: a watch on the last quad of memory, whose
+// end address wraps to 0, and the continue that installs it get ordinary
+// responses, and the server keeps answering. Installing it had
+// enumerated quads past 2^64 until the process ran out of memory, which
+// no recover contains.
+func TestProtocolWatchTopQuad(t *testing.T) {
+	srv := newTestServer(t, DefaultConfig())
+	c := newProtoClient(t, srv)
+	id := c.ok(Request{Op: "create", Program: countdownProg}).Session
+	c.ok(Request{Op: "watch", Session: id, Sym: "0xfffffffffffffffc", Size: 1})
+	c.ok(Request{Op: "continue", Session: id})
+	c.ok(Request{Op: "wait", Session: id})
+	c.ok(Request{Op: "ping"})
+}
+
 // TestProtocolMachinePresets: create takes a machine preset, echoes it on
 // create and attach, and rejects unknown names.
 func TestProtocolMachinePresets(t *testing.T) {

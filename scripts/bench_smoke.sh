@@ -26,6 +26,16 @@ awk -v got="$minsts" -v base="$baseline" 'BEGIN {
     printf "bench_smoke: OK — %.2f Minsts/s (baseline %.2f, floor %.2f)\n", got, base, floor
 }'
 
+# The DISE-installed run (informational, not gated): the paper's
+# configuration, with store-class productions expanding through the
+# per-slot expansion memo. scans/lookup is the productions examined per
+# engine lookup. Three consecutive runs of it on a 2-vCPU container
+# spread over about 20% (4.6-5.7 Minsts/s before the expansion memo), too
+# wide for an absolute floor.
+echo "-- DISE-installed throughput (informational) --"
+go test -bench='BenchmarkSimulatorThroughputDise$' -run=NONE -benchtime="$benchtime" \
+    -count=1 . | grep -E 'Benchmark|^ok' || true
+
 # Memory-system micro-benchmarks (informational, not gated): the fused
 # Cache.access scan and the unified Hierarchy miss engine, the two hot
 # paths behind the simulator throughput number above.
