@@ -9,7 +9,9 @@
 //
 // Output is a text table per experiment: normalized execution times
 // (relative to the undebugged baseline) in the same row/series structure
-// as the paper.
+// as the paper. The simulations run in parallel, one per CPU; -exp all runs
+// the whole evaluation as one set, so its tables share each kernel's build
+// and baseline run and print together at the end.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -33,18 +36,35 @@ func main() {
 		cfg.Benchmarks = strings.Split(*bench, ",")
 	}
 
-	ids := []string{*exp}
+	start := time.Now()
+	var tables []*harness.Table
 	if *exp == "all" {
-		ids = []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}
-	}
-	for _, id := range ids {
-		start := time.Now()
-		t, err := harness.Run(id, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "disebench:", err)
-			os.Exit(1)
+		// RunAll ignores unknown names, so check them here.
+		for _, name := range cfg.Benchmarks {
+			if _, ok := workload.ByName(name); !ok {
+				var have []string
+				for _, spec := range workload.Specs() {
+					have = append(have, spec.Name)
+				}
+				fail(fmt.Errorf("unknown benchmark %q (have %v)", name, have))
+			}
 		}
-		fmt.Println(t)
-		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		tables = harness.RunAll(cfg)
+	} else {
+		t, err := harness.Run(*exp, cfg)
+		if err != nil {
+			fail(err)
+		}
+		tables = []*harness.Table{t}
 	}
+	for _, t := range tables {
+		fmt.Println(t)
+		fmt.Println()
+	}
+	fmt.Printf("(%s completed in %v)\n", *exp, time.Since(start).Round(time.Millisecond))
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "disebench:", err)
+	os.Exit(1)
 }

@@ -39,7 +39,10 @@ func TestPaperSuiteGolden(t *testing.T) {
 // instructions, each run to halt on a fresh default machine undebugged,
 // and under the DISE back end with the COLD and then the HOT watchpoint.
 func TestSimGolden(t *testing.T) {
-	r := newRunner(Config{Budget: 300_000})
+	var kernels []*workload.Workload
+	for _, spec := range workload.Specs() {
+		kernels = append(kernels, workload.MustBuild(spec, iterations(spec, 300_000)))
+	}
 	for _, golden := range []struct {
 		file    string
 		watches []string
@@ -48,9 +51,9 @@ func TestSimGolden(t *testing.T) {
 		{"sim-dise.txt", []string{"COLD", "HOT"}},
 	} {
 		var lines []string
-		for _, spec := range workload.Specs() {
+		for _, k := range kernels {
 			for _, watch := range golden.watches {
-				lines = append(lines, simLine(t, r.workload(spec.Name), watch))
+				lines = append(lines, simLine(t, k, watch))
 			}
 		}
 		slices.Sort(lines)

@@ -1,18 +1,19 @@
 // Package harness defines and runs the paper's experiments: Tables 1-2
-// and Figures 3-9 of the evaluation (§5). Each experiment builds the
-// benchmark kernels, attaches the debugger back ends under test, runs the
-// cycle-level simulator, and prints rows shaped like the paper's tables
-// and figures (normalized execution time relative to the undebugged run).
+// and Figures 3-9 of the evaluation (§5). Each experiment plans the
+// simulations it needs, the benchmark kernels under the debugger back ends
+// being compared, and assembles rows shaped like the paper's tables and
+// figures from their results (normalized execution time relative to each
+// kernel's undebugged run). The simulations run in parallel on a fixed set
+// of workers, one per CPU; the tables do not depend on their order.
 package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/debug"
-	"repro/internal/machine"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -32,15 +33,12 @@ func DefaultConfig() Config {
 }
 
 func (c Config) wants(name string) bool {
-	if len(c.Benchmarks) == 0 {
-		return true
-	}
-	for _, b := range c.Benchmarks {
-		if b == name {
-			return true
-		}
-	}
-	return false
+	return len(c.Benchmarks) == 0 || slices.Contains(c.Benchmarks, name)
+}
+
+// specs returns the wanted kernels' specs, in paper order.
+func (c Config) specs() []workload.Spec {
+	return slices.DeleteFunc(workload.Specs(), func(s workload.Spec) bool { return !c.wants(s.Name) })
 }
 
 // Table is one experiment's output.
@@ -100,112 +98,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// baselineRun is one cached undebugged run: core statistics plus the
-// memory-system counters the machine surfaces through MemStats.
-type baselineRun struct {
-	Stats pipeline.Stats
-	Mem   machine.MemStats
-}
-
-// runner caches workload builds and baseline runs across an experiment.
-type runner struct {
-	cfg       Config
-	workloads map[string]*workload.Workload
-	baselines map[string]baselineRun
-}
-
-func newRunner(cfg Config) *runner {
-	if cfg.Budget == 0 {
-		cfg.Budget = DefaultConfig().Budget
-	}
-	return &runner{
-		cfg:       cfg,
-		workloads: make(map[string]*workload.Workload),
-		baselines: make(map[string]baselineRun),
-	}
-}
-
-// iterations sizes a kernel's outer loop so the undebugged run executes
-// roughly the configured budget.
-func (r *runner) iterations(spec workload.Spec) int {
-	instsPerIter := float64(spec.Groups*(2+spec.Fill)) + 40
-	it := int(float64(r.cfg.Budget) / instsPerIter)
-	if it < 20 {
-		it = 20
-	}
-	return it
-}
-
-func (r *runner) workload(name string) *workload.Workload {
-	if w, ok := r.workloads[name]; ok {
-		return w
-	}
-	spec, ok := workload.ByName(name)
-	if !ok {
-		panic("harness: unknown benchmark " + name)
-	}
-	w := workload.MustBuild(spec, r.iterations(spec))
-	r.workloads[name] = w
-	return w
-}
-
-// baseline runs the kernel undebugged, to completion.
-func (r *runner) baseline(name string) pipeline.Stats {
-	return r.baselineRun(name).Stats
-}
-
-// baselineRun is baseline plus the run's memory-system statistics.
-func (r *runner) baselineRun(name string) baselineRun {
-	if b, ok := r.baselines[name]; ok {
-		return b
-	}
-	w := r.workload(name)
-	m := machine.NewDefault()
-	m.Load(w.Program)
-	st := m.MustRun(0)
-	b := baselineRun{Stats: st, Mem: m.MemStats()}
-	r.baselines[name] = b
-	return b
-}
-
-// result is one debugged run.
-type result struct {
-	Stats    pipeline.Stats
-	Trans    debug.TransitionStats
-	Overhead float64 // cycles / baseline cycles
-	Err      error
-}
-
-// debugged runs a kernel under a configured debugger. setup registers
-// watchpoints/breakpoints on the debugger before Install.
-func (r *runner) debugged(name string, opts debug.Options, mcfg *machine.Config,
-	setup func(*workload.Workload, *debug.Debugger) error) result {
-	w := r.workload(name)
-	cfg := machine.DefaultConfig()
-	if mcfg != nil {
-		cfg = *mcfg
-	}
-	m := machine.New(cfg)
-	m.Load(w.Program)
-	d := debug.New(m, opts)
-	if err := setup(w, d); err != nil {
-		return result{Err: err}
-	}
-	if err := d.Install(); err != nil {
-		return result{Err: err}
-	}
-	st, err := m.Run(0)
-	if err != nil {
-		return result{Err: err}
-	}
-	base := r.baseline(name)
-	return result{
-		Stats:    st,
-		Trans:    d.Stats(),
-		Overhead: float64(st.Cycles) / float64(base.Cycles),
-	}
-}
-
 // WatchKinds are the six per-benchmark watchpoints of §5, in paper order.
 var WatchKinds = []string{"HOT", "WARM1", "WARM2", "COLD", "INDIRECT", "RANGE"}
 
@@ -255,44 +147,42 @@ func fmtOver(v float64) string {
 	}
 }
 
-// Experiments lists the available experiment IDs in paper order.
+// paper is the evaluation's experiments in paper order.
+var paper = []*experiment{table1, table2, fig3, fig4, fig5, fig6, fig7, fig8, fig9}
+
+// Experiments lists the available experiment IDs, sorted.
 func Experiments() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
+	out := make([]string, 0, len(paper))
+	for _, e := range paper {
+		out = append(out, e.id)
 	}
 	sort.Strings(out)
 	return out
 }
 
-var registry = map[string]func(Config) *Table{
-	"table1": Table1,
-	"table2": Table2,
-	"fig3":   Fig3,
-	"fig4":   Fig4,
-	"fig5":   Fig5,
-	"fig6":   Fig6,
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"fig9":   Fig9,
-}
-
-// Run executes one experiment by ID.
+// Run executes one experiment by ID, its simulations in parallel. A named
+// benchmark the experiment does not use yields a table with no rows.
 func Run(id string, cfg Config) (*Table, error) {
-	f, ok := registry[id]
-	if !ok {
+	i := slices.IndexFunc(paper, func(e *experiment) bool { return e.id == id })
+	if i < 0 {
 		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
 	}
-	return f(cfg), nil
+	for _, name := range cfg.Benchmarks {
+		if _, ok := workload.ByName(name); !ok {
+			var have []string
+			for _, spec := range workload.Specs() {
+				have = append(have, spec.Name)
+			}
+			return nil, fmt.Errorf("harness: unknown benchmark %q (have %v)", name, have)
+		}
+	}
+	return run(cfg, paper[i])[0], nil
 }
 
-// RunAll executes every experiment in paper order.
+// RunAll executes every experiment, in paper order, as one job graph:
+// each kernel is built and its baseline run once for all of them, and the
+// simulations of every experiment share the workers. Unknown benchmark
+// names are ignored.
 func RunAll(cfg Config) []*Table {
-	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}
-	out := make([]*Table, 0, len(order))
-	for _, id := range order {
-		t, _ := Run(id, cfg)
-		out = append(out, t)
-	}
-	return out
+	return run(cfg, paper...)
 }

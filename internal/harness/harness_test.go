@@ -3,6 +3,7 @@ package harness
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -292,5 +293,62 @@ func TestRunDispatch(t *testing.T) {
 	}
 	if !strings.Contains(tb.String(), "mcf") {
 		t.Error("table text missing benchmark")
+	}
+	// An unknown kernel is an error that names it and the known ones...
+	if _, err := Run("fig6", cfg("nosuch")); err == nil ||
+		!strings.Contains(err.Error(), `"nosuch"`) || !strings.Contains(err.Error(), "crafty") {
+		t.Errorf("unknown benchmark: err = %v, want one naming it and the known kernels", err)
+	}
+	// ...but a known one the experiment does not use gives an empty table.
+	if tb, err := Run("fig6", cfg("bzip2")); err != nil || len(tb.Rows) != 0 {
+		t.Errorf("fig6 on bzip2: %v, err %v; want a table with no rows and no error", tb, err)
+	}
+}
+
+// TestRunConcurrent calls Run from several goroutines at once, on
+// different experiments and kernels, two callers each: every table must
+// equal the one the same call made alone, and every call must return
+// (the callers share the workers, which never wait on each other).
+func TestRunConcurrent(t *testing.T) {
+	calls := []struct {
+		id      string
+		kernels []string
+	}{
+		{"fig3", []string{"crafty"}},
+		{"fig6", []string{"gcc"}},
+		{"table1", nil},
+	}
+	run := func(i int) (string, error) {
+		tb, err := Run(calls[i].id, Config{Budget: 5_000, Benchmarks: calls[i].kernels})
+		if err != nil {
+			return "", err
+		}
+		return tb.String(), nil
+	}
+	want := make([]string, len(calls))
+	for i := range calls {
+		var err error
+		if want[i], err = run(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const callers = 2
+	got := make([]string, callers*len(calls))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if got[i], err = run(i % len(calls)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if c := calls[i%len(calls)]; g != want[i%len(calls)] {
+			t.Errorf("concurrent %s %v differs from the same call alone:\n%s\nwant:\n%s", c.id, c.kernels, g, want[i%len(calls)])
+		}
 	}
 }
