@@ -241,8 +241,13 @@ func (b *Builder) Long(vs ...uint32) {
 // Bytes appends raw bytes.
 func (b *Builder) Bytes(p []byte) { b.data = append(b.data, p...) }
 
-// Space appends n zero bytes.
-func (b *Builder) Space(n int) { b.data = append(b.data, make([]byte, n)...) }
+// Space appends n zero bytes and returns them, so a caller can fill a
+// large table in place. The slice aliases the data segment until the
+// next data append, so fill it first.
+func (b *Builder) Space(n int) []byte {
+	b.data = append(b.data, make([]byte, n)...)
+	return b.data[len(b.data)-n:]
+}
 
 // DataAlign pads the data segment to the given power-of-two alignment.
 // Aligning to the page size gives workloads precise control over which
@@ -253,14 +258,13 @@ func (b *Builder) DataAlign(align uint64) {
 		b.errf("DataAlign %d is not a power of two", align)
 		return
 	}
-	for b.DataAddr()%align != 0 {
-		b.data = append(b.data, 0)
-	}
+	b.Space(int((align - b.DataAddr()%align) % align))
 }
 
 // --- finishing -----------------------------------------------------------
 
-// Finish resolves labels and returns the assembled program.
+// Finish resolves labels and returns the assembled program. Call it once:
+// the program may take over the builder's data buffer.
 func (b *Builder) Finish() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -279,7 +283,13 @@ func (b *Builder) Finish() (*Program, error) {
 		}
 		text[idx] = w
 	}
-	data := append([]byte(nil), b.data...)
+	// The program takes the data buffer itself when it is exactly full, as
+	// after a large Space, and a copy otherwise, so that Data never holds
+	// on to the spare capacity of append growth.
+	data := b.data
+	if cap(data) != len(data) {
+		data = append([]byte(nil), data...)
+	}
 	for _, fx := range b.dataFixups {
 		a, ok := b.labels[fx.label]
 		if !ok {

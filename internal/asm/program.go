@@ -20,7 +20,11 @@ const (
 	DefaultBreakBase = 0x0040_0000 // heap-ish region available to workloads
 )
 
-// Program is an assembled, loadable program image.
+// Program is an assembled, loadable program image. Its Text and Data
+// never change after Finish: machines that load it, and the snapshots
+// taken from them, map Data read-only (mem.MapImage) instead of copying
+// it, and concurrent simulations share one Program. Code that needs a
+// changed image builds a new Program.
 type Program struct {
 	TextBase uint64
 	Text     []uint32 // encoded instructions

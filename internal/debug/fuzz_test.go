@@ -1,6 +1,8 @@
 package debug_test
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -68,5 +70,69 @@ func FuzzWatchInstall(f *testing.F) {
 		// The run may stop early on a wild jump into rewritten text; only
 		// a panic or a hang is a failure.
 		_, _ = m.Run(2_000)
+	})
+}
+
+// breakProg's data image spans three whole pages (v on the first, w on
+// the third), so the machine maps them from the program and a codeword
+// patch or a WriteQuad into them copies a page in.
+const breakProg = `
+.data
+v:   .quad 0
+     .space 8184
+w:   .quad 0
+     .space 4088
+.text
+main:
+    la  r1, v
+    la  r3, w
+    li  r2, 100
+loop:
+    stq r2, 0(r1)
+    ldq r4, 0(r3)
+    addq r4, #1, r4
+    stq r4, 0(r3)
+    subq r2, #1, r2
+    bne r2, loop
+    halt
+`
+
+// FuzzBreakInstall feeds break specs as a debug-service client sends them
+// — the PC and an optional condition's address, operator and value — and
+// a back end, with or without codeword breakpoints, through Break,
+// Install and a short run on a recycled machine. The condition's quad is
+// written first. A spec may be rejected with an error; nothing may panic,
+// and the program's Text and Data must be unchanged after every input.
+//
+// The corpus in testdata/fuzz/FuzzBreakInstall holds PC 0, a misaligned
+// PC, the last quad of memory, a PC inside the data image, and a
+// condition at 2^64-8.
+func FuzzBreakInstall(f *testing.F) {
+	p, err := asm.Assemble(breakProg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	text, data := slices.Clone(p.Text), bytes.Clone(p.Data)
+	f.Add(p.MustSymbol("loop"), true, p.MustSymbol("w"), uint8(debug.CondGt), uint64(50), uint8(debug.BackendDise), false)
+	m := machine.NewDefault()
+	f.Fuzz(func(t *testing.T, pc uint64, cond bool, addr uint64, op uint8, value uint64, backend uint8, codewords bool) {
+		m.Reset()
+		m.Load(p)
+		b := &debug.Breakpoint{PC: pc}
+		if cond {
+			// The wire accepts the four operators CondEq..CondGt.
+			b.Cond = &debug.BreakCond{Addr: addr, Op: debug.CondOp(op % 4), Value: value}
+			m.WriteQuad(addr, value)
+		}
+		opts := debug.DefaultOptions(debug.Backend(backend % 5))
+		opts.BreakWithCodewords = codewords
+		d := debug.New(m, opts)
+		if d.Break(b) == nil && d.Install() == nil {
+			// As in FuzzWatchInstall, only a panic or a hang fails.
+			_, _ = m.Run(2_000)
+		}
+		if !slices.Equal(p.Text, text) || !bytes.Equal(p.Data, data) {
+			t.Fatal("the input changed the program image")
+		}
 	})
 }

@@ -123,14 +123,17 @@ func (m *Machine) Reset() {
 	m.textAppend, m.dataAppend = 0, 0
 }
 
-// Load copies a program image into memory, initializes the stack pointer,
-// and sets the entry point.
+// Load puts a program image into memory, initializes the stack pointer,
+// and sets the entry point. Text is written word by word; Data is mapped
+// read-only (mem.MapImage), so its pages are copied only when the program
+// first writes them. p's Text and Data must not change after Finish: the
+// machine, and any State taken from it, share them.
 func (m *Machine) Load(p *asm.Program) {
 	m.Program = p
 	for i, w := range p.Text {
 		m.Mem.Write(p.TextBase+uint64(i)*4, 4, uint64(w))
 	}
-	m.Mem.WriteBytes(p.DataBase, p.Data)
+	m.Mem.MapImage(p.DataBase, p.Data)
 	m.Core.Regs[30] = asm.DefaultStackTop // sp
 	m.Core.SetPC(p.Entry)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/workload"
 )
 
 func TestLoadAndRun(t *testing.T) {
@@ -214,5 +215,20 @@ func BenchmarkMachineNew(b *testing.B) {
 				New(cfg)
 			}
 		})
+	}
+}
+
+// BenchmarkMachineLoad loads mcf, whose 4 MiB pointer ring dominates its
+// image, into a recycled machine: what every harness job and pooled
+// session pays before its first instruction (informational in
+// scripts/bench_smoke.sh, with -benchmem).
+func BenchmarkMachineLoad(b *testing.B) {
+	spec, _ := workload.ByName("mcf")
+	p := workload.MustBuild(spec, kernelIterations(spec, 300_000)).Program
+	m := NewDefault()
+	b.ReportAllocs()
+	for b.Loop() {
+		m.Reset()
+		m.Load(p)
 	}
 }

@@ -1,7 +1,8 @@
 // Package mem provides the simulated memory system: a sparse, paged
-// physical memory and a page-permission table. The permission table plays
-// the role of the OS virtual-memory interface (mprotect) that the
-// virtual-memory watchpoint implementation is built on (paper §2):
+// physical memory that can map a read-only program image, and a
+// page-permission table. The permission table plays the role of the OS
+// virtual-memory interface (mprotect) that the virtual-memory watchpoint
+// implementation is built on (paper §2):
 // removing write permission from a page makes every store to that page
 // fault precisely, and the debugger classifies the fault as a user
 // transition or a spurious address transition.
@@ -29,6 +30,10 @@ const pcacheSize = 8
 type pcacheEntry struct {
 	pn uint64
 	p  *[PageSize]byte
+	// w marks p as one of the memory's own pages, writable in place. An
+	// image page is cached for reads only, so a write hit never lands on
+	// it.
+	w bool
 }
 
 // Memory is a sparse 64-bit physical address space. Use New. Memory is
@@ -37,13 +42,20 @@ type Memory struct {
 	pages  map[uint64]*[PageSize]byte
 	pcache [pcacheSize]pcacheEntry
 
-	// gen counts writes; it advances on every Write/WriteBytes so callers
-	// holding derived state (e.g. predecoded instructions) can detect
-	// staleness cheaply.
+	// image holds the whole pages MapImage mapped in place: page imgLo+i
+	// reads as image[i*PageSize:] until its first write copies it into
+	// pages, which shadows it from then on. len(image) is a multiple of
+	// PageSize; nil maps nothing.
+	image []byte
+	imgLo uint64
+
+	// gen counts writes; it advances on every Write, WriteBytes and
+	// MapImage so callers holding derived state (e.g. predecoded
+	// instructions) can detect staleness cheaply.
 	gen uint64
 
-	// onWrite hooks are called after every Write/WriteBytes with the
-	// inclusive page-number range the write touched. The pipeline's
+	// onWrite hooks are called after every write, MapImage included, with
+	// the inclusive page-number range the write touched. The pipeline's
 	// predecoded-instruction cache registers here to invalidate precisely
 	// when text is patched (breakpoint toggling, binary rewriting, DISE
 	// production installation, or self-modifying code).
@@ -80,15 +92,17 @@ func (m *Memory) AddWriteHook(fn func(loPN, hiPN uint64)) {
 func (m *Memory) Gen() uint64 { return m.gen }
 
 // Reset returns the memory to its freshly-constructed state: every page is
-// dropped, the page-pointer cache is cleared (its entries point into the
-// dropped pages), and the write generation restarts at zero. Registered
-// write hooks survive — derived caches such as the pipeline's predecoder
-// attach once per owner and must keep observing the recycled memory.
-// Hooks are not notified of the reset; owners of derived state reset it
-// explicitly (machine.Machine.Reset does).
+// dropped, the image is unmapped, the page-pointer cache is cleared (its
+// entries point into the dropped pages), and the write generation
+// restarts at zero. Registered write hooks survive — derived caches such
+// as the pipeline's predecoder attach once per owner and must keep
+// observing the recycled memory. Hooks are not notified of the reset;
+// owners of derived state reset it explicitly (machine.Machine.Reset
+// does).
 func (m *Memory) Reset() {
 	m.pages = make(map[uint64]*[PageSize]byte)
 	m.pcache = [pcacheSize]pcacheEntry{}
+	m.image, m.imgLo = nil, 0
 	m.gen = 0
 	m.track = false
 	m.dirty = nil
@@ -115,21 +129,46 @@ func (m *Memory) noteWrite(addr uint64, n int) {
 	}
 }
 
-func (m *Memory) page(addr uint64, create bool) *[PageSize]byte {
-	pn := addr >> pageShift
+// imagePage returns image page pn, or nil if the image does not map it.
+func (m *Memory) imagePage(pn uint64) *[PageSize]byte {
+	if i := pn - m.imgLo; i < uint64(len(m.image))>>pageShift {
+		return (*[PageSize]byte)(m.image[i<<pageShift:])
+	}
+	return nil
+}
+
+// lookup returns page pn for reading, the memory's own copy before the
+// image's, or nil if pn is unmapped. It is the page cache's miss path;
+// Read repeats the hit test inline.
+func (m *Memory) lookup(pn uint64) *[PageSize]byte {
 	e := &m.pcache[pn&(pcacheSize-1)]
 	if e.p != nil && e.pn == pn {
 		return e.p
 	}
+	if p := m.pages[pn]; p != nil {
+		*e = pcacheEntry{pn: pn, p: p, w: true}
+		return p
+	}
+	if p := m.imagePage(pn); p != nil {
+		*e = pcacheEntry{pn: pn, p: p}
+		return p
+	}
+	return nil
+}
+
+// own returns the memory's own copy of page pn, made on the first write
+// to the page: a copy of the image page if one is mapped there, else
+// zeros. It is the page cache's miss path for writes.
+func (m *Memory) own(pn uint64) *[PageSize]byte {
 	p := m.pages[pn]
 	if p == nil {
-		if !create {
-			return nil
-		}
 		p = new([PageSize]byte)
+		if src := m.imagePage(pn); src != nil {
+			*p = *src
+		}
 		m.pages[pn] = p
 	}
-	e.pn, e.p = pn, p
+	m.pcache[pn&(pcacheSize-1)] = pcacheEntry{pn: pn, p: p, w: true}
 	return p
 }
 
@@ -138,14 +177,11 @@ func (m *Memory) page(addr uint64, create bool) *[PageSize]byte {
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
 	for i := 0; i < n; {
-		p := m.page(addr+uint64(i), false)
-		off := int((addr + uint64(i)) & (PageSize - 1))
-		chunk := PageSize - off
-		if chunk > n-i {
-			chunk = n - i
-		}
-		if p != nil {
-			copy(out[i:i+chunk], p[off:off+chunk])
+		a := addr + uint64(i)
+		off := int(a & (PageSize - 1))
+		chunk := min(PageSize-off, n-i)
+		if p := m.lookup(a >> pageShift); p != nil {
+			copy(out[i:i+chunk], p[off:])
 		}
 		i += chunk
 	}
@@ -157,25 +193,68 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	if len(b) == 0 {
 		return
 	}
-	for i := 0; i < len(b); {
-		p := m.page(addr+uint64(i), true)
-		off := int((addr + uint64(i)) & (PageSize - 1))
-		chunk := PageSize - off
-		if chunk > len(b)-i {
-			chunk = len(b) - i
-		}
-		copy(p[off:off+chunk], b[i:i+chunk])
-		i += chunk
-	}
+	m.copyIn(addr, b)
 	m.noteWrite(addr, len(b))
+}
+
+// copyIn stores b at addr in the memory's own pages, without noting the
+// write.
+func (m *Memory) copyIn(addr uint64, b []byte) {
+	for i := 0; i < len(b); {
+		a := addr + uint64(i)
+		i += copy(m.own(a >> pageShift)[a&(PageSize-1):], b[i:])
+	}
+}
+
+// MapImage stores img at addr as WriteBytes does: the generation advances
+// once, the write hooks see the whole range, and a later read returns
+// img's bytes. But the pages img covers whole are mapped in place rather
+// than copied, and are copied in only on their first write; a partial
+// first or last page is copied at once. img must never change afterwards:
+// reads and States taken by Snapshot share its bytes.
+//
+// One image is mapped at a time. Mapping another copies in the previous
+// image's pages that the new one does not cover whole, so memory ends
+// exactly as WriteBytes would leave it.
+func (m *Memory) MapImage(addr uint64, img []byte) {
+	if len(img) == 0 {
+		return
+	}
+	lo := (addr + PageSize - 1) &^ (PageSize - 1) // first whole page
+	end := addr + uint64(len(img))
+	hi := end &^ (PageSize - 1) // end of the last whole page
+	if lo < addr || end < addr || hi <= lo {
+		// No whole page, or the image wraps past 2^64: copy it.
+		m.WriteBytes(addr, img)
+		return
+	}
+	m.copyIn(addr, img[:lo-addr])
+	m.copyIn(hi, img[hi-addr:])
+	loPN, hiPN := lo>>pageShift, hi>>pageShift
+	for i := range uint64(len(m.image)) >> pageShift {
+		if pn := m.imgLo + i; (pn < loPN || pn >= hiPN) && m.pages[pn] == nil {
+			m.own(pn)
+		}
+	}
+	for pn := range m.pages {
+		if pn >= loPN && pn < hiPN {
+			delete(m.pages, pn)
+		}
+	}
+	m.image, m.imgLo = img[lo-addr:hi-addr:hi-addr], loPN
+	m.pcache = [pcacheSize]pcacheEntry{}
+	m.noteWrite(addr, len(img))
 }
 
 // Read returns size bytes (1, 2, 4, or 8) at addr as a little-endian value.
 // Accesses may straddle page boundaries; alignment is not required.
 func (m *Memory) Read(addr uint64, size int) uint64 {
 	if off := int(addr & (PageSize - 1)); off+size <= PageSize {
-		p := m.page(addr, false)
-		if p == nil {
+		pn := addr >> pageShift
+		var p *[PageSize]byte
+		if e := &m.pcache[pn&(pcacheSize-1)]; e.p != nil && e.pn == pn {
+			p = e.p
+		} else if p = m.lookup(pn); p == nil {
 			return 0
 		}
 		switch size {
@@ -197,7 +276,13 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 // Write stores the low size bytes of v at addr, little-endian.
 func (m *Memory) Write(addr uint64, size int, v uint64) {
 	if off := int(addr & (PageSize - 1)); off+size <= PageSize {
-		p := m.page(addr, true)
+		pn := addr >> pageShift
+		var p *[PageSize]byte
+		if e := &m.pcache[pn&(pcacheSize-1)]; e.w && e.pn == pn {
+			p = e.p
+		} else {
+			p = m.own(pn)
+		}
 		done := true
 		switch size {
 		case 1:
@@ -224,12 +309,19 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 // ReadInst fetches the 32-bit instruction word at addr.
 func (m *Memory) ReadInst(addr uint64) uint32 { return uint32(m.Read(addr, 4)) }
 
-// MappedPages returns the sorted page numbers that have been touched;
-// useful in tests and for footprint statistics.
+// MappedPages returns the sorted page numbers that have been touched or
+// are mapped from the image; useful in tests and for footprint
+// statistics.
 func (m *Memory) MappedPages() []uint64 {
-	out := make([]uint64, 0, len(m.pages))
+	nImg := uint64(len(m.image)) >> pageShift
+	out := make([]uint64, 0, uint64(len(m.pages))+nImg)
 	for pn := range m.pages {
 		out = append(out, pn)
+	}
+	for pn := m.imgLo; pn < m.imgLo+nImg; pn++ {
+		if m.pages[pn] == nil {
+			out = append(out, pn)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

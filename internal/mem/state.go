@@ -1,11 +1,12 @@
-// Snapshot/Restore for the simulated memory. A State owns an immutable
-// set of page images: Snapshot deep-copies the pages it captures and
-// Restore deep-copies them back, so a State can outlive — and be restored
-// into — any number of memories. Consecutive snapshots of one memory are
-// incremental: the first Snapshot turns on dirty-page tracking, and later
-// ones copy only pages written since the previous snapshot, sharing the
-// untouched page arrays with it (safe precisely because States never
-// mutate their pages).
+// Snapshot/Restore for the simulated memory. A State holds an immutable
+// set of page images: Snapshot deep-copies the memory's own pages and
+// shares the unwritten pages of a mapped image (which never change), and
+// Restore deep-copies them all back, so a State can outlive — and be
+// restored into — any number of memories. Consecutive snapshots of one
+// memory are incremental: the first Snapshot turns on dirty-page
+// tracking, and later ones copy only pages written since the previous
+// snapshot, sharing the untouched page arrays with it (safe precisely
+// because States never mutate their pages).
 package mem
 
 import (
@@ -15,7 +16,8 @@ import (
 
 // State is a point-in-time copy of a Memory. It is immutable once built;
 // the page arrays it holds may be shared with other States taken from the
-// same memory.
+// same memory, and with the read-only image the memory mapped (MapImage),
+// which by contract never changes.
 type State struct {
 	gen   uint64
 	pages map[uint64]*[PageSize]byte
@@ -28,18 +30,18 @@ func (st *State) Gen() uint64 { return st.gen }
 func (st *State) Pages() int { return len(st.pages) }
 
 // Snapshot captures the current memory contents. The first call on a
-// memory performs a full copy and enables dirty-page tracking; subsequent
-// calls copy only pages written since the previous Snapshot and share the
-// rest with it.
+// memory copies its own pages, shares the unwritten image pages, and
+// enables dirty-page tracking; subsequent calls copy only pages written
+// since the previous Snapshot and share the rest with it.
 func (m *Memory) Snapshot() *State {
 	st := &State{gen: m.gen}
 	if m.track && m.base != nil {
 		// Incremental: start from the previous snapshot's page set and
 		// replace (or drop) exactly the dirty pages. Pages are only ever
-		// created by writes, so a page absent from base but present now is
-		// necessarily dirty; a page in base can never disappear without
-		// Reset, which clears tracking.
-		st.pages = make(map[uint64]*[PageSize]byte, len(m.pages))
+		// created or mapped by writes, so a page absent from base but
+		// present now is necessarily dirty; a page in base can never
+		// disappear without Reset, which clears tracking.
+		st.pages = make(map[uint64]*[PageSize]byte, len(m.base.pages))
 		for pn, p := range m.base.pages {
 			st.pages[pn] = p
 		}
@@ -48,16 +50,24 @@ func (m *Memory) Snapshot() *State {
 				cp := new([PageSize]byte)
 				*cp = *p
 				st.pages[pn] = cp
+			} else if p := m.imagePage(pn); p != nil {
+				st.pages[pn] = p
 			} else {
 				delete(st.pages, pn)
 			}
 		}
 	} else {
-		st.pages = make(map[uint64]*[PageSize]byte, len(m.pages))
+		nImg := uint64(len(m.image)) >> pageShift
+		st.pages = make(map[uint64]*[PageSize]byte, uint64(len(m.pages))+nImg)
 		for pn, p := range m.pages {
 			cp := new([PageSize]byte)
 			*cp = *p
 			st.pages[pn] = cp
+		}
+		for pn := m.imgLo; pn < m.imgLo+nImg; pn++ {
+			if st.pages[pn] == nil {
+				st.pages[pn] = m.imagePage(pn)
+			}
 		}
 	}
 	m.base = st
@@ -67,7 +77,8 @@ func (m *Memory) Snapshot() *State {
 	return st
 }
 
-// Restore replaces the memory contents with the snapshot's. The write
+// Restore replaces the memory contents with the snapshot's, every page
+// copied into the memory's own and the image unmapped. The write
 // generation is restored too, so derived-state staleness checks keyed on
 // Gen behave as they did at capture time. Write hooks are NOT fired:
 // owners of derived caches (the pipeline predecoder) resynchronize via
@@ -81,6 +92,7 @@ func (m *Memory) Restore(st *State) {
 		m.pages[pn] = cp
 	}
 	m.pcache = [pcacheSize]pcacheEntry{}
+	m.image, m.imgLo = nil, 0
 	m.gen = st.gen
 	m.base = st
 	m.track = true

@@ -23,7 +23,8 @@ type ExpandFunc func(inst isa.Inst, pc uint64) (seq []isa.Inst, origIdx int)
 
 // Transform rewrites p by applying expand to every instruction. It returns
 // the new program and a map from old instruction addresses to new ones
-// (for breakpoint and statement remapping).
+// (for breakpoint and statement remapping). The new program shares p's
+// Data, which never changes once assembled.
 func Transform(p *asm.Program, expand ExpandFunc) (*asm.Program, map[uint64]uint64, error) {
 	n := len(p.Text)
 	type slot struct {
@@ -91,7 +92,7 @@ func Transform(p *asm.Program, expand ExpandFunc) (*asm.Program, map[uint64]uint
 		TextBase: p.TextBase,
 		Text:     newText,
 		DataBase: p.DataBase,
-		Data:     append([]byte(nil), p.Data...),
+		Data:     p.Data,
 		Symbols:  make(map[string]uint64, len(p.Symbols)),
 	}
 	remap := func(a uint64) uint64 {

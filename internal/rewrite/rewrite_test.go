@@ -48,11 +48,17 @@ func TestTransformPreservesSemantics(t *testing.T) {
 			t.Fatalf("new length %d", len(newP.Text))
 		}
 	}
+	if &newP.Data[0] != &p.Data[0] {
+		t.Error("Transform copied the data image instead of sharing it")
+	}
 	m := machine.NewDefault()
 	m.Load(newP)
 	m.MustRun(0)
 	if got := m.ReadQuad(newP.MustSymbol("total")); got != 5+4+3+2+1 {
 		t.Errorf("total = %d, want 15", got)
+	}
+	if p.Data[0] != 0 {
+		t.Error("the run wrote the shared data image")
 	}
 	// The branch target label moved consistently.
 	if newP.MustSymbol("loop") != addrMap[p.MustSymbol("loop")] {

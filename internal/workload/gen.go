@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -121,19 +122,19 @@ func Build(spec Spec, iterations int) (*Workload, error) {
 		b.DataAlign(4096)
 		b.DataLabel("ring")
 		base := b.DataAddr()
-		n := int(uint64(spec.RingBytes) / 8)
-		perm := make([]int, n)
+		ring := b.Space(spec.RingBytes &^ 7)
+		perm := make([]uint32, len(ring)/8)
 		for i := range perm {
-			perm[i] = i
+			perm[i] = uint32(i)
 		}
 		rng := rand.New(rand.NewSource(0x5EED))
-		for i := n - 1; i > 0; i-- {
+		for i := len(perm) - 1; i > 0; i-- {
 			j := rng.Intn(i)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 		// perm is now a single cycle: element i points to perm[i].
-		for i := 0; i < n; i++ {
-			b.Quad(base + uint64(perm[i])*8)
+		for i, p := range perm {
+			binary.LittleEndian.PutUint64(ring[i*8:], base+uint64(p)*8)
 		}
 	}
 

@@ -64,13 +64,17 @@ echo "-- timing-core micros (informational) --"
 go test -bench='BenchmarkBooking$|BenchmarkTimeEdge$' \
     -run=NONE -benchtime=1s -count=1 ./internal/pipeline | grep -E 'Benchmark|^ok' || true
 
-# Machine construction (informational, not gated): one machine.New per
-# preset, the cost of a session the serve pool cannot recycle. -benchmem
-# shows the bytes a machine holds; the core's share is bounded by
-# TestCoreFootprint.
-echo "-- machine construction (informational) --"
-go test -bench='BenchmarkMachineNew$' -benchmem \
+# Machine construction and set-up (informational, not gated): one
+# machine.New per preset, the cost of a session the serve pool cannot
+# recycle; one Load of mcf into a recycled machine, which maps the 4 MiB
+# data image rather than copying it; and one build of each kernel, mcf's
+# ring written in place. -benchmem shows the bytes each takes; the core's
+# share of a machine is bounded by TestCoreFootprint.
+echo "-- machine construction and set-up (informational) --"
+go test -bench='BenchmarkMachineNew$|BenchmarkMachineLoad$' -benchmem \
     -run=NONE -benchtime=1s -count=1 ./internal/machine | grep -E 'Benchmark|^ok' || true
+go test -bench='BenchmarkWorkloadBuild$' -benchmem \
+    -run=NONE -benchtime=1s -count=1 ./internal/workload | grep -E 'Benchmark|^ok' || true
 
 # Crash-safety micros (informational, not gated): the incremental machine
 # snapshot (the per-checkpoint price) and the serve workload rerun with
