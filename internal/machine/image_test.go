@@ -8,8 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
-// copyLoad puts p into m as Load did before data images were mapped:
-// every data byte is copied into the memory's own pages by WriteBytes.
+// copyLoad puts p into m the long way: the text one word at a time
+// through Write, and every data byte copied into pages the memory owns by
+// WriteBytes.
 func copyLoad(m *Machine, p *asm.Program) {
 	m.Program = p
 	for i, w := range p.Text {
@@ -26,9 +27,10 @@ func kernelIterations(spec workload.Spec, budget uint64) int {
 	return max(20, int(float64(budget)/(float64(spec.Groups*(2+spec.Fill))+40)))
 }
 
-// TestImageLoadEncodesAsCopyLoad: a machine that maps its program's data
-// image and one that copies it in encode to the same bytes, mid-run and
-// at halt, for every kernel at the harness's 30K sizing. mcf's 4 MiB
+// TestImageLoadEncodesAsCopyLoad: a machine that loads its program with
+// Load (text in one write, the data image mapped) and one that copies it
+// in with copyLoad encode to the same bytes, mid-run and at halt, for
+// every kernel at the harness's 30K sizing. mcf's 4 MiB
 // ring is the case the mapping exists for: a run writes a handful of its
 // pages.
 func TestImageLoadEncodesAsCopyLoad(t *testing.T) {

@@ -4,6 +4,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/asm"
@@ -124,15 +125,18 @@ func (m *Machine) Reset() {
 }
 
 // Load puts a program image into memory, initializes the stack pointer,
-// and sets the entry point. Text is written word by word; Data is mapped
-// read-only (mem.MapImage), so its pages are copied only when the program
-// first writes them. p's Text and Data must not change after Finish: the
-// machine, and any State taken from it, share them.
+// and sets the entry point. Text is copied in by one write; Data is
+// mapped (mem.MapImage), so its whole pages are shared with the program
+// and copied only when the program first writes them. p's Text and Data
+// must not change after Finish: the machine, and any State taken from
+// it, share them.
 func (m *Machine) Load(p *asm.Program) {
 	m.Program = p
+	text := make([]byte, 4*len(p.Text))
 	for i, w := range p.Text {
-		m.Mem.Write(p.TextBase+uint64(i)*4, 4, uint64(w))
+		binary.LittleEndian.PutUint32(text[4*i:], w)
 	}
+	m.Mem.WriteBytes(p.TextBase, text)
 	m.Mem.MapImage(p.DataBase, p.Data)
 	m.Core.Regs[30] = asm.DefaultStackTop // sp
 	m.Core.SetPC(p.Entry)

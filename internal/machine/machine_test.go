@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
@@ -50,6 +52,41 @@ func TestRunTextAtHighHalf(t *testing.T) {
 	m.Load(p)
 	if st := m.MustRun(0); !st.Halted {
 		t.Fatal("did not halt")
+	}
+}
+
+// TestWrappingStorePatchesText: a program at text base 0 patches its own
+// first instruction with an 8-byte store at 2^64-4, whose last four bytes
+// wrap around to address 0, and branches back. The predecoded copy of
+// page 0 must be dropped, so the second pass runs the patched "addq r1,
+// #100, r1".
+func TestWrappingStorePatchesText(t *testing.T) {
+	patched, err := isa.Encode(isa.Inst{Op: isa.OpAddq, RA: isa.R1, Imm: 100, UseImm: true, RC: isa.R1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asm.AssembleAt(fmt.Sprintf(`
+main:
+    addq r1, #1, r1
+    bne r4, done
+    li  r4, 1
+    li  r2, %d
+    sll r2, #32, r2
+    stq r2, -4(zero)
+    br  main
+done:
+    halt
+`, int32(patched)), 0, asm.DefaultDataBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewDefault()
+	m.Load(p)
+	if st := m.MustRun(0); !st.Halted {
+		t.Fatal("did not halt")
+	}
+	if got := m.Core.Regs[1]; got != 101 {
+		t.Errorf("r1 = %d, want 101 (the stale first instruction ran again)", got)
 	}
 }
 

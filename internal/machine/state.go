@@ -35,10 +35,10 @@ type State struct {
 	dataAppend uint64
 }
 
-// Snapshot captures the full simulated state: memory pages (incremental
-// after the first call, via dirty-page tracking), cache and TLB arrays,
-// branch-predictor tables, the DISE engine, and the pipeline core with
-// its timing structures.
+// Snapshot captures the full simulated state: memory pages (shared with
+// the machine, which copies a page on its next write), cache and TLB
+// arrays, branch-predictor tables, the DISE engine, and the pipeline core
+// with its timing structures.
 func (m *Machine) Snapshot() *State {
 	return &State{
 		Cfg:        m.Cfg,

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestWriteHookReportsPageRanges(t *testing.T) {
 	m := New()
@@ -35,6 +38,24 @@ func TestWriteHookReportsPageRanges(t *testing.T) {
 	m.Write(0x1000, 8, 2)
 	if calls != 4 || calls2 != 1 {
 		t.Errorf("chained hooks: calls=%d calls2=%d, want 4 and 1", calls, calls2)
+	}
+}
+
+// TestWriteHookSplitsWrappingWrite: a store that wraps past 2^64 reaches
+// the hooks as two ranges, the last page and page 0, never as an inverted
+// one.
+func TestWriteHookSplitsWrappingWrite(t *testing.T) {
+	m := New()
+	var got [][2]uint64
+	m.AddWriteHook(func(lo, hi uint64) { got = append(got, [2]uint64{lo, hi}) })
+	m.Write(1<<64-4, 8, 0x1122334455667788)
+	if v := m.Read(0, 4); v != 0x11223344 {
+		t.Errorf("Read(0, 4) = %#x, want 0x11223344", v)
+	}
+	m.WriteBytes(1<<64-PageSize-1, make([]byte, 3*PageSize))
+	want := [][2]uint64{{maxPN, maxPN}, {0, 0}, {maxPN - 1, maxPN}, {0, 1}}
+	if !slices.Equal(got, want) {
+		t.Errorf("hook ranges %v, want %v", got, want)
 	}
 }
 

@@ -1,16 +1,23 @@
 // Package mem provides the simulated memory system: a sparse, paged
-// physical memory that can map a read-only program image, and a
+// physical memory whose pages are shared copy-on-write, and a
 // page-permission table. The permission table plays the role of the OS
 // virtual-memory interface (mprotect) that the virtual-memory watchpoint
 // implementation is built on (paper §2):
 // removing write permission from a page makes every store to that page
 // fault precisely, and the debugger classifies the fault as a user
 // transition or a spurious address transition.
+//
+// One rule governs sharing: a memory writes a page in place only if it
+// allocated that page since its last Snapshot or Restore. Every other
+// page — mapped from a program image (MapImage), captured by Snapshot, or
+// put back by Restore — may be shared, and the memory copies it on its
+// first write. So neither an image nor a State ever changes.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -21,6 +28,9 @@ const PageSize = 4096
 
 const pageShift = 12
 
+// maxPN is the last page number of the 64-bit address space.
+const maxPN = 1<<(64-pageShift) - 1
+
 // pcacheSize is the number of entries in the direct-mapped page-pointer
 // cache that fronts the page map. Loads, stores, and fetches typically
 // alternate among a handful of pages (stack, heap, text), so a tiny
@@ -30,29 +40,26 @@ const pcacheSize = 8
 type pcacheEntry struct {
 	pn uint64
 	p  *[PageSize]byte
-	// w marks p as one of the memory's own pages, writable in place. An
-	// image page is cached for reads only, so a write hit never lands on
-	// it.
+	// w marks p as writable in place: the memory allocated it in its
+	// current epoch. Snapshot clears every w, so a write hit never lands
+	// on a shared page.
 	w bool
+}
+
+// page is a page-map entry: the page and the epoch the memory allocated
+// it in. Epoch 0, which no memory is ever in, marks a shared page.
+type page struct {
+	p     *[PageSize]byte
+	epoch uint64
 }
 
 // Memory is a sparse 64-bit physical address space. Use New. Memory is
 // not safe for concurrent use; the simulator is single-threaded by design.
 type Memory struct {
-	pages  map[uint64]*[PageSize]byte
+	pages map[uint64]page
+	// epoch starts at 1 and advances on every Snapshot and Restore.
+	epoch  uint64
 	pcache [pcacheSize]pcacheEntry
-
-	// image holds the whole pages MapImage mapped in place: page imgLo+i
-	// reads as image[i*PageSize:] until its first write copies it into
-	// pages, which shadows it from then on. len(image) is a multiple of
-	// PageSize; nil maps nothing.
-	image []byte
-	imgLo uint64
-
-	// gen counts writes; it advances on every Write, WriteBytes and
-	// MapImage so callers holding derived state (e.g. predecoded
-	// instructions) can detect staleness cheaply.
-	gen uint64
 
 	// onWrite hooks are called after every write, MapImage included, with
 	// the inclusive page-number range the write touched. The pipeline's
@@ -60,24 +67,11 @@ type Memory struct {
 	// when text is patched (breakpoint toggling, binary rewriting, DISE
 	// production installation, or self-modifying code).
 	onWrite []func(loPN, hiPN uint64)
-
-	// Dirty-page tracking for incremental snapshots: while track is set
-	// (from the first Snapshot on), every written page number lands in
-	// dirty, so the next Snapshot copies only pages changed since base and
-	// shares the rest with it. lastDirty is a one-entry MRU filter (page
-	// number + 1; 0 = none) that keeps repeated stores to one page — the
-	// overwhelmingly common pattern — out of the map. Untracked memories
-	// (track false, the pre-snapshot default) pay a single branch per
-	// write.
-	track     bool
-	dirty     map[uint64]struct{}
-	lastDirty uint64
-	base      *State
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
+	return &Memory{pages: make(map[uint64]page), epoch: 1}
 }
 
 // AddWriteHook registers fn to observe the page range of every write,
@@ -88,88 +82,68 @@ func (m *Memory) AddWriteHook(fn func(loPN, hiPN uint64)) {
 	m.onWrite = append(m.onWrite, fn)
 }
 
-// Gen returns the write generation: it changes whenever memory changes.
-func (m *Memory) Gen() uint64 { return m.gen }
-
 // Reset returns the memory to its freshly-constructed state: every page is
-// dropped, the image is unmapped, the page-pointer cache is cleared (its
-// entries point into the dropped pages), and the write generation
-// restarts at zero. Registered write hooks survive — derived caches such
+// dropped and the page-pointer cache is cleared (its entries point into
+// the dropped pages). Registered write hooks survive — derived caches such
 // as the pipeline's predecoder attach once per owner and must keep
 // observing the recycled memory. Hooks are not notified of the reset;
 // owners of derived state reset it explicitly (machine.Machine.Reset
 // does).
 func (m *Memory) Reset() {
-	m.pages = make(map[uint64]*[PageSize]byte)
+	m.pages = make(map[uint64]page)
+	m.epoch = 1
 	m.pcache = [pcacheSize]pcacheEntry{}
-	m.image, m.imgLo = nil, 0
-	m.gen = 0
-	m.track = false
-	m.dirty = nil
-	m.lastDirty = 0
-	m.base = nil
 }
 
-// noteWrite advances the write generation and notifies the write hooks of
-// a completed write of n bytes at addr (n >= 1).
+// noteWrite notifies the write hooks of a completed write of n bytes at
+// addr (n >= 1). A write that wraps past 2^64 reaches them as two
+// ranges, the top of the address space and its bottom, so no hook ever
+// sees an inverted range.
 func (m *Memory) noteWrite(addr uint64, n int) {
-	m.gen++
-	if m.track {
-		lo := addr >> pageShift
-		hi := (addr + uint64(n) - 1) >> pageShift
-		if lo+1 != m.lastDirty || hi != lo {
-			for pn := lo; pn <= hi; pn++ {
-				m.dirty[pn] = struct{}{}
-			}
-			m.lastDirty = lo + 1
+	lo, hi := addr>>pageShift, (addr+uint64(n)-1)>>pageShift
+	for _, fn := range m.onWrite {
+		if lo <= hi {
+			fn(lo, hi)
+		} else {
+			fn(lo, maxPN)
+			fn(0, hi)
 		}
 	}
-	for _, fn := range m.onWrite {
-		fn(addr>>pageShift, (addr+uint64(n)-1)>>pageShift)
-	}
 }
 
-// imagePage returns image page pn, or nil if the image does not map it.
-func (m *Memory) imagePage(pn uint64) *[PageSize]byte {
-	if i := pn - m.imgLo; i < uint64(len(m.image))>>pageShift {
-		return (*[PageSize]byte)(m.image[i<<pageShift:])
-	}
-	return nil
-}
-
-// lookup returns page pn for reading, the memory's own copy before the
-// image's, or nil if pn is unmapped. It is the page cache's miss path;
-// Read repeats the hit test inline.
+// lookup returns page pn for reading, or nil if pn is unmapped. It is the
+// page cache's miss path; Read repeats the hit test inline, and keeping
+// lookup out of line keeps the map access out of Read's hit path.
+//
+//go:noinline
 func (m *Memory) lookup(pn uint64) *[PageSize]byte {
 	e := &m.pcache[pn&(pcacheSize-1)]
 	if e.p != nil && e.pn == pn {
 		return e.p
 	}
-	if p := m.pages[pn]; p != nil {
-		*e = pcacheEntry{pn: pn, p: p, w: true}
-		return p
+	pg := m.pages[pn]
+	if pg.p != nil {
+		*e = pcacheEntry{pn: pn, p: pg.p, w: pg.epoch == m.epoch}
 	}
-	if p := m.imagePage(pn); p != nil {
-		*e = pcacheEntry{pn: pn, p: p}
-		return p
-	}
-	return nil
+	return pg.p
 }
 
-// own returns the memory's own copy of page pn, made on the first write
-// to the page: a copy of the image page if one is mapped there, else
-// zeros. It is the page cache's miss path for writes.
+// own returns page pn for writing in place: the page itself if the
+// memory allocated it this epoch, else a new page holding the shared
+// page's bytes (or zeros), which replaces it in the page map. It is the
+// page cache's miss path for writes.
 func (m *Memory) own(pn uint64) *[PageSize]byte {
-	p := m.pages[pn]
-	if p == nil {
-		p = new([PageSize]byte)
-		if src := m.imagePage(pn); src != nil {
-			*p = *src
+	pg := m.pages[pn]
+	if pg.epoch != m.epoch {
+		p := new([PageSize]byte)
+		if pg.p != nil {
+			*p = *pg.p
 		}
-		m.pages[pn] = p
+		pg = page{p: p, epoch: m.epoch}
+		m.pages[pn] = pg
 	}
-	m.pcache[pn&(pcacheSize-1)] = pcacheEntry{pn: pn, p: p, w: true}
-	return p
+	m.pcache[pn&(pcacheSize-1)] = pcacheEntry{pn: pn, p: pg.p, w: true}
+	return pg.p
 }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice. Unmapped
@@ -197,7 +171,7 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	m.noteWrite(addr, len(b))
 }
 
-// copyIn stores b at addr in the memory's own pages, without noting the
+// copyIn stores b at addr in pages the memory owns, without noting the
 // write.
 func (m *Memory) copyIn(addr uint64, b []byte) {
 	for i := 0; i < len(b); {
@@ -206,16 +180,11 @@ func (m *Memory) copyIn(addr uint64, b []byte) {
 	}
 }
 
-// MapImage stores img at addr as WriteBytes does: the generation advances
-// once, the write hooks see the whole range, and a later read returns
-// img's bytes. But the pages img covers whole are mapped in place rather
-// than copied, and are copied in only on their first write; a partial
-// first or last page is copied at once. img must never change afterwards:
-// reads and States taken by Snapshot share its bytes.
-//
-// One image is mapped at a time. Mapping another copies in the previous
-// image's pages that the new one does not cover whole, so memory ends
-// exactly as WriteBytes would leave it.
+// MapImage stores img at addr as WriteBytes does: the write hooks see the
+// whole range, and a later read returns img's bytes. But the pages img
+// covers whole are shared with img, not copied, until their first write;
+// a partial first or last page is copied at once. img must never change
+// afterwards.
 func (m *Memory) MapImage(addr uint64, img []byte) {
 	if len(img) == 0 {
 		return
@@ -230,18 +199,15 @@ func (m *Memory) MapImage(addr uint64, img []byte) {
 	}
 	m.copyIn(addr, img[:lo-addr])
 	m.copyIn(hi, img[hi-addr:])
-	loPN, hiPN := lo>>pageShift, hi>>pageShift
-	for i := range uint64(len(m.image)) >> pageShift {
-		if pn := m.imgLo + i; (pn < loPN || pn >= hiPN) && m.pages[pn] == nil {
-			m.own(pn)
-		}
+	if n := int((hi - lo) >> pageShift); n > len(m.pages) {
+		// Grow the map once, not through every doubling.
+		pages := make(map[uint64]page, len(m.pages)+n)
+		maps.Copy(pages, m.pages)
+		m.pages = pages
 	}
-	for pn := range m.pages {
-		if pn >= loPN && pn < hiPN {
-			delete(m.pages, pn)
-		}
+	for a := lo; a < hi; a += PageSize {
+		m.pages[a>>pageShift] = page{p: (*[PageSize]byte)(img[a-addr:])}
 	}
-	m.image, m.imgLo = img[lo-addr:hi-addr:hi-addr], loPN
 	m.pcache = [pcacheSize]pcacheEntry{}
 	m.noteWrite(addr, len(img))
 }
@@ -310,18 +276,11 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 func (m *Memory) ReadInst(addr uint64) uint32 { return uint32(m.Read(addr, 4)) }
 
 // MappedPages returns the sorted page numbers that have been touched or
-// are mapped from the image; useful in tests and for footprint
-// statistics.
+// mapped; useful in tests and for footprint statistics.
 func (m *Memory) MappedPages() []uint64 {
-	nImg := uint64(len(m.image)) >> pageShift
-	out := make([]uint64, 0, uint64(len(m.pages))+nImg)
+	out := make([]uint64, 0, len(m.pages))
 	for pn := range m.pages {
 		out = append(out, pn)
-	}
-	for pn := m.imgLo; pn < m.imgLo+nImg; pn++ {
-		if m.pages[pn] == nil {
-			out = append(out, pn)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

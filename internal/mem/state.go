@@ -1,115 +1,65 @@
-// Snapshot/Restore for the simulated memory. A State holds an immutable
-// set of page images: Snapshot deep-copies the memory's own pages and
-// shares the unwritten pages of a mapped image (which never change), and
-// Restore deep-copies them all back, so a State can outlive — and be
-// restored into — any number of memories. Consecutive snapshots of one
-// memory are incremental: the first Snapshot turns on dirty-page
-// tracking, and later ones copy only pages written since the previous
-// snapshot, sharing the untouched page arrays with it (safe precisely
-// because States never mutate their pages).
+// Snapshot/Restore for the simulated memory. Neither copies a page:
+// Snapshot records the memory's page pointers and starts a new epoch, so
+// the memory shares every recorded page from then on and copies it on
+// its first write, and Restore installs a State's pages as shared
+// entries. A State therefore never changes after capture, and one State
+// can be restored into any number of memories.
 package mem
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
-// State is a point-in-time copy of a Memory. It is immutable once built;
-// the page arrays it holds may be shared with other States taken from the
-// same memory, and with the read-only image the memory mapped (MapImage),
-// which by contract never changes.
+// State is a point-in-time copy of a Memory. It is immutable: its pages
+// are shared with the memory it came from, with every memory it is
+// restored into, with other States and with mapped images, and none of
+// them writes a shared page in place.
 type State struct {
-	gen   uint64
 	pages map[uint64]*[PageSize]byte
 }
-
-// Gen returns the write generation at capture time.
-func (st *State) Gen() uint64 { return st.gen }
 
 // Pages returns how many pages the snapshot holds.
 func (st *State) Pages() int { return len(st.pages) }
 
-// Snapshot captures the current memory contents. The first call on a
-// memory copies its own pages, shares the unwritten image pages, and
-// enables dirty-page tracking; subsequent calls copy only pages written
-// since the previous Snapshot and share the rest with it.
+// Snapshot captures the current memory contents and starts a new epoch:
+// every page is shared with the State from now on.
 func (m *Memory) Snapshot() *State {
-	st := &State{gen: m.gen}
-	if m.track && m.base != nil {
-		// Incremental: start from the previous snapshot's page set and
-		// replace (or drop) exactly the dirty pages. Pages are only ever
-		// created or mapped by writes, so a page absent from base but
-		// present now is necessarily dirty; a page in base can never
-		// disappear without Reset, which clears tracking.
-		st.pages = make(map[uint64]*[PageSize]byte, len(m.base.pages))
-		for pn, p := range m.base.pages {
-			st.pages[pn] = p
-		}
-		for pn := range m.dirty {
-			if p := m.pages[pn]; p != nil {
-				cp := new([PageSize]byte)
-				*cp = *p
-				st.pages[pn] = cp
-			} else if p := m.imagePage(pn); p != nil {
-				st.pages[pn] = p
-			} else {
-				delete(st.pages, pn)
-			}
-		}
-	} else {
-		nImg := uint64(len(m.image)) >> pageShift
-		st.pages = make(map[uint64]*[PageSize]byte, uint64(len(m.pages))+nImg)
-		for pn, p := range m.pages {
-			cp := new([PageSize]byte)
-			*cp = *p
-			st.pages[pn] = cp
-		}
-		for pn := m.imgLo; pn < m.imgLo+nImg; pn++ {
-			if st.pages[pn] == nil {
-				st.pages[pn] = m.imagePage(pn)
-			}
-		}
+	st := &State{pages: make(map[uint64]*[PageSize]byte, len(m.pages))}
+	for pn, pg := range m.pages {
+		st.pages[pn] = pg.p
 	}
-	m.base = st
-	m.track = true
-	m.dirty = make(map[uint64]struct{})
-	m.lastDirty = 0
+	m.epoch++
+	for i := range m.pcache {
+		m.pcache[i].w = false
+	}
 	return st
 }
 
 // Restore replaces the memory contents with the snapshot's, every page
-// copied into the memory's own and the image unmapped. The write
-// generation is restored too, so derived-state staleness checks keyed on
-// Gen behave as they did at capture time. Write hooks are NOT fired:
+// shared with st, and starts a new epoch. Write hooks are NOT fired:
 // owners of derived caches (the pipeline predecoder) resynchronize via
-// their own Restore. The restored memory re-baselines on st, so its next
-// Snapshot is incremental again.
+// their own Restore.
 func (m *Memory) Restore(st *State) {
-	m.pages = make(map[uint64]*[PageSize]byte, len(st.pages))
+	m.pages = make(map[uint64]page, len(st.pages))
 	for pn, p := range st.pages {
-		cp := new([PageSize]byte)
-		*cp = *p
-		m.pages[pn] = cp
+		m.pages[pn] = page{p: p}
 	}
+	m.epoch++
 	m.pcache = [pcacheSize]pcacheEntry{}
-	m.image, m.imgLo = nil, 0
-	m.gen = st.gen
-	m.base = st
-	m.track = true
-	m.dirty = make(map[uint64]struct{})
-	m.lastDirty = 0
 }
 
 // AppendBinary appends a deterministic encoding of the snapshot to dst:
-// gen, page count, then each page as [page number][4096 bytes] in
-// ascending page-number order.
+// page count, then each page as [page number][4096 bytes] in ascending
+// page-number order.
 func (st *State) AppendBinary(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, st.gen)
 	pns := make([]uint64, 0, len(st.pages))
 	for pn := range st.pages {
 		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	dst = slices.Grow(dst, 8+len(pns)*(8+PageSize))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(pns)))
 	for _, pn := range pns {
 		dst = binary.LittleEndian.AppendUint64(dst, pn)

@@ -189,24 +189,28 @@ func TestPredecoderCounters(t *testing.T) {
 	}
 }
 
-// TestMemoryWriteGeneration pins the Gen contract the predecoder's
-// staleness reasoning rests on: every mutation advances it.
+// TestMemoryWriteGeneration pins the contract the predecoder's staleness
+// reasoning rests on: every mutation of memory fires the write hooks once,
+// and an empty write or a read fires none.
 func TestMemoryWriteGeneration(t *testing.T) {
 	m := mem.New()
-	g0 := m.Gen()
+	calls := 0
+	m.AddWriteHook(func(lo, hi uint64) { calls++ })
 	m.Write(0x1000, 8, 42)
-	if m.Gen() == g0 {
-		t.Error("Write did not advance generation")
+	if calls != 1 {
+		t.Errorf("Write fired %d hooks, want 1", calls)
 	}
-	g1 := m.Gen()
 	m.WriteBytes(0x2000, []byte{1, 2, 3})
-	if m.Gen() == g1 {
-		t.Error("WriteBytes did not advance generation")
+	if calls != 2 {
+		t.Errorf("WriteBytes fired %d hooks in all, want 2", calls)
 	}
-	g2 := m.Gen()
+	m.MapImage(0x4000, make([]byte, 2*mem.PageSize))
+	if calls != 3 {
+		t.Errorf("MapImage fired %d hooks in all, want 3", calls)
+	}
 	m.WriteBytes(0x3000, nil)
 	m.Read(0x1000, 8)
-	if m.Gen() != g2 {
-		t.Error("empty write or read advanced generation")
+	if calls != 3 {
+		t.Errorf("an empty write or a read fired a hook: %d in all, want 3", calls)
 	}
 }

@@ -99,11 +99,10 @@ func BenchmarkPoolRecycle(b *testing.B) {
 }
 
 // BenchmarkSnapshot isolates the cost of one machine snapshot on a warm
-// gcc workload — the per-checkpoint price the serve layer pays. The
-// first Snapshot after the run is a full page copy; steady-state
-// iterations measure the incremental (dirty-page-filtered) path a
-// periodically checkpointing session actually sees, plus the wire
-// encoding measured separately by the bytes metric.
+// gcc workload — the per-checkpoint price the serve layer pays. A memory
+// snapshot copies no page, only the page map: the machine shares every
+// page with the State and copies one on its next write. The wire
+// encoding is measured separately by the bytes metric.
 func BenchmarkSnapshot(b *testing.B) {
 	spec, ok := workload.ByName("gcc")
 	if !ok {
@@ -115,7 +114,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	if _, err := m.Run(100_000); err != nil {
 		b.Fatal(err)
 	}
-	st := m.Snapshot() // prime: full copy + enable dirty tracking
+	st := m.Snapshot()
 	encoded := len(st.Encode())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -116,8 +116,6 @@ func (sm *serveMetrics) registerServerFuncs(srv *Server) {
 		poolStat(func(s PoolStats) uint64 { return s.Recycled }))
 	reg.CounterFunc("dise_pool_put_total", `result="dropped"`, "pool Puts that discarded the machine",
 		poolStat(func(s PoolStats) uint64 { return s.Dropped }))
-	reg.CounterFunc("dise_pool_put_total", `result="quota-dropped"`, "pool Puts discarded by the per-config quota (subset of dropped)",
-		poolStat(func(s PoolStats) uint64 { return s.QuotaDropped }))
 	reg.GaugeFunc("dise_pool_idle", "", "machines parked in the pool across all configurations",
 		func() int64 { return int64(srv.pools.Idle()) })
 	reg.GaugeFunc("dise_runnable", "", "sessions admitted to run right now", func() int64 {

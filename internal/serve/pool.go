@@ -8,11 +8,10 @@ import (
 
 // PoolStats counts pool activity.
 type PoolStats struct {
-	Created      uint64 // machines built because the pool was empty
-	Reused       uint64 // machines served from the idle list
-	Recycled     uint64 // machines reset and returned to the idle list
-	Dropped      uint64 // machines discarded because the idle list was full
-	QuotaDropped uint64 // machines discarded by the per-configuration quota (subset of Dropped)
+	Created  uint64 // machines built because the pool was empty
+	Reused   uint64 // machines served from the idle list
+	Recycled uint64 // machines reset and returned to the idle list
+	Dropped  uint64 // machines discarded because the idle list was full
 }
 
 // Pool is a free list of simulated machines sharing one configuration —
@@ -66,58 +65,29 @@ func (p *Pool) Idle() int { return p.set.Idle() }
 // recycle invariant per key — while total idle memory stays bounded no
 // matter how many distinct configurations clients bring.
 //
-// An optional per-configuration quota (perKey > 0) caps how much of the
-// shared idle budget any single configuration may hold: without it, a
-// burst of closes under one machine config can fill the whole budget and
-// every other config's Put then drops, so a mixed-preset service keeps
-// warming machines only for the noisiest preset. Quota drops are counted
-// in PoolStats.QuotaDropped (and in Dropped).
-//
-// The reservation counters cover the window where Put has passed the cap
-// checks but is still resetting the machine outside the lock. They are
+// The reservation counter covers the window where Put has passed the cap
+// check but is still resetting the machine outside the lock. It is
 // deliberately owned by the set, not the per-key idle list: a concurrent
 // Get/Put pair may insert or empty a key's list (resizing the map)
 // between Put's two critical sections, and a counter living in an idle
 // map entry could be dropped with it, leaking the reservation and
-// silently shrinking the cap. The per-key reservation shares live in
-// their own map (reservedBy), whose entries are removed only when a
-// key's count returns to zero. TestPoolSetConcurrentPerKey hammers
+// silently shrinking the cap. TestPoolSetConcurrentPerKey hammers
 // exactly that interleaving.
 type PoolSet struct {
 	mu       sync.Mutex
 	cap      int
-	perKey   int // idle quota per configuration; <= 0 means bounded only by cap
 	idle     map[machine.Config][]*machine.Machine
 	nIdle    int // total parked machines across all keys
-	reserved int // Puts past the cap checks, resetting outside the lock
-	// reservedBy is the per-key share of reserved, kept apart from idle so
-	// idle-map deletions cannot drop an in-flight reservation.
-	reservedBy map[machine.Config]int
-	stats      PoolStats
+	reserved int // Puts past the cap check, resetting outside the lock
+	stats    PoolStats
 }
 
 // NewPoolSet builds a pool set that keeps at most capacity idle machines
 // in total, across all configurations. capacity <= 0 keeps none.
 func NewPoolSet(capacity int) *PoolSet {
-	return NewPoolSetQuota(capacity, 0)
-}
-
-// NewPoolSetQuota builds a pool set with a shared idle capacity and a
-// per-configuration idle quota: no single machine.Config may hold more
-// than perKey parked machines, so presets recycle without starving each
-// other's share of the budget. perKey <= 0 disables the quota.
-func NewPoolSetQuota(capacity, perKey int) *PoolSet {
-	if capacity < 0 {
-		capacity = 0
-	}
-	if perKey < 0 {
-		perKey = 0
-	}
 	return &PoolSet{
-		cap:        capacity,
-		perKey:     perKey,
-		idle:       make(map[machine.Config][]*machine.Machine),
-		reservedBy: make(map[machine.Config]int),
+		cap:  max(capacity, 0),
+		idle: make(map[machine.Config][]*machine.Machine),
 	}
 }
 
@@ -146,9 +116,8 @@ func (ps *PoolSet) Get(cfg machine.Config) *machine.Machine {
 }
 
 // Put resets m and parks it under its own configuration; when the shared
-// idle budget — or the machine's per-configuration quota — is exhausted
-// the machine is discarded without paying for the reset. The caller
-// transfers ownership of m.
+// idle budget is exhausted the machine is discarded without paying for
+// the reset. The caller transfers ownership of m.
 func (ps *PoolSet) Put(m *machine.Machine) {
 	if m == nil {
 		return
@@ -159,14 +128,7 @@ func (ps *PoolSet) Put(m *machine.Machine) {
 		ps.mu.Unlock()
 		return
 	}
-	if ps.perKey > 0 && len(ps.idle[m.Cfg])+ps.reservedBy[m.Cfg] >= ps.perKey {
-		ps.stats.Dropped++
-		ps.stats.QuotaDropped++
-		ps.mu.Unlock()
-		return
-	}
 	ps.reserved++
-	ps.reservedBy[m.Cfg]++
 	ps.stats.Recycled++
 	ps.mu.Unlock()
 
@@ -174,11 +136,6 @@ func (ps *PoolSet) Put(m *machine.Machine) {
 
 	ps.mu.Lock()
 	ps.reserved--
-	if n := ps.reservedBy[m.Cfg] - 1; n == 0 {
-		delete(ps.reservedBy, m.Cfg) // keep the map tight, like idle
-	} else {
-		ps.reservedBy[m.Cfg] = n
-	}
 	ps.idle[m.Cfg] = append(ps.idle[m.Cfg], m)
 	ps.nIdle++
 	ps.mu.Unlock()
@@ -204,13 +161,6 @@ func (ps *PoolSet) Idle() int {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	return ps.nIdle
-}
-
-// IdleOf returns how many machines are parked under one configuration.
-func (ps *PoolSet) IdleOf(cfg machine.Config) int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.idle[cfg])
 }
 
 // IdleByConfig returns the parked-machine count per configuration — the

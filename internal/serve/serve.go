@@ -105,11 +105,6 @@ type Config struct {
 	// Negative disables idle pooling entirely (every close discards the
 	// machine).
 	PoolIdle int
-	// PoolIdlePerConfig, when positive, caps how many of the PoolIdle
-	// machines any single machine configuration may hold, so one preset's
-	// churn cannot starve the others' share of the warm pool. 0 disables
-	// the quota (any configuration may fill the whole budget).
-	PoolIdlePerConfig int
 	// Machine configures pooled machines for sessions that do not bring
 	// their own configuration (default machine.DefaultConfig).
 	Machine machine.Config
@@ -315,7 +310,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	srv := &Server{
 		cfg:      cfg,
-		pools:    NewPoolSetQuota(cfg.PoolIdle, cfg.PoolIdlePerConfig),
+		pools:    NewPoolSet(cfg.PoolIdle),
 		met:      newServeMetrics(),
 		logger:   cfg.Logger,
 		sessions: make(map[uint64]*Session),

@@ -290,84 +290,6 @@ func TestPoolSetConcurrentPerKey(t *testing.T) {
 	}
 }
 
-// TestPoolSetPerKeyQuota is the two-presets-contending case the quota
-// exists for: without it, one preset's churn fills the whole shared idle
-// budget and every other preset's Put drops. With a quota, the noisy
-// preset caps out at its share and the second preset still parks.
-func TestPoolSetPerKeyQuota(t *testing.T) {
-	small, ok := machine.PresetConfig("small-cache")
-	if !ok {
-		t.Fatal("no small-cache preset")
-	}
-	def := machine.DefaultConfig()
-
-	// Baseline, no quota: the default preset starves small-cache outright.
-	ps := NewPoolSet(2)
-	ps.Put(machine.New(def))
-	ps.Put(machine.New(def))
-	ps.Put(machine.New(small))
-	if got := ps.IdleOf(small); got != 0 {
-		t.Fatalf("unquota'd pool parked %d small-cache machines; starvation baseline broken", got)
-	}
-
-	// Quota of 2 over a budget of 4: default caps at 2, small still parks.
-	ps = NewPoolSetQuota(4, 2)
-	for i := 0; i < 4; i++ {
-		ps.Put(machine.New(def))
-	}
-	if got := ps.IdleOf(def); got != 2 {
-		t.Errorf("idle(default) = %d, want 2 (quota)", got)
-	}
-	ps.Put(machine.New(small))
-	ps.Put(machine.New(small))
-	if got := ps.IdleOf(small); got != 2 {
-		t.Errorf("idle(small-cache) = %d, want 2 — the quota failed to protect the second preset", got)
-	}
-	st := ps.Stats()
-	if st.QuotaDropped != 2 {
-		t.Errorf("QuotaDropped = %d, want 2", st.QuotaDropped)
-	}
-	if st.Dropped != 2 {
-		t.Errorf("Dropped = %d, want 2 (quota drops are counted in Dropped)", st.Dropped)
-	}
-
-	// Get under a key frees quota for that key again.
-	m := ps.Get(def)
-	ps.Put(m)
-	if got := ps.Stats().QuotaDropped; got != 2 {
-		t.Errorf("re-park after Get was quota-dropped: QuotaDropped = %d, want 2", got)
-	}
-
-	// And the quota holds under the concurrent interleaving the
-	// reservation map exists for: per-key idle never exceeds the quota
-	// even while Puts reset outside the lock, and no reservation leaks.
-	ps = NewPoolSetQuota(4, 1)
-	cfgs := []machine.Config{def, small}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		cfg := cfgs[g%len(cfgs)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				ps.Put(machine.New(cfg))
-				if m := ps.Get(cfg); m.Cfg != cfg {
-					t.Error("pool set returned a machine of the wrong configuration")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, cfg := range cfgs {
-		ps.Put(machine.New(cfg))
-		ps.Put(machine.New(cfg))
-		if got := ps.IdleOf(cfg); got != 1 {
-			t.Errorf("idle after refill = %d, want exactly the quota of 1 (reservation leak?)", got)
-		}
-	}
-}
-
 // bpProg is countdownProg with a long spin tail: ten watched stores
 // (each a user transition), then ~4000 instructions of computation so
 // quanta expire mid-run while a lagging subscriber still holds backlog.
