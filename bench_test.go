@@ -21,6 +21,16 @@ func benchCfg() harness.Config {
 	return harness.Config{Budget: 60_000}
 }
 
+// mustRun regenerates one experiment's table through harness.Run.
+func mustRun(b *testing.B, id string, cfg harness.Config) *harness.Table {
+	b.Helper()
+	tb, err := harness.Run(id, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tb
+}
+
 // reportCell publishes one table cell as a benchmark metric.
 func reportCell(b *testing.B, tb *harness.Table, rowKeys []string, col, metric string) {
 	b.Helper()
@@ -52,7 +62,7 @@ func reportCell(b *testing.B, tb *harness.Table, rowKeys []string, col, metric s
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb := harness.Table1(benchCfg())
+		tb := mustRun(b, "table1", benchCfg())
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"mcf"}, "IPC", "mcf-ipc")
 			reportCell(b, tb, []string{"bzip2"}, "IPC", "bzip2-ipc")
@@ -62,7 +72,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb := harness.Table2(harness.Config{Budget: 60_000, Benchmarks: []string{"crafty"}})
+		tb := mustRun(b, "table2", harness.Config{Budget: 60_000, Benchmarks: []string{"crafty"}})
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"crafty"}, "HOT", "crafty-hot-per100K")
 		}
@@ -72,7 +82,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	cfg := harness.Config{Budget: 60_000, Benchmarks: []string{"twolf"}}
 	for i := 0; i < b.N; i++ {
-		tb := harness.Fig3(cfg)
+		tb := mustRun(b, "fig3", cfg)
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"twolf", "COLD"}, "DISE", "dise-cold-overhead")
 			reportCell(b, tb, []string{"twolf", "COLD"}, "single-step", "ss-cold-overhead")
@@ -83,7 +93,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	cfg := harness.Config{Budget: 60_000, Benchmarks: []string{"twolf"}}
 	for i := 0; i < b.N; i++ {
-		tb := harness.Fig4(cfg)
+		tb := mustRun(b, "fig4", cfg)
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"twolf", "HOT"}, "DISE", "dise-cond-hot-overhead")
 			reportCell(b, tb, []string{"twolf", "HOT"}, "hardware", "hw-cond-hot-overhead")
@@ -94,7 +104,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	cfg := harness.Config{Budget: 60_000, Benchmarks: []string{"gcc"}}
 	for i := 0; i < b.N; i++ {
-		tb := harness.Fig5(cfg)
+		tb := mustRun(b, "fig5", cfg)
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"gcc"}, "DISE", "dise-overhead")
 			reportCell(b, tb, []string{"gcc"}, "binary-rewriting", "rewrite-overhead")
@@ -105,7 +115,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	cfg := harness.Config{Budget: 60_000, Benchmarks: []string{"crafty"}}
 	for i := 0; i < b.N; i++ {
-		tb := harness.Fig6(cfg)
+		tb := mustRun(b, "fig6", cfg)
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"crafty", "16"}, "byte-bloom (DISE)", "bloom16-overhead")
 			reportCell(b, tb, []string{"crafty", "16"}, "hw/virtual-mem", "hwvm16-overhead")
@@ -116,7 +126,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	cfg := harness.Config{Budget: 60_000, Benchmarks: []string{"bzip2"}}
 	for i := 0; i < b.N; i++ {
-		tb := harness.Fig7(cfg)
+		tb := mustRun(b, "fig7", cfg)
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"bzip2", "HOT"}, "match/eval+cc", "match-eval-cc")
 			reportCell(b, tb, []string{"bzip2", "HOT"}, "eval/-+ct", "eval-inline-ct")
@@ -127,7 +137,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	cfg := harness.Config{Budget: 60_000, Benchmarks: []string{"vortex"}}
 	for i := 0; i < b.N; i++ {
-		tb := harness.Fig8(cfg)
+		tb := mustRun(b, "fig8", cfg)
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"vortex", "HOT"}, "without MT", "hot-no-mt")
 			reportCell(b, tb, []string{"vortex", "HOT"}, "with MT", "hot-mt")
@@ -138,7 +148,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	cfg := harness.Config{Budget: 60_000, Benchmarks: []string{"mcf"}}
 	for i := 0; i < b.N; i++ {
-		tb := harness.Fig9(cfg)
+		tb := mustRun(b, "fig9", cfg)
 		if i == b.N-1 {
 			reportCell(b, tb, []string{"mcf"}, "protected", "protected-overhead")
 		}
@@ -212,9 +222,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // the DISE-backend case the paper actually measures. It installs a
 // watchpoint-shaped pattern-table load (a store-class check plus op- and
 // register-refined siblings, the §4.2 shapes) and reports both throughput
-// and the average productions examined per engine lookup; with the
-// class-indexed pattern table the latter stays near the store fraction of
-// the stream instead of the installed-production count.
+// and the average productions examined per engine lookup; a lookup
+// examines only the productions whose class key admits the fetched
+// instruction, so the latter stays near the store fraction of the stream
+// instead of the installed-production count.
 func BenchmarkSimulatorThroughputDise(b *testing.B) {
 	spec, _ := workload.ByName("gcc")
 	w := workload.MustBuild(spec, 1<<20)
@@ -238,11 +249,12 @@ func BenchmarkSimulatorThroughputDise(b *testing.B) {
 
 // BenchmarkSimulatorThroughputBreakpoints runs the gcc kernel with 64
 // DISE breakpoints installed at PCs the kernel never reaches — the
-// steady state of a heavily instrumented session. PC-constrained
-// productions live in the engine's PC-keyed index, so per-fetch lookups
-// away from every breakpoint scan zero productions (scans/lookup ~0)
-// and throughput stays near the uninstrumented simulator's instead of
-// degrading linearly with the breakpoint count.
+// steady state of a heavily instrumented session. A lookup examines a
+// PC-constrained production only at its PC, so lookups away from every
+// breakpoint scan zero productions (scans/lookup ~0), and the expansion
+// memo walks the table once per static instruction, so throughput stays
+// near the uninstrumented simulator's instead of degrading linearly with
+// the breakpoint count.
 func BenchmarkSimulatorThroughputBreakpoints(b *testing.B) {
 	spec, _ := workload.ByName("gcc")
 	w := workload.MustBuild(spec, 1<<20)

@@ -131,7 +131,6 @@ func main() {
 		Quantum:         *quantum,
 		MaxSessions:     *maxSessions,
 		Machine:         mcfg,
-		Preset:          *machineName,
 		QueueDepth:      *queueDepth,
 		Shed:            policy,
 		PushBuffer:      *pushBuffer,

@@ -191,8 +191,8 @@ type (
 	// depth, shedding policy, push buffers).
 	ServeConfig = serve.Config
 	// ServeSessionConfig carries per-session creation parameters
-	// (machine configuration, preset name, initial shedding priority —
-	// re-rankable later via Server.SetPriority).
+	// (machine configuration and initial shedding priority — re-rankable
+	// later via Server.SetPriority).
 	ServeSessionConfig = serve.SessionConfig
 	// ServeSession is one session in a Server.
 	ServeSession = serve.Session
@@ -202,9 +202,6 @@ type (
 	ServeSubscription = serve.Subscription
 	// ShedPolicy selects the overload behavior past the queue depth.
 	ShedPolicy = serve.ShedPolicy
-	// MachinePool recycles machines of one configuration via
-	// Machine.Reset.
-	MachinePool = serve.Pool
 	// MachinePoolSet recycles machines of many configurations, keyed by
 	// machine configuration under one shared idle budget.
 	MachinePoolSet = serve.PoolSet
@@ -229,11 +226,6 @@ func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
 // ParseShedPolicy resolves a shedding-policy selector name (reject,
 // pause).
 func ParseShedPolicy(name string) (ShedPolicy, bool) { return serve.ParseShedPolicy(name) }
-
-// NewMachinePool builds a pool keeping at most capacity idle machines.
-func NewMachinePool(cfg MachineConfig, capacity int) *MachinePool {
-	return serve.NewPool(cfg, capacity)
-}
 
 // NewMachinePoolSet builds a multi-configuration pool keeping at most
 // capacity idle machines in total.

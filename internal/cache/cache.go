@@ -95,9 +95,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears statistics, leaving contents warm.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // LineBase returns the line-aligned base of addr.
 func (c *Cache) LineBase(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)

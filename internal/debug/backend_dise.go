@@ -542,11 +542,13 @@ func (d *Debugger) storeSequence(st *diseState, withBic bool) ([]dise.TemplateIn
 		if w.Kind == WatchIndirect {
 			// Load the pointer, then the target.
 			seq = append(seq,
-				dise.MemT(isa.OpLdq, t2, 0, aux2ptr(aux)), // t2 = p
-				dise.MemT(ldop, t2, 0, t2),                // t2 = *p
+				dise.MemT(isa.OpLdq, t2, 0, aux), // t2 = p
+				dise.MemT(ldop, t2, 0, t2),       // t2 = *p
 			)
 		} else {
-			seq = append(seq, dise.MemT(ldop, t2, int64(w.Addr)-int64(w.Addr&^7), darBase(dar)))
+			// dar holds the quad-aligned address; a sub-quad scalar is
+			// reached by displacement.
+			seq = append(seq, dise.MemT(ldop, t2, int64(w.Addr)-int64(w.Addr&^7), dar))
 		}
 		seq = append(seq, dise.Op3T(isa.OpXor, t2, dpv, t2)) // changed?
 		seq = append(seq, d.condSeq(w, t2, t3)...)
@@ -765,11 +767,6 @@ func (d *Debugger) breakProduction(b *Breakpoint) *dise.Production {
 		Replacement: seq,
 	}
 }
-
-// helpers for EvalExpr base registers: the watched address register holds
-// a quad-aligned address; sub-quad scalars use a displacement.
-func darBase(dar isa.RegRef) isa.RegRef { return dar }
-func aux2ptr(aux isa.RegRef) isa.RegRef { return aux }
 
 func loadOpForSize(size int) isa.Op {
 	switch size {

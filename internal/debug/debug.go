@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
-	"repro/internal/pipeline"
 )
 
 // DefaultTransitionCost is the modeled cost in cycles of one spurious
@@ -308,9 +307,6 @@ type Debugger struct {
 	scoped                bool
 	scopeEntry, scopeExit uint64
 }
-
-// TrapEventAlias aliases pipeline.TrapEvent for hook plumbing.
-type TrapEventAlias = pipeline.TrapEvent
 
 // New creates a debugger for m.
 func New(m *machine.Machine, opts Options) *Debugger {

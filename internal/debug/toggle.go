@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dise"
 	"repro/internal/isa"
+	"repro/internal/pipeline"
 )
 
 // Runtime control of DISE-backed debugging. The paper (§4.4, §6) makes a
@@ -118,7 +119,7 @@ func (d *Debugger) installScopeHooks(st *diseState) error {
 		}
 	}
 	prev := d.m.Core.Hooks.OnTrap
-	d.m.Core.Hooks.OnTrap = func(ev *TrapEventAlias) uint64 {
+	d.m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 {
 		switch ev.PC {
 		case d.scopeEntry:
 			if ev.InDise {

@@ -376,3 +376,50 @@ func TestRestoreStalesMemo(t *testing.T) {
 		t.Fatalf("restored memo expansion = %+v, want %q's two slots", exp, p.Name)
 	}
 }
+
+// TestRestoredEngineIgnoresDonorReinstall covers productions shared
+// between engines: a State restored into b installs the donor's
+// production pointers, so nothing a then does with them (here, removing
+// and re-installing the production that wins a specificity tie) may
+// change which production b matches, through Lookup, a memo filled
+// before, or Expand.
+func TestRestoredEngineIgnoresDonorReinstall(t *testing.T) {
+	p1 := &Production{Name: "p1", Pattern: MatchClass(isa.ClassStore), Replacement: []TemplateInst{TInst()}}
+	p2 := &Production{Name: "p2", Pattern: MatchClass(isa.ClassStore), Replacement: []TemplateInst{TInst(), TInst()}}
+	a := NewEngine(DefaultConfig())
+	for _, p := range []*Production{p1, p2} {
+		if err := a.Install(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := NewEngine(DefaultConfig())
+	b.Restore(a.Snapshot())
+
+	st := isa.Inst{Op: isa.OpStq, RA: isa.R3, RB: isa.SP}
+	u := isa.ResolveUop(st)
+	var m Memo
+	check := func(when string) {
+		t.Helper()
+		if p, _ := b.Lookup(st, 0x40); p != p1 {
+			t.Errorf("%s: Lookup does not match p1", when)
+		}
+		var exp Expansion
+		if !b.ExpandMemo(&u, 0x40, &m, &exp) || exp.Prod != p1 {
+			t.Errorf("%s: ExpandMemo does not expand p1", when)
+		}
+		if exp, _ := b.Expand(st, 0x40); exp.Prod != p1 {
+			t.Errorf("%s: Expand does not expand p1", when)
+		}
+	}
+	check("after restore")
+	if !a.Remove(p1) {
+		t.Fatal("Remove failed")
+	}
+	if err := a.Install(p1); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := a.Lookup(st, 0x40); p != p2 {
+		t.Fatal("donor does not match p2, now its first-installed store production")
+	}
+	check("after the donor re-installed p1")
+}

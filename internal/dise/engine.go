@@ -13,10 +13,6 @@ type Production struct {
 	Name        string
 	Pattern     Pattern
 	Replacement []TemplateInst
-
-	// seq is the install order, assigned by Engine.Install; equal-
-	// specificity matches tie-break toward the earliest installed.
-	seq uint64
 }
 
 func (p *Production) String() string {
@@ -56,31 +52,17 @@ type Stats struct {
 	ReplMisses      uint64 // replacement-table capacity misses
 }
 
-// numClasses sizes the per-class production index.
-const numClasses = int(isa.ClassHalt) + 1
-
 // Engine is the architectural DISE engine: pattern table, replacement
 // table, and the private DISE register file. The pipeline consults it
 // between fetch and decode.
 //
-// The pattern table is indexed by instruction class: a production whose
-// pattern pins down a class (via an opcode, opcode-class, or codeword
-// constraint) lives in that class's bucket. A class-free pattern with a PC
-// constraint — the shape every breakpoint takes — lives in a PC-keyed
-// hash, consulted once per lookup with the fetch PC, so installing many
-// breakpoints adds nothing to the per-fetch scan at other PCs. Patterns
-// constrained only by registers live in a small any-class list. A lookup
-// therefore scans one class bucket, one PC bucket (usually empty), and
-// the any-class list instead of the whole table — on the fetch path this
-// is the difference between O(installed) and O(1) when, as in the paper's
-// debugger back ends, the installed productions target stores or specific
-// PCs while the stream is dominated by ALU ops and branches.
-//
-// The fetch path scans even less: the pipeline keeps a Memo per static
-// instruction and rescans only when the engine's generation has moved
-// since the memo was filled. Install, Remove, Clear, Reset and Restore
-// move the generation; it never goes backwards, so no memo filled under
-// an earlier installed set can pass for the current one.
+// The pattern table is one slice in install order, and a lookup walks it
+// once (see matchBest). The fetch path rarely walks it: the pipeline
+// keeps a Memo per static instruction and rescans only when the engine's
+// generation has moved since the memo was filled, so the walk runs once
+// per static instruction per generation. Install, Remove, Clear, Reset
+// and Restore move the generation; it never goes backwards, so no memo
+// filled under an earlier installed set can pass for the current one.
 type Engine struct {
 	cfg   Config
 	prods []*Production
@@ -89,12 +71,7 @@ type Engine struct {
 	// Production because productions are shared across engines (a
 	// restored dise.State installs the donor's pointers).
 	stamp []uint64
-
-	byClass  [numClasses][]*Production
-	byPC     map[uint64][]*Production
-	anyClass []*Production
-	seq      uint64
-	gen      uint64 // see Memo
+	gen   uint64 // see Memo
 
 	// Active is false while the core executes a DISE-called function;
 	// expansion is disabled there to keep replacement sequences
@@ -120,11 +97,7 @@ type Engine struct {
 
 // NewEngine returns an empty, enabled engine.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{
-		cfg:    cfg,
-		Active: true,
-		byPC:   make(map[uint64][]*Production),
-	}
+	return &Engine{cfg: cfg, Active: true}
 }
 
 // Config returns the engine configuration.
@@ -143,27 +116,10 @@ func (e *Engine) Install(p *Production) error {
 	if len(p.Replacement) == 0 {
 		return fmt.Errorf("dise: production %q has an empty replacement sequence", p.Name)
 	}
-	e.seq++
-	p.seq = e.seq
 	e.gen++
 	e.prods = append(e.prods, p)
 	e.stamp = append(e.stamp, 0)
-	switch {
-	case classKeyed(p):
-		cls, _ := p.Pattern.ClassKey()
-		e.byClass[cls] = append(e.byClass[cls], p)
-	case p.Pattern.PC != nil:
-		e.byPC[*p.Pattern.PC] = append(e.byPC[*p.Pattern.PC], p)
-	default:
-		e.anyClass = append(e.anyClass, p)
-	}
 	return nil
-}
-
-// classKeyed reports whether p lives in a class bucket.
-func classKeyed(p *Production) bool {
-	_, ok := p.Pattern.ClassKey()
-	return ok
 }
 
 // Remove deletes a production by identity; it reports whether it was
@@ -179,30 +135,7 @@ func (e *Engine) Remove(p *Production) bool {
 	}
 	e.prods = append(e.prods[:i], e.prods[i+1:]...)
 	e.stamp = append(e.stamp[:i], e.stamp[i+1:]...)
-	switch {
-	case classKeyed(p):
-		cls, _ := p.Pattern.ClassKey()
-		e.byClass[cls] = removeProd(e.byClass[cls], p)
-	case p.Pattern.PC != nil:
-		pc := *p.Pattern.PC
-		if rest := removeProd(e.byPC[pc], p); len(rest) > 0 {
-			e.byPC[pc] = rest
-		} else {
-			delete(e.byPC, pc)
-		}
-	default:
-		e.anyClass = removeProd(e.anyClass, p)
-	}
 	return true
-}
-
-func removeProd(list []*Production, p *Production) []*Production {
-	for i, q := range list {
-		if q == p {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
 }
 
 // Clear removes all productions.
@@ -210,21 +143,17 @@ func (e *Engine) Clear() {
 	e.gen++
 	e.prods = nil
 	e.stamp = nil
-	e.byClass = [numClasses][]*Production{}
-	e.byPC = make(map[uint64][]*Production)
-	e.anyClass = nil
 	e.replUsed = 0
 }
 
 // Reset returns the engine to its post-NewEngine state: no productions,
 // expansion enabled, DISE registers and the pending call link zeroed, the
-// install sequence and replacement-table LRU clock rewound, and statistics
-// cleared. A recycled engine behaves bit-identically to a fresh one; only
-// the generation keeps counting, so memos filled before the reset are
-// stale after it.
+// replacement-table LRU clock rewound, and statistics cleared. A
+// recycled engine behaves bit-identically to a fresh one; only the
+// generation keeps counting, so memos filled before the reset are stale
+// after it.
 func (e *Engine) Reset() {
 	e.Clear()
-	e.seq = 0
 	e.Active = true
 	e.Regs = [isa.NumDiseRegs]uint64{}
 	e.DLinkPC, e.DLinkDPC = 0, 0
@@ -253,38 +182,30 @@ type Expansion struct {
 	Resolved int
 }
 
-// matchBest returns the most specific production matching inst at pc,
-// consulting only the instruction's class bucket, the PC bucket for pc,
-// and the any-class list, plus the number of productions examined. Ties
-// break toward the earliest installed, regardless of which list holds the
-// production.
-func (e *Engine) matchBest(inst isa.Inst, pc uint64) (*Production, int) {
-	var best *Production
-	bestSpec := -1
-	consider := func(p *Production) {
-		s := p.Pattern.Specificity()
-		if s < bestSpec || (s == bestSpec && p.seq > best.seq) {
-			return
+// matchBest returns the table index of the most specific production
+// matching inst at pc, or -1 for none, and the number of productions it
+// examined. It walks the table once in install order and examines every
+// production except those its class key rules out for inst, or, lacking
+// a class key, its PC constraint rules out at pc; neither could match.
+// Keeping the first production of the highest specificity breaks ties
+// toward the earliest installed.
+func (e *Engine) matchBest(inst isa.Inst, pc uint64) (best, scanned int) {
+	best, bestSpec := -1, -1
+	cls := inst.Op.Class()
+	for i, p := range e.prods {
+		if c, ok := p.Pattern.ClassKey(); ok {
+			if c != cls {
+				continue
+			}
+		} else if p.Pattern.PC != nil && *p.Pattern.PC != pc {
+			continue
 		}
-		if p.Pattern.Matches(inst, pc) {
-			best, bestSpec = p, s
+		scanned++
+		if s := p.Pattern.Specificity(); s > bestSpec && p.Pattern.Matches(inst, pc) {
+			best, bestSpec = i, s
 		}
 	}
-	bucket := e.byClass[inst.Op.Class()]
-	for _, p := range bucket {
-		consider(p)
-	}
-	var pcBucket []*Production
-	if len(e.byPC) > 0 { // skip the hash on the no-breakpoints fast path
-		pcBucket = e.byPC[pc]
-	}
-	for _, p := range pcBucket {
-		consider(p)
-	}
-	for _, p := range e.anyClass {
-		consider(p)
-	}
-	return best, len(bucket) + len(pcBucket) + len(e.anyClass)
+	return best, scanned
 }
 
 // Lookup returns the most specific matching production, if any, without
@@ -292,9 +213,12 @@ func (e *Engine) matchBest(inst isa.Inst, pc uint64) (*Production, int) {
 // installed.
 func (e *Engine) Lookup(inst isa.Inst, pc uint64) (*Production, bool) {
 	e.stats.Lookups++
-	best, scanned := e.matchBest(inst, pc)
+	i, scanned := e.matchBest(inst, pc)
 	e.stats.PatternsScanned += uint64(scanned)
-	return best, best != nil
+	if i < 0 {
+		return nil, false
+	}
+	return e.prods[i], true
 }
 
 // instantiate builds p's replacement sequence against the trigger uop in
@@ -350,13 +274,13 @@ func (e *Engine) Expand(inst isa.Inst, pc uint64) (Expansion, bool) {
 // newDISEPC"). Like Expand, it is the unmemoized reference for
 // ReexpandMemo.
 func (e *Engine) Reexpand(inst isa.Inst, pc uint64) (Expansion, bool) {
-	best, _ := e.matchBest(inst, pc)
-	if best == nil {
+	i, _ := e.matchBest(inst, pc)
+	if i < 0 {
 		return Expansion{}, false
 	}
 	trigger := isa.ResolveUop(inst)
-	uops, resolved := instantiate(best, &trigger)
-	return Expansion{Prod: best, Uops: uops, Resolved: resolved}, true
+	uops, resolved := instantiate(e.prods[i], &trigger)
+	return Expansion{Prod: e.prods[i], Uops: uops, Resolved: resolved}, true
 }
 
 // Memo holds the part of one static instruction's expansion that cannot
@@ -379,12 +303,13 @@ type Memo struct {
 // fill scans the pattern table for the trigger at pc and records the
 // outcome in m under the current generation.
 func (e *Engine) fill(m *Memo, trigger *isa.Uop, pc uint64) {
-	p, scanned := e.matchBest(trigger.Inst, pc)
-	*m = Memo{gen: e.gen, scanned: uint32(scanned)}
-	if p != nil {
-		uops, resolved := instantiate(p, trigger)
-		m.uops, m.prod, m.resolved = uops, uint32(slices.Index(e.prods, p)+1), uint32(resolved)
+	i, scanned := e.matchBest(trigger.Inst, pc)
+	var uops []isa.Uop
+	var resolved int
+	if i >= 0 {
+		uops, resolved = instantiate(e.prods[i], trigger)
 	}
+	*m = Memo{gen: e.gen, uops: uops, prod: uint32(i + 1), scanned: uint32(scanned), resolved: uint32(resolved)}
 }
 
 // ExpandMemo is Expand for the trigger uop at pc through its memo m,

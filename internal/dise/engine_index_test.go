@@ -6,10 +6,12 @@ import (
 	"repro/internal/isa"
 )
 
-// Tests for the class-indexed pattern table: lookups must scan only the
-// triggering instruction's class bucket (plus patterns that cannot be
-// binned), and matching semantics — most-specific wins, earliest install
-// breaks ties — must be unchanged from the linear scan they replaced.
+// Tests for the pattern-table walk: a lookup examines, and counts in
+// PatternsScanned, only the productions whose class key admits the
+// fetched instruction's class or, lacking a class key, whose PC
+// constraint admits the fetch PC; and the matching semantics — most
+// specific wins, earliest install breaks ties — hold whatever shape the
+// competing patterns have.
 
 func prodFor(name string, p Pattern) *Production {
 	return &Production{Name: name, Pattern: p, Replacement: []TemplateInst{TInst()}}
@@ -28,7 +30,7 @@ func TestLookupScansOnlyClassBucket(t *testing.T) {
 		}
 	}
 
-	// An ALU instruction has an empty bucket and no any-class patterns:
+	// No class key admits an ALU instruction and every pattern has one:
 	// the lookup must examine zero productions.
 	before := e.Stats().PatternsScanned
 	if _, ok := e.Lookup(isa.Inst{Op: isa.OpAddq}, 0x100); ok {
@@ -38,7 +40,7 @@ func TestLookupScansOnlyClassBucket(t *testing.T) {
 		t.Errorf("ALU lookup scanned %d productions, want 0", got)
 	}
 
-	// A store scans the two store-class productions only.
+	// A store examines the two store-keyed productions only.
 	before = e.Stats().PatternsScanned
 	p, ok := e.Lookup(isa.Inst{Op: isa.OpStq}, 0x100)
 	if !ok || p.Name != "stq" {
@@ -59,8 +61,8 @@ func TestAnyClassPatternsMatchEveryClass(t *testing.T) {
 	if err := e.Install(pcProd); err != nil {
 		t.Fatal(err)
 	}
-	// The PC pattern lives outside every class bucket but must still win
-	// at its PC (specificity 16 beats the class's 1) for any class.
+	// The PC pattern has no class key but must still win at its PC
+	// (specificity 16 beats the class's 1) for any class.
 	if p, ok := e.Lookup(isa.Inst{Op: isa.OpStq}, 0x2000); !ok || p != pcProd {
 		t.Errorf("store at watched PC = %v, want at-pc", p)
 	}
@@ -73,10 +75,10 @@ func TestAnyClassPatternsMatchEveryClass(t *testing.T) {
 }
 
 func TestTieBreaksTowardEarliestInstallAcrossBuckets(t *testing.T) {
-	// A PC pattern (any-class, specificity 16) and a bare codeword
-	// pattern (ClassNop bucket, also specificity 16 — no Op constraint)
-	// tie on a codeword instruction at that PC; the earlier install must
-	// win even though the index scans the class bucket first.
+	// A PC pattern (no class key, specificity 16) and a bare codeword
+	// pattern (keyed to the codeword's class, also specificity 16 — no Op
+	// constraint) tie on a codeword instruction at that PC; the earlier
+	// install must win, whichever shape it has.
 	nine := int64(9)
 	cw := isa.Inst{Op: isa.OpCodeword, Imm: 9}
 	first := prodFor("first", MatchPC(0x4000))
@@ -128,9 +130,9 @@ func TestIndexSurvivesRemoveAndClear(t *testing.T) {
 	}
 	e.Clear()
 	if _, ok := e.Lookup(isa.Inst{Op: isa.OpStq}, 0x1000); ok {
-		t.Error("Clear left the index populated")
+		t.Error("Clear left a production matching")
 	}
-	// Reinstall after Clear must work (index rebuilt from scratch).
+	// Reinstall after Clear must work.
 	if err := e.Install(prodFor("stores2", MatchClass(isa.ClassStore))); err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +141,10 @@ func TestIndexSurvivesRemoveAndClear(t *testing.T) {
 	}
 }
 
-// TestBreakpointsOffThePCScanNothing pins the PC index: installing many
-// PC-constrained productions (the shape every breakpoint takes) must add
-// nothing to lookups at other PCs, and a lookup at a breakpoint PC scans
-// only that PC's bucket.
+// TestBreakpointsOffThePCScanNothing pins PatternsScanned for
+// PC-constrained productions (the shape every breakpoint takes): a lookup
+// at another PC examines none of them, and a lookup at a breakpoint PC
+// examines only that breakpoint.
 func TestBreakpointsOffThePCScanNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PatternEntries = 128
@@ -172,7 +174,7 @@ func TestBreakpointsOffThePCScanNothing(t *testing.T) {
 		t.Errorf("lookup at a breakpoint scanned %d productions, want 1", got)
 	}
 
-	// Removing a breakpoint empties its bucket; the rest keep matching.
+	// Removing a breakpoint stops its match; the rest keep matching.
 	var victim *Production
 	for _, p := range e.Productions() {
 		if *p.Pattern.PC == 0x10000 {
@@ -190,10 +192,9 @@ func TestBreakpointsOffThePCScanNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkLookup64Breakpoints measures the per-fetch lookup cost with 64
-// breakpoints installed, at a PC none of them match — the steady state of
-// a heavily instrumented debug session, and O(installed) before the PC
-// index existed.
+// BenchmarkLookup64Breakpoints measures an unmemoized lookup with 64
+// breakpoints installed, at a PC none of them match: one walk over the
+// table, which the fetch path makes only when a slot's memo fills.
 func BenchmarkLookup64Breakpoints(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.PatternEntries = 128

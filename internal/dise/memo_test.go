@@ -40,7 +40,7 @@ func randSlotInst(r *rand.Rand) isa.Inst {
 }
 
 // randProduction draws a production whose pattern takes one of the
-// engine's index shapes (class, op, PC, register-only, codeword) and
+// shapes a lookup tells apart (class, op, PC, register-only, codeword) and
 // whose replacement mixes literal, T.INST and parameterized templates.
 func randProduction(r *rand.Rand, name string) *Production {
 	var pat Pattern

@@ -5,13 +5,12 @@
 // the pattern language, replacement templates with trigger-field
 // directives (T.OP, T.RD, T.RS1, T.IMM, T.INST), the 32-entry pattern
 // table with most-specific-match semantics, a capacity-modeled replacement
-// table, and the private DISE register file. The pattern table is indexed
-// by instruction class (see Engine), so a lookup scans only the
-// productions that could possibly match the fetched instruction, and a
-// Memo keeps a static instruction's match and instantiated sequence
-// until the installed set changes, so the fetch path scans and
-// instantiates once per static instruction rather than once per fetch.
-// Expand and Reexpand are the unmemoized reference forms.
+// table, and the private DISE register file. The pattern table is one
+// list in install order (see Engine), and a Memo keeps a static
+// instruction's match and instantiated sequence until the installed set
+// changes, so the fetch path scans the table and instantiates once per
+// static instruction rather than once per fetch. Expand and Reexpand are
+// the unmemoized reference forms.
 //
 // The engine itself is purely architectural: it answers "what does this
 // instruction expand to". Timing (expansion bandwidth, DISE-branch
@@ -58,21 +57,18 @@ func MatchCodeword(v int64) Pattern {
 // operations).
 func (p Pattern) WithRB(r isa.Reg) Pattern { p.RB = &r; return p }
 
-// WithClass constrains the pattern's instruction class.
-func (p Pattern) WithClass(c isa.Class) Pattern { p.OpClass = &c; return p }
-
 // ClassKey returns the single instruction class the pattern can match,
 // when its constraints pin one down: an Op constraint implies that op's
 // class, a Codeword constraint implies OpCodeword's class, and an OpClass
 // constraint is the class itself. Patterns constrained only by PC or
-// registers can match any class and report ok=false. The engine uses the
-// key to index its pattern table so Lookup scans one class bucket instead
-// of every installed production.
+// registers can match any class and report ok=false. A lookup skips,
+// without examining it, a production whose key is not the fetched
+// instruction's class.
 func (p Pattern) ClassKey() (isa.Class, bool) {
 	switch {
 	case p.Op != nil:
 		// A conflicting OpClass would make the pattern match nothing;
-		// binning by the op's own class is still sound.
+		// keying by the op's own class is still sound.
 		return p.Op.Class(), true
 	case p.Codeword != nil:
 		return isa.OpCodeword.Class(), true

@@ -2,11 +2,11 @@
 // treated as immutable values owned by whoever installed them (the
 // debugger holds the same pointers for Remove-by-identity), so a snapshot
 // keeps the production pointers shallow and copies only the engine-owned
-// mutable state around them: installation order and sequence stamps, the
+// mutable state around them: the installation order, the
 // replacement-table residency set with its LRU clock, the DISE register
-// file, the pending d-call link, and statistics. Restore rebuilds the
-// lookup buckets from the production list with exactly Install's keying
-// rules, so a restored engine matches and expands identically.
+// file, the pending d-call link, and statistics. Install order is the
+// whole of the pattern table's state, so a restored engine, which
+// installs the saved order, matches and expands identically.
 package dise
 
 import "encoding/binary"
@@ -19,8 +19,6 @@ type residentEntry struct {
 // State is a point-in-time copy of an Engine.
 type State struct {
 	prods    []*Production // shallow; installation order
-	seqs     []uint64      // seqs[i] = prods[i].seq at capture time
-	seq      uint64
 	active   bool
 	regs     [16]uint64
 	dlinkPC  uint64
@@ -59,8 +57,6 @@ func (st *State) Production(i int) *Production {
 func (e *Engine) Snapshot() *State {
 	st := &State{
 		prods:    append([]*Production(nil), e.prods...),
-		seqs:     make([]uint64, len(e.prods)),
-		seq:      e.seq,
 		active:   e.Active,
 		regs:     e.Regs,
 		dlinkPC:  e.DLinkPC,
@@ -69,9 +65,8 @@ func (e *Engine) Snapshot() *State {
 		lruClock: e.lruClock,
 		stats:    e.stats,
 	}
-	for i, p := range e.prods {
-		st.seqs[i] = p.seq
-		if stamp := e.stamp[i]; stamp != 0 {
+	for i, stamp := range e.stamp {
+		if stamp != 0 {
 			st.resident = append(st.resident, residentEntry{idx: i, stamp: stamp})
 		}
 	}
@@ -79,29 +74,13 @@ func (e *Engine) Snapshot() *State {
 }
 
 // Restore replaces the engine state with the snapshot's. The production
-// pointers are installed as-is (identity is preserved across a round
-// trip), their sequence stamps are rewound, and the class/PC buckets and
-// residency stamps are rebuilt. The generation moves on, as for any
-// change of the installed set; it is not part of the snapshot.
+// pointers are installed as-is and in the saved order (identity is
+// preserved across a round trip), and the residency stamps are rebuilt.
+// The generation moves on, as for any change of the installed set; it is
+// not part of the snapshot.
 func (e *Engine) Restore(st *State) {
 	e.gen++
 	e.prods = append(e.prods[:0:0], st.prods...)
-	e.byClass = [numClasses][]*Production{}
-	e.byPC = make(map[uint64][]*Production)
-	e.anyClass = nil
-	for i, p := range e.prods {
-		p.seq = st.seqs[i]
-		switch {
-		case classKeyed(p):
-			cls, _ := p.Pattern.ClassKey()
-			e.byClass[cls] = append(e.byClass[cls], p)
-		case p.Pattern.PC != nil:
-			e.byPC[*p.Pattern.PC] = append(e.byPC[*p.Pattern.PC], p)
-		default:
-			e.anyClass = append(e.anyClass, p)
-		}
-	}
-	e.seq = st.seq
 	e.Active = st.active
 	e.Regs = st.regs
 	e.DLinkPC = st.dlinkPC
@@ -121,11 +100,9 @@ func (e *Engine) Restore(st *State) {
 // table index.
 func (st *State) AppendBinary(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.prods)))
-	for i, p := range st.prods {
+	for _, p := range st.prods {
 		dst = appendProduction(dst, p)
-		dst = binary.LittleEndian.AppendUint64(dst, st.seqs[i])
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, st.seq)
 	dst = appendBool(dst, st.active)
 	for _, r := range st.regs {
 		dst = binary.LittleEndian.AppendUint64(dst, r)

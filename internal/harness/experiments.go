@@ -9,12 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Table1 reproduces the benchmark summary: dynamic instructions, baseline
+// table1 reproduces the benchmark summary: dynamic instructions, baseline
 // IPC, and store density per kernel, next to the paper's measurements,
 // plus the memory-system behavior (D-cache demand miss rate and the
 // simulator's own code-cache hit rate) behind those numbers.
-func Table1(cfg Config) *Table { return run(cfg, table1)[0] }
-
 var table1 = &experiment{
 	id:    "table1",
 	title: "Benchmark summary (paper Table 1)",
@@ -47,10 +45,8 @@ var table1 = &experiment{
 	},
 }
 
-// Table2 measures each watchpoint's write frequency per 100K stores and
+// table2 measures each watchpoint's write frequency per 100K stores and
 // compares with the paper. The counts come from the baseline runs.
-func Table2(cfg Config) *Table { return run(cfg, table2)[0] }
-
 var table2 = &experiment{
 	id:      "table2",
 	title:   "Watchpoint write frequency per 100K stores (paper Table 2)",
@@ -120,22 +116,16 @@ func watchRows(cfg Config, cond func() *debug.Condition) []row {
 	return rows
 }
 
-// Fig3 compares the four unconditional watchpoint implementations.
-func Fig3(cfg Config) *Table { return run(cfg, fig3)[0] }
-
+// fig3 compares the four unconditional watchpoint implementations.
 var fig3 = watchComparison("fig3",
 	"Unconditional watchpoints: four implementations (paper Figure 3)", nil)
 
-// Fig4 compares the four implementations on conditional watchpoints whose
+// fig4 compares the four implementations on conditional watchpoints whose
 // predicate never holds.
-func Fig4(cfg Config) *Table { return run(cfg, fig4)[0] }
-
 var fig4 = watchComparison("fig4",
 	"Conditional watchpoints, predicate never true (paper Figure 4)", neverCond)
 
-// Fig5 compares DISE with static binary rewriting on the COLD watchpoint.
-func Fig5(cfg Config) *Table { return run(cfg, fig5)[0] }
-
+// fig5 compares DISE with static binary rewriting on the COLD watchpoint.
 var fig5 = &experiment{
 	id:      "fig5",
 	title:   "DISE vs binary rewriting, COLD watchpoint (paper Figure 5)",
@@ -167,10 +157,8 @@ var fig5 = &experiment{
 	},
 }
 
-// Fig6 sweeps the number of watchpoints for the hardware/virtual-memory
+// fig6 sweeps the number of watchpoints for the hardware/virtual-memory
 // hybrid against the three DISE multi-watchpoint strategies.
-func Fig6(cfg Config) *Table { return run(cfg, fig6)[0] }
-
 var fig6 = &experiment{
 	id:      "fig6",
 	title:   "Impact of the number of watchpoints (paper Figure 6)",
@@ -211,10 +199,8 @@ var fig6 = &experiment{
 	},
 }
 
-// Fig7 evaluates the replacement-sequence variants with and without
+// fig7 evaluates the replacement-sequence variants with and without
 // conditional trap/call ISA support.
-func Fig7(cfg Config) *Table { return run(cfg, fig7)[0] }
-
 var fig7 = &experiment{
 	id:    "fig7",
 	title: "Alternate DISE implementations (paper Figure 7)",
@@ -246,10 +232,8 @@ var fig7 = &experiment{
 	},
 }
 
-// Fig8 measures the multithreading optimization: DISE-called function
+// fig8 measures the multithreading optimization: DISE-called function
 // bodies execute on a spare context, eliminating call/return flushes.
-func Fig8(cfg Config) *Table { return run(cfg, fig8)[0] }
-
 var fig8 = &experiment{
 	id:      "fig8",
 	title:   "DISE overhead with multithreaded function bodies (paper Figure 8)",
@@ -270,10 +254,8 @@ var fig8 = &experiment{
 	},
 }
 
-// Fig9 measures the cost of protecting the debugger's embedded data with
+// fig9 measures the cost of protecting the debugger's embedded data with
 // the Figure 2f production, on the COLD watchpoint.
-func Fig9(cfg Config) *Table { return run(cfg, fig9)[0] }
-
 var fig9 = &experiment{
 	id:      "fig9",
 	title:   "Cost of protecting debugger structures (paper Figure 9)",

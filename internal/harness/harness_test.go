@@ -57,7 +57,7 @@ func findRow(t *testing.T, tb *Table, keys ...string) int {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tb := Table1(cfg())
+	tb := run(cfg(), table1)[0]
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -70,7 +70,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tb := Table2(cfg("crafty"))
+	tb := run(cfg("crafty"), table2)[0]
 	r := findRow(t, tb, "crafty")
 	hot, _ := cell(t, tb, r, "HOT")
 	cold, _ := cell(t, tb, r, "COLD")
@@ -87,7 +87,7 @@ func TestTable2Shape(t *testing.T) {
 // watched variable shares a page with hot data; hardware registers suffer
 // under silent stores; only DISE and single-stepping handle INDIRECT.
 func TestFig3Shape(t *testing.T) {
-	tb := Fig3(cfg("bzip2", "twolf"))
+	tb := run(cfg("bzip2", "twolf"), fig3)[0]
 
 	for _, bench := range []string{"bzip2", "twolf"} {
 		for _, kind := range []string{"WARM2", "COLD"} {
@@ -152,7 +152,7 @@ func TestFig3Shape(t *testing.T) {
 // address becomes a spurious predicate transition for VM/HW — but not for
 // DISE, which evaluates the predicate in the application.
 func TestFig4Shape(t *testing.T) {
-	tb := Fig4(cfg("twolf"))
+	tb := run(cfg("twolf"), fig4)[0]
 	r := findRow(t, tb, "twolf", "HOT")
 	d, ok := cell(t, tb, r, "DISE")
 	hw, _ := cell(t, tb, r, "hardware")
@@ -178,7 +178,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	tb := Fig5(cfg("bzip2", "gcc"))
+	tb := run(cfg("bzip2", "gcc"), fig5)[0]
 	// Small footprint: comparable. Large footprint (gcc): rewriting pays
 	// I-cache cost and loses to DISE.
 	rb := findRow(t, tb, "bzip2")
@@ -196,7 +196,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	tb := Fig6(cfg("crafty"))
+	tb := run(cfg("crafty"), fig6)[0]
 	// Up to 4 watchpoints the hardware registers are competitive...
 	r4 := findRow(t, tb, "crafty", "4")
 	hw4, _ := cell(t, tb, r4, "hw/virtual-mem")
@@ -226,7 +226,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tb := Fig7(cfg("bzip2"))
+	tb := run(cfg("bzip2"), fig7)[0]
 	// Without conditional call/trap support every store flushes: the
 	// bottom-group variants must be clearly worse than their top-group
 	// counterparts (the paper's "intra-replacement-sequence control
@@ -250,7 +250,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tb := Fig8(cfg("bzip2"))
+	tb := run(cfg("bzip2"), fig8)[0]
 	r := findRow(t, tb, "bzip2", "HOT")
 	without, _ := cell(t, tb, r, "without MT")
 	with, _ := cell(t, tb, r, "with MT")
@@ -267,7 +267,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	tb := Fig9(cfg("twolf"))
+	tb := run(cfg("twolf"), fig9)[0]
 	r := findRow(t, tb, "twolf")
 	plain, _ := cell(t, tb, r, "not protected")
 	prot, _ := cell(t, tb, r, "protected")

@@ -313,20 +313,11 @@ func (op Op) MemSize() int {
 	return 0
 }
 
-// IsLoad reports whether op reads memory.
-func (op Op) IsLoad() bool { return op.Class() == ClassLoad }
-
 // IsStore reports whether op writes memory.
 func (op Op) IsStore() bool { return op.Class() == ClassStore }
 
 // IsCondBranch reports whether op is a conditional direct branch.
 func (op Op) IsCondBranch() bool { return op.Class() == ClassBranch }
-
-// IsControl reports whether op can redirect the conventional PC.
-func (op Op) IsControl() bool {
-	c := op.Class()
-	return c == ClassBranch || c == ClassJump
-}
 
 // OpsByName maps mnemonics to opcodes; the assembler uses it.
 var OpsByName = func() map[string]Op {

@@ -79,6 +79,17 @@ func PresetConfig(name string) (Config, bool) {
 	return cfg, true
 }
 
+// PresetName returns the name of the preset whose configuration equals
+// cfg, or "" when none does.
+func PresetName(cfg Config) string {
+	for _, name := range presetNames {
+		if pc, _ := PresetConfig(name); pc == cfg {
+			return name
+		}
+	}
+	return ""
+}
+
 // Machine is one simulated processor plus its loaded program.
 type Machine struct {
 	Cfg     Config
@@ -132,11 +143,7 @@ func (m *Machine) Reset() {
 // it, share them.
 func (m *Machine) Load(p *asm.Program) {
 	m.Program = p
-	text := make([]byte, 4*len(p.Text))
-	for i, w := range p.Text {
-		binary.LittleEndian.PutUint32(text[4*i:], w)
-	}
-	m.Mem.WriteBytes(p.TextBase, text)
+	m.Mem.WriteBytes(p.TextBase, textBytes(p.Text))
 	m.Mem.MapImage(p.DataBase, p.Data)
 	m.Core.Regs[30] = asm.DefaultStackTop // sp
 	m.Core.SetPC(p.Entry)
@@ -207,11 +214,20 @@ func (m *Machine) AppendText(words []uint32) uint64 {
 		m.textAppend = m.Program.TextEnd() + 64
 	}
 	base := m.textAppend
-	for i, w := range words {
-		m.Mem.Write(base+uint64(i)*4, 4, uint64(w))
-	}
+	m.Mem.WriteBytes(base, textBytes(words))
 	m.textAppend = base + uint64(len(words))*4 + 64
 	return base
+}
+
+// textBytes encodes instruction words as memory holds them, so a caller
+// stores any number of words in one write and the write hooks see one
+// range.
+func textBytes(words []uint32) []byte {
+	b := make([]byte, 4*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(b[4*i:], w)
+	}
+	return b
 }
 
 // AppendData appends bytes after the current data segment, page-aligned,

@@ -132,6 +132,30 @@ func TestAppendTextAndData(t *testing.T) {
 	}
 }
 
+// TestAppendTextWritesOnce: AppendText stores its words the way Load
+// stores the text, in one write, so the write hooks (the predecoder's
+// invalidation among them) run once per call, not once per word.
+func TestAppendTextWritesOnce(t *testing.T) {
+	p, err := asm.Assemble("main: halt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewDefault()
+	m.Load(p)
+	calls := 0
+	m.Mem.AddWriteHook(func(lo, hi uint64) { calls++ })
+	words := []uint32{0x11111111, 0x22222222, 0x33333333, 0x44444444}
+	base := m.AppendText(words)
+	if calls != 1 {
+		t.Errorf("AppendText of %d words ran the write hooks %d times, want 1", len(words), calls)
+	}
+	for i, w := range words {
+		if got := m.Mem.Read(base+4*uint64(i), 4); got != uint64(w) {
+			t.Errorf("word %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
 // TestPresets: every preset must resolve, build a working machine, and
 // run a real program to completion; distinct presets must produce
 // distinct configurations (so the serve layer's config-keyed pools do not

@@ -60,11 +60,6 @@ type Config struct {
 	// call/return pipeline flushes (evaluated in Figure 8).
 	MTDiseCalls bool
 
-	// PredecodePages caps the predecoded-text cache (in 4KB text pages,
-	// LRU eviction). <= 0 selects the package default
-	// (defaultPredecodePages in predecode.go).
-	PredecodePages int
-
 	// MaxUops bounds a run as a safety net against runaway programs.
 	MaxUops uint64
 
@@ -81,41 +76,17 @@ type Config struct {
 // DefaultConfig returns the paper's core configuration.
 func DefaultConfig() Config {
 	return Config{
-		Width:          4,
-		ROBSize:        128,
-		RSSize:         80,
-		LSQSize:        64,
-		FrontEndDepth:  6, // 12-stage pipe: half of it is in front of dispatch
-		IntALUs:        4,
-		IntMuls:        1,
-		MulLatency:     7,
-		LoadPorts:      2,
-		PredecodePages: defaultPredecodePages,
-		MaxUops:        2_000_000_000,
+		Width:         4,
+		ROBSize:       128,
+		RSSize:        80,
+		LSQSize:       64,
+		FrontEndDepth: 6, // 12-stage pipe: half of it is in front of dispatch
+		IntALUs:       4,
+		IntMuls:       1,
+		MulLatency:    7,
+		LoadPorts:     2,
+		MaxUops:       2_000_000_000,
 	}
-}
-
-// TransitionKind classifies debugger transitions for the paper's
-// accounting (§2): transitions masked by user interaction are free; the
-// three spurious kinds are perceived as application latency.
-type TransitionKind uint8
-
-// Transition kinds.
-const (
-	TransNone TransitionKind = iota
-	TransUser                // leads to a user interaction; modeled free
-	TransSpuriousAddr
-	TransSpuriousValue
-	TransSpuriousPred
-)
-
-var transNames = [...]string{"none", "user", "spurious-addr", "spurious-value", "spurious-pred"}
-
-func (k TransitionKind) String() string {
-	if int(k) < len(transNames) {
-		return transNames[k]
-	}
-	return "?"
 }
 
 // StoreEvent describes an architecturally executed store, delivered to the

@@ -154,7 +154,7 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, bp *bpred.Predictor, 
 	hcfg := hier.Config()
 	c.l1iHitLat = uint64(hcfg.L1I.HitLatency)
 	c.l1dHitLat = uint64(hcfg.L1D.HitLatency)
-	c.pred = newPredecoder(m, cfg.PredecodePages)
+	c.pred = newPredecoder(m, predecodePages)
 	m.AddWriteHook(c.pred.invalidate)
 	return c
 }

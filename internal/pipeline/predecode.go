@@ -9,10 +9,10 @@ import (
 // instsPerPage is the number of instruction slots in one text page.
 const instsPerPage = mem.PageSize / 4
 
-// defaultPredecodePages caps the predecoded-text cache when the
-// configuration leaves PredecodePages at zero: 64 pages = 256KB of text,
-// comfortably above every bundled kernel and the paper's benchmarks.
-const defaultPredecodePages = 64
+// predecodePages caps the core's predecoded-text cache: 64 pages = 256KB
+// of text, comfortably above every bundled kernel and the paper's
+// benchmarks.
+const predecodePages = 64
 
 // decodedPage holds one text page decoded into micro-ops; slot k is the
 // instruction at page base + 4k, pre-resolved (class, kind flags, operand
@@ -90,9 +90,6 @@ type predecoder struct {
 const noWindow = uint64(1)<<63 | 2
 
 func newPredecoder(m *mem.Memory, maxPages int) *predecoder {
-	if maxPages <= 0 {
-		maxPages = defaultPredecodePages
-	}
 	return &predecoder{
 		m:        m,
 		pages:    make(map[uint64]*decodedPage),

@@ -18,7 +18,7 @@ func encodeOrDie(t *testing.T, i isa.Inst) uint32 {
 
 func TestPredecoderServesAndInvalidates(t *testing.T) {
 	m := mem.New()
-	d := newPredecoder(m, 0)
+	d := newPredecoder(m, predecodePages)
 	m.AddWriteHook(d.invalidate)
 
 	addq := isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 5, UseImm: true}
@@ -48,7 +48,7 @@ func TestPredecoderServesAndInvalidates(t *testing.T) {
 // fetch just above 1<<63 must take the slow path, not index a nil window.
 func TestPredecoderNoWindowHighPC(t *testing.T) {
 	m := mem.New()
-	d := newPredecoder(m, 0)
+	d := newPredecoder(m, predecodePages)
 	m.AddWriteHook(d.invalidate)
 
 	addq := isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 5, UseImm: true}
@@ -66,7 +66,7 @@ func TestPredecoderNoWindowHighPC(t *testing.T) {
 
 func TestPredecoderWriteBytesInvalidates(t *testing.T) {
 	m := mem.New()
-	d := newPredecoder(m, 0)
+	d := newPredecoder(m, predecodePages)
 	m.AddWriteHook(d.invalidate)
 
 	addq := isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 5, UseImm: true}
@@ -85,7 +85,7 @@ func TestPredecoderWriteBytesInvalidates(t *testing.T) {
 
 func TestPredecoderDataWritesAreCheap(t *testing.T) {
 	m := mem.New()
-	d := newPredecoder(m, 0)
+	d := newPredecoder(m, predecodePages)
 	m.AddWriteHook(d.invalidate)
 
 	pc := uint64(0x4000)
@@ -102,7 +102,7 @@ func TestPredecoderDataWritesAreCheap(t *testing.T) {
 
 func TestPredecoderMisalignedPCFallsBack(t *testing.T) {
 	m := mem.New()
-	d := newPredecoder(m, 0)
+	d := newPredecoder(m, predecodePages)
 
 	w := encodeOrDie(t, isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 9, UseImm: true})
 	m.Write(0x4002, 4, uint64(w))
@@ -166,7 +166,7 @@ func TestPredecoderLRUCap(t *testing.T) {
 // fetch and patch traffic exactly.
 func TestPredecoderCounters(t *testing.T) {
 	m := mem.New()
-	d := newPredecoder(m, 0)
+	d := newPredecoder(m, predecodePages)
 	m.AddWriteHook(d.invalidate)
 
 	addq := isa.Inst{Op: isa.OpAddq, RA: isa.R1, RC: isa.R2, Imm: 5, UseImm: true}

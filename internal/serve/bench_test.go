@@ -74,7 +74,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 		if !ok {
 			b.Fatalf("no preset %q", name)
 		}
-		mixed = append(mixed, SessionConfig{Machine: cfg, Preset: name})
+		mixed = append(mixed, SessionConfig{Machine: cfg})
 	}
 
 	for _, n := range []int{1, 8, 64} {
@@ -89,12 +89,12 @@ func BenchmarkServeConcurrent(b *testing.B) {
 // machine Reset — against building a machine from scratch.
 func BenchmarkPoolRecycle(b *testing.B) {
 	cfg := DefaultConfig().Machine
-	pool := NewPool(cfg, 1)
-	m := pool.Get()
+	pool := NewPoolSet(1)
+	m := pool.Get(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool.Put(m)
-		m = pool.Get()
+		m = pool.Get(cfg)
 	}
 }
 

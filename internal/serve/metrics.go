@@ -138,7 +138,7 @@ func (sm *serveMetrics) registerServerFuncs(srv *Server) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		for _, s := range srv.sessions {
-			out[`preset="`+presetLabel(s.sc.Preset)+`"`]++
+			out[`preset="`+presetLabel(s.preset)+`"`]++
 		}
 		return out
 	})
@@ -152,8 +152,8 @@ func (sm *serveMetrics) registerServerFuncs(srv *Server) {
 }
 
 // presetLabel names a session or pool configuration for per-preset
-// breakdowns: the preset it was created from, or "custom" for
-// configurations clients brought themselves.
+// breakdowns: the preset it equals, or "custom" for a configuration that
+// equals none.
 func presetLabel(preset string) string {
 	if preset == "" {
 		return "custom"
@@ -163,8 +163,7 @@ func presetLabel(preset string) string {
 
 // poolIdleByPreset maps the pool's per-configuration idle counts to
 // preset names (the per-preset breakdown in ServerStats and /metrics).
-// Configurations from distinct unnamed client configs merge under
-// "custom".
+// Configurations that equal no preset merge under "custom".
 func (srv *Server) poolIdleByPreset() map[string]int {
 	idle := srv.pools.IdleByConfig()
 	if len(idle) == 0 {
@@ -172,39 +171,9 @@ func (srv *Server) poolIdleByPreset() map[string]int {
 	}
 	out := make(map[string]int, len(idle))
 	for cfg, n := range idle {
-		out[presetLabel(srv.presetName(cfg))] += n
+		out[presetLabel(machine.PresetName(cfg))] += n
 	}
 	return out
-}
-
-// presetName resolves a machine configuration to the preset name it was
-// created under: first the names sessions actually registered (covers
-// the server default and wire-named presets), then the static machine
-// preset table, else "".
-func (srv *Server) presetName(cfg machine.Config) string {
-	srv.mu.Lock()
-	name, ok := srv.cfgNames[cfg]
-	srv.mu.Unlock()
-	if ok {
-		return name
-	}
-	for _, p := range machine.Presets() {
-		if pc, ok := machine.PresetConfig(p); ok && pc == cfg {
-			return p
-		}
-	}
-	return ""
-}
-
-// notePresetLocked records cfg -> preset so pool-idle breakdowns can
-// name machines after their sessions close. Caller holds srv.mu. The
-// map is bounded by the number of distinct named presets plus one
-// "custom" bucket per distinct anonymous config a client brought; the
-// session cap bounds the latter.
-func (srv *Server) notePresetLocked(cfg machine.Config, preset string) {
-	if _, ok := srv.cfgNames[cfg]; !ok {
-		srv.cfgNames[cfg] = preset
-	}
 }
 
 // Metrics returns the server's metrics registry — mount it at /metrics

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/debug"
+	"repro/internal/machine"
 )
 
 // scrapeProm renders the server's registry in Prometheus text format and
@@ -201,5 +202,46 @@ func TestStatsPoolByConfig(t *testing.T) {
 	}
 	if got := resp.Server.PoolByConfig["default"]; got < 1 {
 		t.Errorf(`PoolByConfig["default"] = %d, want >= 1 (got %v)`, got, resp.Server.PoolByConfig)
+	}
+}
+
+// TestSessionPresetFromMachineConfig: a session is named after the preset
+// its machine configuration equals, whether or not the request named one,
+// and the attach echo and both per-preset breakdowns read that one name;
+// a configuration equal to no preset counts as "custom".
+func TestSessionPresetFromMachineConfig(t *testing.T) {
+	small, _ := machine.PresetConfig("small-cache")
+	custom := small
+	custom.Cache.TLBEntries = 32
+	srv := newTestServer(t, Config{Workers: 1, Quantum: 1000})
+	opts := debug.DefaultOptions(debug.BackendDise)
+	ss, err := srv.CreateSourceWith(countdownProg, opts, SessionConfig{Machine: small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := srv.CreateSourceWith(countdownProg, opts, SessionConfig{Machine: custom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, preset := ss.MachineConfig(); preset != "small-cache" {
+		t.Errorf("small-cache session preset = %q", preset)
+	}
+	if _, preset := sc.MachineConfig(); preset != "" {
+		t.Errorf("custom session preset = %q, want none", preset)
+	}
+	c := newProtoClient(t, srv)
+	if resp := c.ok(Request{Op: "attach", Session: ss.ID}); resp.Machine != "small-cache" {
+		t.Errorf("attach echo = %q, want small-cache", resp.Machine)
+	}
+	samples := scrapeProm(t, srv)
+	for _, label := range []string{"small-cache", "custom"} {
+		if got := samples[`dise_sessions{preset="`+label+`"}`]; got != 1 {
+			t.Errorf("dise_sessions{preset=%q} = %v, want 1", label, got)
+		}
+	}
+	ss.Close()
+	sc.Close()
+	if got := srv.Stats().PoolByConfig; got["small-cache"] != 1 || got["custom"] != 1 {
+		t.Errorf("pool_by_config = %v, want small-cache and custom 1 each", got)
 	}
 }

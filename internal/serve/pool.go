@@ -14,49 +14,17 @@ type PoolStats struct {
 	Dropped  uint64 // machines discarded because the idle list was full
 }
 
-// Pool is a free list of simulated machines sharing one configuration —
-// a PoolSet pinned to a single key. Building a machine allocates
-// megabytes of cache, predictor, and predecode state; a debug service
-// creating and destroying sessions at high rate would spend its time in
-// the allocator without one. Put resets the machine
+// PoolSet is a free list of simulated machines. Building a machine
+// allocates megabytes of cache, predictor, and predecode state; a debug
+// service creating and destroying sessions at high rate would spend its
+// time in the allocator without one. Put resets the machine
 // (machine.Machine.Reset) before parking it, so Get always returns a
-// machine that is bit-identical to a freshly constructed one —
-// TestPoolRecycledMachineEquivalentToFresh holds the pool to exactly
+// machine that is bit-identical to a freshly constructed one of the same
+// configuration — TestPoolRecycledMachineEquivalentToFresh and
+// TestPoolSetRecycledPerKeyEquivalentToFresh hold the set to exactly
 // that.
-type Pool struct {
-	cfg machine.Config
-	set *PoolSet
-}
-
-// NewPool builds a pool that keeps at most capacity idle machines of the
-// given configuration. capacity <= 0 keeps none (every Put discards).
-func NewPool(cfg machine.Config, capacity int) *Pool {
-	return &Pool{cfg: cfg, set: NewPoolSet(capacity)}
-}
-
-// Get returns an idle machine or builds a new one.
-func (p *Pool) Get() *machine.Machine { return p.set.Get(p.cfg) }
-
-// Put resets m and parks it for reuse; a full idle list discards it
-// without paying for the reset. m must no longer be shared — the caller
-// transfers ownership. A machine of a foreign configuration is
-// discarded outright: parking it would strand idle budget under a key
-// this pool's Get never reads.
-func (p *Pool) Put(m *machine.Machine) {
-	if m != nil && m.Cfg != p.cfg {
-		p.set.discard()
-		return
-	}
-	p.set.Put(m)
-}
-
-// Stats returns a snapshot of pool activity.
-func (p *Pool) Stats() PoolStats { return p.set.Stats() }
-
-// Idle returns how many machines are parked.
-func (p *Pool) Idle() int { return p.set.Idle() }
-
-// PoolSet recycles machines of many configurations: one idle list per
+//
+// It recycles machines of many configurations: one idle list per
 // machine.Config (all subsystem configs are comparable, so the config
 // itself is the key), with one idle capacity and one reservation counter
 // shared across every key. Sessions with different machines therefore
@@ -141,8 +109,8 @@ func (ps *PoolSet) Put(m *machine.Machine) {
 	ps.mu.Unlock()
 }
 
-// discard records a machine dropped without being parked (e.g. a Pool
-// rejecting a foreign configuration), so Put accounting stays complete.
+// discard records a machine dropped without being parked (e.g. a faulted
+// session's broken machine), so Put accounting stays complete.
 func (ps *PoolSet) discard() {
 	ps.mu.Lock()
 	ps.stats.Dropped++

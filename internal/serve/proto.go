@@ -529,14 +529,13 @@ func (srv *Server) handleErr(c *protoConn, req *Request) (Response, error) {
 					req.Machine, strings.Join(machine.Presets(), ", "))
 			}
 			sc.Machine = mcfg
-			sc.Preset = req.Machine
 		}
 		s, err := srv.CreateSourceWith(req.Program, debug.DefaultOptions(backend), sc)
 		if err != nil {
 			return Response{}, err
 		}
-		// Echo the session's resolved preset, which may have been
-		// inherited from the server default rather than the request.
+		// Echo the session's preset, which may come from the server
+		// default rather than the request.
 		_, preset := s.MachineConfig()
 		return Response{Session: s.ID, State: s.State().String(), Entry: s.Program().Entry, Machine: preset}, nil
 	}

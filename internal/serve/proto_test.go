@@ -516,9 +516,9 @@ func TestProtocolMachinePresets(t *testing.T) {
 		t.Errorf("unknown preset error = %q", resp.Err)
 	}
 
-	// Sessions inheriting the server default echo its preset name — both
-	// an explicit server-level preset and the implicit "default".
-	smallSrv := newTestServer(t, Config{Workers: 1, Machine: want, Preset: "small-cache"})
+	// Sessions inheriting the server default echo the name of the preset
+	// it equals, whether the server was given one or defaulted.
+	smallSrv := newTestServer(t, Config{Workers: 1, Machine: want})
 	cs := newProtoClient(t, smallSrv)
 	if resp := cs.ok(Request{Op: "create", Program: countdownProg}); resp.Machine != "small-cache" {
 		t.Errorf("inherited create echo = %+v, want small-cache", resp)

@@ -108,10 +108,6 @@ type Config struct {
 	// Machine configures pooled machines for sessions that do not bring
 	// their own configuration (default machine.DefaultConfig).
 	Machine machine.Config
-	// Preset optionally names Machine (informational): sessions that
-	// inherit the default machine echo it on the wire protocol's create
-	// and attach. Defaults to "default" when Machine is defaulted too.
-	Preset string
 	// QueueDepth bounds how many sessions may be runnable (queued or
 	// executing) at once; admissions beyond it are shed per Shed. 0
 	// selects MaxSessions, which never sheds (a session is runnable at
@@ -207,9 +203,6 @@ func (c Config) withDefaults() Config {
 	zero := machine.Config{}
 	if c.Machine == zero {
 		c.Machine = d.Machine
-		if c.Preset == "" {
-			c.Preset = "default"
-		}
 	}
 	if c.QueueDepth <= 0 || c.QueueDepth > c.MaxSessions {
 		c.QueueDepth = c.MaxSessions
@@ -236,11 +229,11 @@ func (c Config) withDefaults() Config {
 type SessionConfig struct {
 	// Machine selects this session's machine configuration; the zero
 	// value selects the server default (Config.Machine). Sessions with
-	// different configurations recycle machines independently.
+	// different configurations recycle machines independently. The
+	// session is named after the preset Machine equals, if any
+	// (machine.PresetName): the wire protocol echoes that name, and the
+	// per-preset metrics count the session under it.
 	Machine machine.Config
-	// Preset optionally records the name Machine was resolved from
-	// (informational; echoed by the wire protocol).
-	Preset string
 	// Priority ranks the session for ShedPauseLowest: higher outranks
 	// lower, and only a strictly lower-priority session can be paused to
 	// admit this one. The default is 0.
@@ -289,10 +282,6 @@ type Server struct {
 	nextID   uint64
 	closed   bool
 	draining bool // Drain in progress: no new admissions, running sessions park
-	// cfgNames remembers which preset name each machine configuration was
-	// created under, so pool-idle breakdowns can name parked machines
-	// after their sessions are gone.
-	cfgNames map[machine.Config]string
 
 	// The run queue is a FIFO over a head-indexed slice (not a channel)
 	// so load shedding can inspect queued sessions for a pause victim.
@@ -314,12 +303,10 @@ func New(cfg Config) *Server {
 		met:      newServeMetrics(),
 		logger:   cfg.Logger,
 		sessions: make(map[uint64]*Session),
-		cfgNames: make(map[machine.Config]string),
 	}
 	if srv.logger == nil {
 		srv.logger = slog.New(slog.DiscardHandler)
 	}
-	srv.cfgNames[cfg.Machine] = cfg.Preset
 	srv.met.registerServerFuncs(srv)
 	srv.cond = sync.NewCond(&srv.mu)
 	srv.runcond = sync.NewCond(&srv.mu)
@@ -532,11 +519,6 @@ func (srv *Server) CreateWith(prog *asm.Program, opts debug.Options, sc SessionC
 	zero := machine.Config{}
 	if sc.Machine == zero {
 		sc.Machine = srv.cfg.Machine
-		if sc.Preset == "" {
-			// Inherit the default machine's name too, so create/attach
-			// echo which configuration the session actually runs on.
-			sc.Preset = srv.cfg.Preset
-		}
 	}
 	// Cheap early-outs; the authoritative checks repeat at insertion so
 	// concurrent Creates cannot slip past the session cap together.
@@ -560,7 +542,6 @@ func (srv *Server) CreateWith(prog *asm.Program, opts debug.Options, sc SessionC
 	srv.nextID++
 	s.ID = srv.nextID
 	srv.sessions[s.ID] = s
-	srv.notePresetLocked(sc.Machine, sc.Preset)
 	srv.met.sessionsCreated.Inc()
 	srv.mu.Unlock()
 	return s, nil

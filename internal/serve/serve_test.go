@@ -146,11 +146,11 @@ func TestPoolRecycledMachineEquivalentToFresh(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	want := runDebugWorkload(t, machine.New(cfg))
 
-	pool := NewPool(cfg, 1)
-	m := pool.Get()
+	pool := NewPoolSet(1)
+	m := pool.Get(cfg)
 	dirty(t, m)
 	pool.Put(m)
-	recycled := pool.Get()
+	recycled := pool.Get(cfg)
 	if recycled != m {
 		t.Fatal("pool built a new machine instead of recycling")
 	}
@@ -162,7 +162,7 @@ func TestPoolRecycledMachineEquivalentToFresh(t *testing.T) {
 	// And a second recycle, to catch state that only leaks on the second
 	// generation (e.g. append cursors advanced during the measured run).
 	pool.Put(recycled)
-	again := pool.Get()
+	again := pool.Get(cfg)
 	if got := runDebugWorkload(t, again); got != want {
 		t.Errorf("second-generation machine diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -224,21 +224,6 @@ func TestPoolSetRecycledPerKeyEquivalentToFresh(t *testing.T) {
 	}
 	if ps.Configs() != 1 || ps.Idle() != 1 {
 		t.Errorf("configs=%d idle=%d, want 1/1", ps.Configs(), ps.Idle())
-	}
-
-	// A single-key Pool discards foreign-config machines instead of
-	// stranding its idle budget under a key its Get never reads.
-	pool := NewPool(machine.DefaultConfig(), 1)
-	pool.Put(machine.New(small))
-	if got := pool.Idle(); got != 0 {
-		t.Errorf("foreign machine parked: idle = %d, want 0", got)
-	}
-	if st := pool.Stats(); st.Dropped != 1 {
-		t.Errorf("foreign drop not counted: %+v", st)
-	}
-	pool.Put(machine.New(machine.DefaultConfig()))
-	if got := pool.Idle(); got != 1 {
-		t.Errorf("own-config machine rejected: idle = %d, want 1", got)
 	}
 }
 
@@ -774,7 +759,7 @@ func TestServeSoakMixedPush(t *testing.T) {
 		if !ok {
 			t.Fatal("bad preset")
 		}
-		sc := SessionConfig{Machine: mcfg, Preset: presets[i%len(presets)]}
+		sc := SessionConfig{Machine: mcfg}
 		var (
 			s   *Session
 			err error
@@ -858,7 +843,7 @@ func TestServeSoakMixedPush(t *testing.T) {
 	for _, preset := range presets {
 		mcfg, _ := machine.PresetConfig(preset)
 		s, err := srv.CreateSourceWith(countdownProg, debug.DefaultOptions(debug.BackendDise),
-			SessionConfig{Machine: mcfg, Preset: preset})
+			SessionConfig{Machine: mcfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -934,7 +919,7 @@ func TestSessionMachineConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss, err := srv.CreateSourceWith(countdownProg, debug.DefaultOptions(debug.BackendDise),
-		SessionConfig{Machine: small, Preset: "small-cache", Priority: 2})
+		SessionConfig{Machine: small, Priority: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

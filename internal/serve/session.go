@@ -107,9 +107,12 @@ type Session struct {
 
 	// priority starts at sc.Priority and can be re-ranked at runtime via
 	// Server.SetPriority (the rerank wire op); it is read lock-free by the
-	// shedding paths, hence atomic. sc itself is fixed at creation.
+	// shedding paths, hence atomic. sc itself is fixed at creation, and
+	// so is preset, the name of the preset sc.Machine equals ("" for
+	// none).
 	priority atomic.Int64
 	sc       SessionConfig
+	preset   string
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast whenever state leaves StateRunning
@@ -166,7 +169,7 @@ type checkpoint struct {
 // newSession wires a session around a loaded machine; the caller assigns
 // ID when it publishes the session into the server's table.
 func newSession(srv *Server, m *machine.Machine, prog *asm.Program, opts debug.Options, sc SessionConfig) *Session {
-	s := &Session{srv: srv, m: m, prog: prog, sc: sc}
+	s := &Session{srv: srv, m: m, prog: prog, sc: sc, preset: machine.PresetName(sc.Machine)}
 	s.trace = obs.NewTraceRing(srv.cfg.TraceDepth)
 	s.priority.Store(int64(sc.Priority))
 	s.cond = sync.NewCond(&s.mu)
@@ -190,9 +193,9 @@ func newSession(srv *Server, m *machine.Machine, prog *asm.Program, opts debug.O
 // Priority returns the session's current load-shedding priority.
 func (s *Session) Priority() int { return int(s.priority.Load()) }
 
-// MachineConfig returns the session's machine configuration and the
-// preset name it was resolved from, if any.
-func (s *Session) MachineConfig() (machine.Config, string) { return s.sc.Machine, s.sc.Preset }
+// MachineConfig returns the session's machine configuration and the name
+// of the preset it equals, or "" when it equals none.
+func (s *Session) MachineConfig() (machine.Config, string) { return s.sc.Machine, s.preset }
 
 func fromUserEvent(ev debug.UserEvent) Event {
 	switch {

@@ -600,7 +600,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatalf("no preset %q", preset)
 		}
 		s, err := srv.CreateSourceWith(prog, debug.DefaultOptions(debug.BackendDise),
-			SessionConfig{Machine: mcfg, Preset: preset})
+			SessionConfig{Machine: mcfg})
 		if err != nil {
 			t.Fatal(err)
 		}
