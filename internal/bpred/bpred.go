@@ -63,52 +63,44 @@ func New(cfg Config) *Predictor {
 	if cfg.PredEntries&(cfg.PredEntries-1) != 0 || cfg.BTBEntries&(cfg.BTBEntries-1) != 0 {
 		panic("bpred: table sizes must be powers of two")
 	}
-	weak := func(n int) []uint8 {
-		t := make([]uint8, n)
-		for i := range t {
-			t[i] = 1 // weakly not-taken
-		}
-		return t
-	}
 	nSets := cfg.BTBEntries / cfg.BTBAssoc
 	btb := make([][]btbEntry, nSets)
 	backing := make([]btbEntry, cfg.BTBEntries)
 	for i := range btb {
 		btb[i] = backing[i*cfg.BTBAssoc : (i+1)*cfg.BTBAssoc]
 	}
-	return &Predictor{
+	n := cfg.PredEntries
+	p := &Predictor{
 		cfg:     cfg,
-		bimodal: weak(cfg.PredEntries),
-		gshare:  weak(cfg.PredEntries),
-		chooser: weak(cfg.PredEntries),
+		bimodal: make([]uint8, n),
+		gshare:  make([]uint8, n),
+		chooser: make([]uint8, n),
 		btb:     btb,
 		ras:     make([]uint64, cfg.RASEntries),
 	}
+	p.Reset()
+	return p
 }
 
 // Stats returns prediction statistics.
 func (p *Predictor) Stats() Stats { return p.stats }
 
-// Reset returns the predictor to its post-New state: all direction
-// counters weakly not-taken, global history and BTB empty, the return-
-// address stack cleared, and statistics rezeroed. A recycled predictor
-// predicts bit-identically to a fresh one.
+// Reset returns the predictor to its post-New state (New ends by calling
+// it): all direction counters weakly not-taken, global history and BTB
+// empty, the return-address stack cleared, and statistics rezeroed. A
+// recycled predictor predicts bit-identically to a fresh one.
 func (p *Predictor) Reset() {
 	for i := range p.bimodal {
-		p.bimodal[i] = 1
+		p.bimodal[i] = 1 // weakly not-taken
 		p.gshare[i] = 1
 		p.chooser[i] = 1
 	}
 	p.history = 0
 	for _, set := range p.btb {
-		for i := range set {
-			set[i] = btbEntry{}
-		}
+		clear(set)
 	}
 	p.btbClock = 0
-	for i := range p.ras {
-		p.ras[i] = 0
-	}
+	clear(p.ras)
 	p.rasTop = 0
 	p.stats = Stats{}
 }

@@ -268,9 +268,6 @@ func (t *TLB) Lookup(addr uint64) bool {
 // Stats returns TLB statistics.
 func (t *TLB) Stats() Stats { return t.inner.Stats() }
 
-// Flush invalidates all translations.
-func (t *TLB) Flush() { t.inner.Flush() }
-
 // Reset invalidates all translations and clears statistics and the LRU
 // clock (see Cache.Reset).
 func (t *TLB) Reset() { t.inner.Reset() }

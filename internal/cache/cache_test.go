@@ -410,17 +410,6 @@ func TestBusOccupancy(t *testing.T) {
 	}
 }
 
-func TestHierarchyFlushAll(t *testing.T) {
-	h := NewHierarchy(DefaultConfig())
-	h.DataLatency(0x1000, false, 0)
-	warm := h.DataLatency(0x1000, false, 500)
-	h.FlushAll()
-	cold := h.DataLatency(0x1000, false, 1000)
-	if cold <= warm {
-		t.Errorf("flush had no effect: warm=%d cold=%d", warm, cold)
-	}
-}
-
 // symmetricConfig builds a hierarchy configuration whose two sides are
 // identical (same L1 geometry and latency), so the unified engine must
 // produce bit-identical behavior through either port.

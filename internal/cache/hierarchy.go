@@ -200,13 +200,3 @@ func (h *Hierarchy) Reset() {
 	h.busFreeAt = 0
 	h.BusBusyCycles = 0
 }
-
-// FlushAll invalidates caches and TLBs (used when the debugger rewrites
-// text, e.g. the binary-rewriting back end's installation step).
-func (h *Hierarchy) FlushAll() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
-	h.ITLB.Flush()
-	h.DTLB.Flush()
-}

@@ -49,6 +49,9 @@ type diseState struct {
 	errBase     uint64
 	errEnd      uint64
 	prods       []*dise.Production
+	// watch holds the store-watch productions among prods, the ones
+	// Disable, Enable and the scope hooks toggle.
+	watch []*dise.Production
 
 	// slotOf maps a watchpoint to the data-region offset of its
 	// current-value slot (scalars) or region copy (ranges).
@@ -56,6 +59,9 @@ type diseState struct {
 	// condSlot holds each conditional watchpoint's comparison constant
 	// (64-bit, so it cannot be materialized inline).
 	condSlot map[*Watchpoint]uint64
+	// serialTab is the data-region offset of the serial-overflow address
+	// table, when there is one.
+	serialTab uint64
 
 	bloomBase uint64 // absolute address of the Bloom array (0 = none)
 	bloomBits bool
@@ -249,6 +255,7 @@ func (d *Debugger) buildDataRegion(st *diseState) []byte {
 	// Serial-overflow table.
 	quads := d.watchQuads()
 	if d.opts.Multi == StrategySerial && len(quads) > len(serialAddrRegs) {
+		st.serialTab = uint64(len(buf))
 		for _, q := range quads[len(serialAddrRegs):] {
 			put(quad(q))
 		}
@@ -359,25 +366,8 @@ func (d *Debugger) initDiseRegs(st *diseState) {
 		regs[serialAddrRegs[i]] = q
 	}
 	if len(quads) > len(serialAddrRegs) {
-		regs[drTab] = st.dataBase + d.serialTableOff()
+		regs[drTab] = st.dataBase + st.serialTab
 	}
-}
-
-// serialTableOff returns the data-region offset of the serial-overflow
-// address table.
-func (d *Debugger) serialTableOff() uint64 {
-	off := uint64(64)
-	for _, w := range d.watchpoints {
-		if w.Kind == WatchRange {
-			off += (w.Length + 7) &^ 7
-		} else {
-			off += 8
-		}
-		if w.Cond != nil {
-			off += 8
-		}
-	}
-	return off
 }
 
 // --- production generation -------------------------------------------------
@@ -390,7 +380,7 @@ func (d *Debugger) buildProductions(st *diseState) error {
 		if err != nil {
 			return err
 		}
-		st.prods = append(st.prods, &dise.Production{
+		st.watch = append(st.watch, &dise.Production{
 			Name:        "watch-stores",
 			Pattern:     dise.MatchClass(isa.ClassStore),
 			Replacement: seq,
@@ -401,7 +391,7 @@ func (d *Debugger) buildProductions(st *diseState) error {
 		// the data sizes)" distinction.
 		if d.quadAlignedWatches() {
 			if seqQ, err := d.storeSequence(st, false); err == nil && len(seqQ) < len(seq) {
-				st.prods = append(st.prods, &dise.Production{
+				st.watch = append(st.watch, &dise.Production{
 					Name:        "watch-stores-quad",
 					Pattern:     dise.MatchOp(isa.OpStq),
 					Replacement: seqQ,
@@ -413,12 +403,13 @@ func (d *Debugger) buildProductions(st *diseState) error {
 			// expand to themselves, skipping the check (§4.2 "Pattern
 			// matching optimizations"). Only valid when nothing watched
 			// lives on the stack; the caller opted in.
-			st.prods = append(st.prods, &dise.Production{
+			st.watch = append(st.watch, &dise.Production{
 				Name:        "skip-stack-stores",
 				Pattern:     dise.MatchClass(isa.ClassStore).WithRB(isa.SP),
 				Replacement: []dise.TemplateInst{dise.TInst()},
 			})
 		}
+		st.prods = append(st.prods, st.watch...)
 	}
 	for i, b := range d.breakpoints {
 		if d.opts.BreakWithCodewords && b.Cond == nil {
@@ -681,25 +672,32 @@ func (d *Debugger) condSeq(w *Watchpoint, t, tmp isa.RegRef) []dise.TemplateInst
 			RAFrom: dise.FromRA,
 		})
 	}
-	switch w.Cond.Op {
-	case CondEq:
-		out = append(out, dise.Op3T(isa.OpCmpeq, tmp, k, tmp))
-	case CondNe:
-		out = append(out,
-			dise.Op3T(isa.OpCmpeq, tmp, k, tmp),
-			dise.OpIT(isa.OpXor, tmp, 1, tmp),
-		)
-	case CondLt:
-		out = append(out, dise.Op3T(isa.OpCmplt, tmp, k, tmp))
-	case CondGt:
-		out = append(out, dise.Op3T(isa.OpCmplt, k, tmp, tmp))
-	}
+	out = append(out, condTemplate(w.Cond.Op, tmp, k, tmp)...)
 	// Normalize the changed indicator and AND in the predicate.
 	out = append(out,
 		dise.Op3T(isa.OpCmpult, zero, t, t),
 		dise.Op3T(isa.OpAnd, t, tmp, t),
 	)
 	return out
+}
+
+// condTemplate emits the predicate test of a replacement sequence: dst
+// gets 1 when val op k holds and 0 otherwise.
+func condTemplate(op CondOp, val, k, dst isa.RegRef) []dise.TemplateInst {
+	switch op {
+	case CondEq:
+		return []dise.TemplateInst{dise.Op3T(isa.OpCmpeq, val, k, dst)}
+	case CondNe:
+		return []dise.TemplateInst{
+			dise.Op3T(isa.OpCmpeq, val, k, dst),
+			dise.OpIT(isa.OpXor, dst, 1, dst),
+		}
+	case CondLt:
+		return []dise.TemplateInst{dise.Op3T(isa.OpCmplt, val, k, dst)}
+	case CondGt:
+		return []dise.TemplateInst{dise.Op3T(isa.OpCmplt, k, val, dst)}
+	}
+	return nil
 }
 
 // trapOrBranchTrap emits the trap tail: a conditional trap with ISA
@@ -746,19 +744,7 @@ func (d *Debugger) breakProduction(b *Breakpoint) *dise.Production {
 	seq := []dise.TemplateInst{
 		dise.MemT(isa.OpLdq, t1, 0, dise.DReg(drBcnd)),
 	}
-	switch b.Cond.Op {
-	case CondEq:
-		seq = append(seq, dise.Op3T(isa.OpCmpeq, t1, dise.DReg(drErrH), t2))
-	case CondNe:
-		seq = append(seq,
-			dise.Op3T(isa.OpCmpeq, t1, dise.DReg(drErrH), t2),
-			dise.OpIT(isa.OpXor, t2, 1, t2),
-		)
-	case CondLt:
-		seq = append(seq, dise.Op3T(isa.OpCmplt, t1, dise.DReg(drErrH), t2))
-	case CondGt:
-		seq = append(seq, dise.Op3T(isa.OpCmplt, dise.DReg(drErrH), t1, t2))
-	}
+	seq = append(seq, condTemplate(b.Cond.Op, t1, dise.DReg(drErrH), t2)...)
 	seq = append(seq, d.trapOrBranchTrap(t2)...)
 	seq = append(seq, dise.TInst())
 	return &dise.Production{

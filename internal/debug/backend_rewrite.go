@@ -139,20 +139,7 @@ func buildRewriteHandler(base, dataBase uint64, w *Watchpoint) ([]uint32, error)
 	b.Mem(isa.OpStq, isa.R21, rwSlotOff, isa.AT)
 	if w.Cond != nil {
 		b.Mem(isa.OpLdq, isa.R22, rwCondOff, isa.AT)
-		switch w.Cond.Op {
-		case CondEq:
-			b.Op3(isa.OpCmpeq, isa.R21, isa.R22, isa.R22)
-			b.CondBr(isa.OpBeq, isa.R22, "rwdone")
-		case CondNe:
-			b.Op3(isa.OpCmpeq, isa.R21, isa.R22, isa.R22)
-			b.CondBr(isa.OpBne, isa.R22, "rwdone")
-		case CondLt:
-			b.Op3(isa.OpCmplt, isa.R21, isa.R22, isa.R22)
-			b.CondBr(isa.OpBeq, isa.R22, "rwdone")
-		case CondGt:
-			b.Op3(isa.OpCmplt, isa.R22, isa.R21, isa.R22)
-			b.CondBr(isa.OpBeq, isa.R22, "rwdone")
-		}
+		skipUnlessCond(b, w.Cond.Op, isa.R21, isa.R22, "rwdone")
 	}
 	b.Trap()
 	b.Label("rwdone")

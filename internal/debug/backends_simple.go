@@ -136,6 +136,10 @@ func (d *Debugger) faultTransition(pc, addr uint64, size int, ws []*Watchpoint) 
 
 // --- hardware watchpoint registers ----------------------------------------
 
+// hwWatchRegs is the machine's hardware watchpoint register count; the
+// paper's machine has four (§2, §5.3).
+const hwWatchRegs = 4
+
 type hwReg struct {
 	quad uint64 // aligned quad address the register matches
 	w    *Watchpoint
@@ -157,7 +161,7 @@ func (d *Debugger) installHardwareReg() error {
 		case WatchExpr:
 			return fmt.Errorf("debug: hardware backend cannot watch complex expression %q", w.Name)
 		}
-		if len(regs) < d.opts.HWWatchRegs {
+		if len(regs) < hwWatchRegs {
 			for q := range quads(w.Addr, w.Addr+uint64(w.Size)) {
 				regs = append(regs, hwReg{quad: q, w: w})
 			}
@@ -165,11 +169,11 @@ func (d *Debugger) installHardwareReg() error {
 			overflow = append(overflow, w)
 		}
 	}
-	if len(regs) > d.opts.HWWatchRegs {
+	if len(regs) > hwWatchRegs {
 		// A scalar straddling quads consumed extra registers; spill the
 		// excess watchpoints to virtual memory.
-		spill := regs[d.opts.HWWatchRegs:]
-		regs = regs[:d.opts.HWWatchRegs]
+		spill := regs[hwWatchRegs:]
+		regs = regs[:hwWatchRegs]
 		seen := map[*Watchpoint]bool{}
 		for _, r := range regs {
 			seen[r.w] = true

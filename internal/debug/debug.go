@@ -131,7 +131,6 @@ type Options struct {
 	CondSupport bool // conditional trap/call available (Figure 7 top vs bottom)
 	Protect     bool // §4 protection of embedded debugger data (Figure 9)
 	StackGating bool // pattern-specificity optimization: skip sp-based stores
-	HWWatchRegs int  // hardware watchpoint register count (default 4)
 	BloomBytes  int  // Bloom filter array size (default 2KB)
 
 	// BreakWithCodewords selects §4.1's first breakpoint scheme for
@@ -150,7 +149,6 @@ func DefaultOptions(b Backend) Options {
 		Variant:        VariantMatchAddrEval,
 		Multi:          StrategySerial,
 		CondSupport:    true,
-		HWWatchRegs:    4,
 		BloomBytes:     2048,
 	}
 }
@@ -312,9 +310,6 @@ type Debugger struct {
 func New(m *machine.Machine, opts Options) *Debugger {
 	if opts.TransitionCost == 0 {
 		opts.TransitionCost = DefaultTransitionCost
-	}
-	if opts.HWWatchRegs == 0 {
-		opts.HWWatchRegs = 4
 	}
 	if opts.BloomBytes == 0 {
 		opts.BloomBytes = 2048

@@ -228,19 +228,26 @@ func (d *Debugger) emitCond(b *asm.Builder, st *diseState, w *Watchpoint, rVal, 
 		return
 	}
 	b.Mem(isa.OpLdq, rTmp, int64(st.condSlot[w]), isa.R20)
-	switch w.Cond.Op {
+	skipUnlessCond(b, w.Cond.Op, rVal, rTmp, "done")
+}
+
+// skipUnlessCond emits the predicate test of generated code: compare rVal
+// against the constant in rK, consuming rK, and branch to skip when
+// rVal op constant fails.
+func skipUnlessCond(b *asm.Builder, op CondOp, rVal, rK isa.Reg, skip string) {
+	switch op {
 	case CondEq:
-		b.Op3(isa.OpCmpeq, rVal, rTmp, rTmp)
-		b.CondBr(isa.OpBeq, rTmp, "done")
+		b.Op3(isa.OpCmpeq, rVal, rK, rK)
+		b.CondBr(isa.OpBeq, rK, skip)
 	case CondNe:
-		b.Op3(isa.OpCmpeq, rVal, rTmp, rTmp)
-		b.CondBr(isa.OpBne, rTmp, "done")
+		b.Op3(isa.OpCmpeq, rVal, rK, rK)
+		b.CondBr(isa.OpBne, rK, skip)
 	case CondLt:
-		b.Op3(isa.OpCmplt, rVal, rTmp, rTmp)
-		b.CondBr(isa.OpBeq, rTmp, "done")
+		b.Op3(isa.OpCmplt, rVal, rK, rK)
+		b.CondBr(isa.OpBeq, rK, skip)
 	case CondGt:
-		b.Op3(isa.OpCmplt, rTmp, rVal, rTmp)
-		b.CondBr(isa.OpBeq, rTmp, "done")
+		b.Op3(isa.OpCmplt, rK, rVal, rK)
+		b.CondBr(isa.OpBeq, rK, skip)
 	}
 }
 

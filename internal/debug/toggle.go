@@ -22,10 +22,8 @@ func (d *Debugger) Disable() error {
 	if err := d.requireDise("Disable"); err != nil {
 		return err
 	}
-	for _, p := range d.dise.prods {
-		if isWatchProduction(p) {
-			d.m.Engine.Remove(p)
-		}
+	for _, p := range d.dise.watch {
+		d.m.Engine.Remove(p)
 	}
 	return nil
 }
@@ -35,10 +33,7 @@ func (d *Debugger) Enable() error {
 	if err := d.requireDise("Enable"); err != nil {
 		return err
 	}
-	for _, p := range d.dise.prods {
-		if !isWatchProduction(p) {
-			continue
-		}
+	for _, p := range d.dise.watch {
 		if installed(d.m.Engine, p) {
 			continue
 		}
@@ -54,10 +49,6 @@ func (d *Debugger) requireDise(op string) error {
 		return fmt.Errorf("debug: %s requires an installed DISE backend", op)
 	}
 	return nil
-}
-
-func isWatchProduction(p *dise.Production) bool {
-	return p.Name == "watch-stores" || p.Name == "watch-stores-quad" || p.Name == "skip-stack-stores"
 }
 
 func installed(e *dise.Engine, p *dise.Production) bool {
@@ -113,18 +104,16 @@ func (d *Debugger) installScopeHooks(st *diseState) error {
 		return err
 	}
 	// Start with watching off until the scope is entered.
-	for _, p := range st.prods {
-		if isWatchProduction(p) {
-			d.m.Engine.Remove(p)
-		}
+	for _, p := range st.watch {
+		d.m.Engine.Remove(p)
 	}
 	prev := d.m.Core.Hooks.OnTrap
 	d.m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 {
 		switch ev.PC {
 		case d.scopeEntry:
 			if ev.InDise {
-				for _, p := range st.prods {
-					if isWatchProduction(p) && !installed(d.m.Engine, p) {
+				for _, p := range st.watch {
+					if !installed(d.m.Engine, p) {
 						// Table capacity was reserved at Install time.
 						if err := d.m.Engine.Install(p); err != nil {
 							panic(err)
@@ -135,10 +124,8 @@ func (d *Debugger) installScopeHooks(st *diseState) error {
 			}
 		case d.scopeExit:
 			if ev.InDise {
-				for _, p := range st.prods {
-					if isWatchProduction(p) {
-						d.m.Engine.Remove(p)
-					}
+				for _, p := range st.watch {
+					d.m.Engine.Remove(p)
 				}
 				return 0
 			}

@@ -30,7 +30,6 @@ type Config struct {
 	PatternEntries   int
 	ReplacementInsts int // total replacement-table capacity in instructions
 	ReplMissPenalty  int // cycles to refill one production's sequence
-	ExpandPerCycle   int // replacement instructions deliverable per cycle
 }
 
 // DefaultConfig matches the paper.
@@ -39,7 +38,6 @@ func DefaultConfig() Config {
 		PatternEntries:   32,
 		ReplacementInsts: 512,
 		ReplMissPenalty:  24,
-		ExpandPerCycle:   4,
 	}
 }
 

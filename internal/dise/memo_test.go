@@ -84,7 +84,7 @@ func randProduction(r *rand.Rand, name string) *Production {
 // (residency included) must be identical, and no expansion handed out
 // earlier may have changed under a later refill.
 func TestMemoMatchesExpand(t *testing.T) {
-	cfg := Config{PatternEntries: 6, ReplacementInsts: 8, ReplMissPenalty: 24, ExpandPerCycle: 4}
+	cfg := Config{PatternEntries: 6, ReplacementInsts: 8, ReplMissPenalty: 24}
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		memoed, ref := NewEngine(cfg), NewEngine(cfg)

@@ -21,13 +21,6 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			c.Inc()
 		}
 	})
-	b.Run("gauge", func(b *testing.B) {
-		var g Gauge
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.Add(1)
-		}
-	})
 	b.Run("histogram", func(b *testing.B) {
 		var h Histogram
 		b.ReportAllocs()

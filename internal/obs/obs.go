@@ -1,15 +1,16 @@
 // Package obs is the observability core: allocation-free atomic
-// counters, gauges, and log₂-bucketed histograms behind a named
-// registry, plus a bounded per-entity trace ring (trace.go).
+// counters and log₂-bucketed histograms behind a named registry, gauges
+// sampled at scrape time, plus a bounded per-entity trace ring
+// (trace.go).
 //
 // The design constraint comes straight from the paper: instrumentation
 // must be measurably near-free on the hot path. Every mutating
-// operation — Counter.Inc, Gauge.Set, Histogram.Observe,
-// TraceRing.Append — is lock-free (or per-entity-locked by the caller),
-// touches only fixed preallocated storage, and performs zero heap
-// allocations; BenchmarkMetricsOverhead and TestAllocFree hold the
-// package to that. All the string formatting, sorting, and map walking
-// happens at scrape time, on the scraper's goroutine.
+// operation — Counter.Inc, Histogram.Observe, TraceRing.Append — is
+// lock-free (or per-entity-locked by the caller), touches only fixed
+// preallocated storage, and performs zero heap allocations;
+// BenchmarkMetricsOverhead and TestAllocFree hold the package to that.
+// All the string formatting, sorting, and map walking happens at scrape
+// time, on the scraper's goroutine.
 //
 // A Registry exposes its metrics two ways: WritePrometheus emits the
 // Prometheus text exposition format (the /metrics HTTP handler —
@@ -45,18 +46,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value that may go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // HistBuckets is the fixed bucket count of every Histogram: bucket i
 // holds observations v with bits.Len64(v) == i, i.e. v in
@@ -122,28 +111,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Count returns how many values were observed.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Merge adds other's observations into h (aggregating per-worker or
-// per-shard histograms into a fleet view). other is read atomically
-// bucket by bucket; h keeps accepting concurrent Observes.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range other.buckets {
-		if n := other.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-}
-
 // Kind classifies a registry entry for the TYPE exposition line.
 type Kind int
 
@@ -167,7 +134,6 @@ type entry struct {
 	kind   Kind
 
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() int64
@@ -218,13 +184,6 @@ func (r *Registry) Counter(family, labels, help string) *Counter {
 	c := &Counter{}
 	r.register(&entry{family: family, labels: labels, help: help, kind: KindCounter, counter: c})
 	return c
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(family, labels, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&entry{family: family, labels: labels, help: help, kind: KindGauge, gauge: g})
-	return g
 }
 
 // Histogram registers and returns a histogram.
@@ -283,8 +242,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			writeSample(&b, e.family, e.labels, float64(e.counter.Load()))
 		case e.counterFn != nil:
 			writeSample(&b, e.family, e.labels, float64(e.counterFn()))
-		case e.gauge != nil:
-			writeSample(&b, e.family, e.labels, float64(e.gauge.Load()))
 		case e.gaugeFn != nil:
 			writeSample(&b, e.family, e.labels, float64(e.gaugeFn()))
 		case e.multiFn != nil:
@@ -365,8 +322,6 @@ func (r *Registry) SnapshotJSON() map[string]any {
 			out[key(e.family, e.labels)] = e.counter.Load()
 		case e.counterFn != nil:
 			out[key(e.family, e.labels)] = e.counterFn()
-		case e.gauge != nil:
-			out[key(e.family, e.labels)] = e.gauge.Load()
 		case e.gaugeFn != nil:
 			out[key(e.family, e.labels)] = e.gaugeFn()
 		case e.multiFn != nil:

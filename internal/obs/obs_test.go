@@ -63,44 +63,13 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge verifies Merge adds counts, sums, and every bucket.
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := uint64(0); i < 100; i++ {
-		a.Observe(i)
-		b.Observe(i * 1000)
-	}
-	wantCount := a.Count() + b.Count()
-	wantSum := a.Sum() + b.Sum()
-	var wantBuckets [HistBuckets]uint64
-	as, bs := a.Snapshot(), b.Snapshot()
-	for i := range wantBuckets {
-		wantBuckets[i] = as.Buckets[i] + bs.Buckets[i]
-	}
-	a.Merge(&b)
-	got := a.Snapshot()
-	if got.Count != wantCount || got.Sum != wantSum {
-		t.Fatalf("merged count/sum %d/%d, want %d/%d", got.Count, got.Sum, wantCount, wantSum)
-	}
-	for i := range wantBuckets {
-		if got.Buckets[i] != wantBuckets[i] {
-			t.Errorf("merged bucket %d: got %d, want %d", i, got.Buckets[i], wantBuckets[i])
-		}
-	}
-	a.Merge(nil) // nil merge is a no-op
-	if a.Count() != wantCount {
-		t.Errorf("nil merge changed count")
-	}
-}
-
-// TestConcurrentHammer hammers a counter, a gauge, and a histogram from
-// many goroutines (run under -race in CI) and checks the exact totals.
+// TestConcurrentHammer hammers a counter and a histogram from many
+// goroutines (run under -race in CI) and checks the exact totals.
 func TestConcurrentHammer(t *testing.T) {
 	const goroutines = 16
 	const perG = 10_000
 	var (
 		c  Counter
-		g  Gauge
 		h  Histogram
 		wg sync.WaitGroup
 	)
@@ -111,8 +80,6 @@ func TestConcurrentHammer(t *testing.T) {
 			for j := 0; j < perG; j++ {
 				c.Inc()
 				c.Add(2)
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(uint64(id*perG + j))
 			}
 		}(i)
@@ -123,7 +90,6 @@ func TestConcurrentHammer(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
 			_ = c.Load()
-			_ = g.Load()
 			_ = h.Snapshot()
 		}
 	}()
@@ -131,9 +97,6 @@ func TestConcurrentHammer(t *testing.T) {
 	<-done
 	if got, want := c.Load(), uint64(goroutines*perG*3); got != want {
 		t.Errorf("counter %d, want %d", got, want)
-	}
-	if got := g.Load(); got != 0 {
-		t.Errorf("gauge %d, want 0", got)
 	}
 	s := h.Snapshot()
 	if got, want := s.Count, uint64(goroutines*perG); got != want {
@@ -178,7 +141,6 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", `op="get"`, "operations")
 	c2 := r.Counter("test_ops_total", `op="put"`, "operations")
-	g := r.Gauge("test_depth", "", "queue depth")
 	h := r.Histogram("test_latency_ns", "", "latency")
 	r.CounterFunc("test_fn_total", "", "sampled", func() uint64 { return 7 })
 	r.GaugeFunc("test_fn_gauge", "", "sampled", func() int64 { return -3 })
@@ -188,7 +150,6 @@ func TestPrometheusExposition(t *testing.T) {
 
 	c.Add(5)
 	c2.Inc()
-	g.Set(42)
 	h.Observe(0)
 	h.Observe(3)    // bucket 2
 	h.Observe(1000) // bucket 10
@@ -201,7 +162,7 @@ func TestPrometheusExposition(t *testing.T) {
 	text := b.String()
 	for _, want := range []string{
 		"# TYPE test_ops_total counter",
-		"# TYPE test_depth gauge",
+		"# TYPE test_fn_gauge gauge",
 		"# TYPE test_latency_ns histogram",
 		"# HELP test_ops_total operations",
 	} {
@@ -216,7 +177,6 @@ func TestPrometheusExposition(t *testing.T) {
 	expect := map[string]float64{
 		`test_ops_total{op="get"}`:          5,
 		`test_ops_total{op="put"}`:          1,
-		"test_depth":                        42,
 		"test_fn_total":                     7,
 		"test_fn_gauge":                     -3,
 		`test_by_preset{preset="a"}`:        1,
@@ -260,7 +220,7 @@ func TestRegistryConflicts(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "", "")
 	mustPanic("duplicate", func() { r.Counter("x_total", "", "") })
-	mustPanic("cross-kind", func() { r.Gauge("x_total", "", "") })
+	mustPanic("cross-kind", func() { r.GaugeFunc("x_total", "", "", func() int64 { return 0 }) })
 	r.Counter("x_total", `op="a"`, "") // same family, new labels: fine
 }
 
@@ -310,7 +270,6 @@ func TestTraceRing(t *testing.T) {
 func TestAllocFree(t *testing.T) {
 	var (
 		c Counter
-		g Gauge
 		h Histogram
 	)
 	r := NewTraceRing(64)
@@ -321,8 +280,6 @@ func TestAllocFree(t *testing.T) {
 	}{
 		{"Counter.Inc", func() { c.Inc() }},
 		{"Counter.Add", func() { c.Add(3) }},
-		{"Gauge.Set", func() { g.Set(7) }},
-		{"Gauge.Add", func() { g.Add(-1) }},
 		{"Histogram.Observe", func() { h.Observe(123456) }},
 		{"TraceRing.Append", func() { r.Append(ev) }},
 	}

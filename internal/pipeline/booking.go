@@ -40,9 +40,6 @@ func (k *cursor) book(earliest uint64) uint64 {
 	return earliest
 }
 
-// reset returns the cursor to its post-newCursor state.
-func (k *cursor) reset() { k.cycle, k.count = 0, 0 }
-
 // bookingSlots is the ring size a port table starts at (and returns to on
 // reset). It holds the live windows of the paper's kernels, which stay
 // near 600 cycles on every preset; longer windows grow the ring instead

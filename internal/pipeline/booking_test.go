@@ -327,7 +327,7 @@ func TestBookingMonotoneMatchesReference(t *testing.T) {
 			}
 			last = got
 		}
-		if got, want := monoState(&k, nil, 0), monoState(nil, lin, last); got != want {
+		if got, want := k, refCursor(lin, last); got != want {
 			t.Fatalf("limit=%d cursor %+v, linear ring's newest slot %+v", limit, got, want)
 		}
 	}

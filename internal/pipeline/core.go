@@ -13,6 +13,14 @@ import (
 // Core is the simulated processor: architectural state plus the timing
 // model. Construct one with New, load a program through LoadProgram (in
 // internal/machine), and drive it with Run.
+//
+// Its state comes in three kinds. The plain values are run, which New
+// and Reset set from initialRun and Snapshot and Restore copy whole. The
+// state that owns memory (port tables, occupancy rings, store-queue
+// entries, page protections, the predecoder, the LinearTiming reference
+// tables) has its own reset, snapshot and restore code. So does the
+// in-flight expansion: exp points at the core's own expBuf, so it never
+// rides in a copied value.
 type Core struct {
 	cfg    Config
 	Mem    *mem.Memory
@@ -22,36 +30,19 @@ type Core struct {
 	Engine *dise.Engine
 	Hooks  Hooks
 
-	// Architectural application register file.
-	Regs [isa.NumRegs]uint64
-
-	// --- front-end / functional state ---
-	pc  uint64
-	dpc int // 0: fetch raw instruction at pc; >=1: replay expansion
 	// exp points at expBuf while a replacement sequence is in flight and
 	// is nil otherwise. The buffer lives in Core so that taking its
 	// address does not heap-allocate an Expansion on every step; its
 	// Uops alias the trigger slot's memo, which is never written after
 	// it is filled. At most one expansion is in flight per core, so
 	// reusing one buffer is safe.
-	exp        *dise.Expansion
-	expBuf     dise.Expansion
-	inDiseFunc bool
-	halted     bool
-	stopReq    bool
+	exp    *dise.Expansion
+	expBuf dise.Expansion
 
-	// --- timing state ---
-	fetchCursor uint64 // earliest cycle the next fetch may happen
-
-	// Fetch, dispatch, and commit requests are non-decreasing by
-	// construction (each is clamped by the previous result, kept in
-	// lastFetch/lastDispatch/lastCommit), so default cores book them on
-	// cursors. LinearTiming cores book them on plain rings instead
-	// (fetchRef, dispatchRef, commitRef, nil otherwise): the reference
-	// the cursors are checked against.
-	fetchBook, dispatchBook, commitBook cursor
-	fetchRef, dispatchRef, commitRef    *booking
-	lastFetch, lastDispatch, lastCommit uint64
+	// LinearTiming cores book fetch, dispatch, and commit on plain rings
+	// (nil otherwise): the reference the run's cursors are checked
+	// against.
+	fetchRef, dispatchRef, commitRef *booking
 
 	aluBook  *booking
 	mulBook  *booking
@@ -67,25 +58,9 @@ type Core struct {
 	// as a full scan.
 	linear bool
 
-	appReady  [isa.NumRegs]uint64
-	diseReady [isa.NumDiseRegs]uint64
-
-	// Store-queue lifetime model: entries are live from push until their
-	// commit cycle, when the store drains to the D-cache. Liveness is a
-	// generation tag (storeQGen) so the whole queue bulk-retires in O(1);
-	// the occupancy counter and conservative [storeQLo, storeQHi) address
-	// bounds let searchStoreQ answer the common cases — queue empty, or
-	// load disjoint from every in-flight store — without scanning.
-	storeQ          []storeRec
-	storeQHead      int
-	storeQGen       uint64 // current liveness generation
-	storeQLive      int    // entries carrying the current generation
-	storeQLo        uint64 // min addr over live entries (conservative)
-	storeQHi        uint64 // max addr+size over live entries (conservative)
-	storeQMaxCommit uint64 // latest commit cycle among live entries
-
-	lastFetchLine uint64 // line-granular I$ probing
-	mtCursor      uint64 // fetch cursor of the DISE-function thread context
+	// storeQ holds the in-flight stores; run keeps the queue's head,
+	// liveness generation, occupancy and bounds.
+	storeQ []storeRec
 
 	// Per-side L1 hit latencies, captured at construction: the fetch and
 	// load hot paths subtract/charge these every instruction, and reading
@@ -98,7 +73,69 @@ type Core struct {
 	// it invalidates through the memory write hook.
 	pred *predecoder
 
+	run
+}
+
+// run is the core's plain-value state: everything a core carries from
+// one step to the next that owns no memory. A State embeds it, so a field
+// added here is reset, captured and restored with no further code; one
+// that is encoded also needs its line in State.AppendBinary.
+type run struct {
+	// --- front-end / functional state ---
+	pc         uint64
+	dpc        int // 0: fetch raw instruction at pc; >=1: replay expansion
+	inDiseFunc bool
+	halted     bool
+	stopReq    bool
+
+	// --- timing state ---
+	fetchCursor uint64 // earliest cycle the next fetch may happen
+
+	// Fetch, dispatch, and commit requests are non-decreasing by
+	// construction (each is clamped by the previous result, kept in
+	// lastFetch/lastDispatch/lastCommit), so default cores book them on
+	// cursors (LinearTiming cores on Core's reference rings instead).
+	fetchBook, dispatchBook, commitBook cursor
+	lastFetch, lastDispatch, lastCommit uint64
+
+	// Store-queue lifetime model: entries are live from push until their
+	// commit cycle, when the store drains to the D-cache. Liveness is a
+	// generation tag (storeQGen) so the whole queue bulk-retires in O(1);
+	// the occupancy counter and conservative [storeQLo, storeQHi) address
+	// bounds let searchStoreQ answer the common cases — queue empty, or
+	// load disjoint from every in-flight store — without scanning.
+	storeQHead      int
+	storeQGen       uint64 // current liveness generation
+	storeQLive      int    // entries carrying the current generation
+	storeQLo        uint64 // min addr over live entries (conservative)
+	storeQHi        uint64 // max addr+size over live entries (conservative)
+	storeQMaxCommit uint64 // latest commit cycle among live entries
+
+	lastFetchLine uint64 // line-granular I$ probing
+	mtCursor      uint64 // fetch cursor of the DISE-function thread context
+
 	stats Stats
+
+	// Architectural application register file.
+	Regs [isa.NumRegs]uint64
+
+	appReady  [isa.NumRegs]uint64
+	diseReady [isa.NumDiseRegs]uint64
+}
+
+// initialRun is a new core's run state: fetch may start at cycle 1, the
+// store queue's bounds are empty and its first generation is 1, and no
+// I-cache line has been probed.
+func initialRun(cfg Config) run {
+	return run{
+		fetchCursor:   1,
+		fetchBook:     newCursor(cfg.Width),
+		dispatchBook:  newCursor(cfg.Width),
+		commitBook:    newCursor(cfg.Width),
+		storeQGen:     1,
+		storeQLo:      ^uint64(0),
+		lastFetchLine: ^uint64(0),
+	}
 }
 
 // storeRec is one in-flight store. It is live while gen matches the
@@ -123,38 +160,32 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, bp *bpred.Predictor, 
 	if sqSize < 1 {
 		sqSize = 1
 	}
+	hcfg := hier.Config()
 	c := &Core{
-		cfg:          cfg,
-		Mem:          m,
-		Prot:         mem.NewProtection(),
-		Hier:         hier,
-		BP:           bp,
-		Engine:       eng,
-		linear:       cfg.LinearTiming,
-		fetchBook:    newCursor(cfg.Width),
-		dispatchBook: newCursor(cfg.Width),
-		commitBook:   newCursor(cfg.Width),
-		aluBook:      newBooking(cfg.IntALUs),
-		mulBook:      newBooking(cfg.IntMuls),
-		loadBook:     newBooking(cfg.LoadPorts),
-		robRing:      newRing(cfg.ROBSize),
-		rsRing:       newRing(cfg.RSSize),
-		lsqRing:      newRing(cfg.LSQSize),
-		storeQ:       make([]storeRec, sqSize),
+		cfg:       cfg,
+		Mem:       m,
+		Prot:      mem.NewProtection(),
+		Hier:      hier,
+		BP:        bp,
+		Engine:    eng,
+		linear:    cfg.LinearTiming,
+		aluBook:   newBooking(cfg.IntALUs),
+		mulBook:   newBooking(cfg.IntMuls),
+		loadBook:  newBooking(cfg.LoadPorts),
+		robRing:   newRing(cfg.ROBSize),
+		rsRing:    newRing(cfg.RSSize),
+		lsqRing:   newRing(cfg.LSQSize),
+		storeQ:    make([]storeRec, sqSize),
+		l1iHitLat: uint64(hcfg.L1I.HitLatency),
+		l1dHitLat: uint64(hcfg.L1D.HitLatency),
+		pred:      newPredecoder(m, predecodePages),
 	}
+	c.run = initialRun(cfg)
 	if c.linear {
 		c.fetchRef = newBooking(cfg.Width)
 		c.dispatchRef = newBooking(cfg.Width)
 		c.commitRef = newBooking(cfg.Width)
 	}
-	c.fetchCursor = 1
-	c.storeQGen = 1
-	c.storeQLo, c.storeQHi = ^uint64(0), 0
-	c.lastFetchLine = ^uint64(0)
-	hcfg := hier.Config()
-	c.l1iHitLat = uint64(hcfg.L1I.HitLatency)
-	c.l1dHitLat = uint64(hcfg.L1D.HitLatency)
-	c.pred = newPredecoder(m, predecodePages)
 	m.AddWriteHook(c.pred.invalidate)
 	return c
 }
@@ -180,50 +211,30 @@ func (c *Core) Stats() Stats {
 }
 
 // Reset returns the core to its post-New state so a pooled machine can be
-// recycled: debugger hooks and page protections are detached, the
-// architectural register file, front-end cursors, timing books and rings,
-// the store queue, the predecoded-text cache, and all statistics return
-// to their freshly-constructed values. The configuration and the attached
+// recycled: the run state starts over from initialRun, debugger hooks and
+// page protections are detached, and the in-flight expansion, timing
+// tables and rings, store queue, and predecoded-text cache return to
+// their freshly-constructed values. The configuration and the attached
 // memory-system objects are kept; callers reset those separately
 // (machine.Machine.Reset resets the whole composition).
 func (c *Core) Reset() {
+	c.run = initialRun(c.cfg)
 	c.Hooks = Hooks{}
 	c.Prot.Clear()
-	c.Regs = [isa.NumRegs]uint64{}
-	c.pc, c.dpc = 0, 0
-	c.exp = nil
-	c.expBuf = dise.Expansion{}
-	c.inDiseFunc = false
-	c.halted = false
-	c.stopReq = false
-	c.fetchCursor = 1
-	c.fetchBook.reset()
-	c.dispatchBook.reset()
-	c.commitBook.reset()
+	c.exp, c.expBuf = nil, dise.Expansion{}
 	if c.linear {
 		c.fetchRef.reset()
 		c.dispatchRef.reset()
 		c.commitRef.reset()
 	}
-	c.lastFetch, c.lastDispatch, c.lastCommit = 0, 0, 0
 	c.aluBook.reset()
 	c.mulBook.reset()
 	c.loadBook.reset()
 	c.robRing.reset()
 	c.rsRing.reset()
 	c.lsqRing.reset()
-	c.appReady = [isa.NumRegs]uint64{}
-	c.diseReady = [isa.NumDiseRegs]uint64{}
 	clear(c.storeQ)
-	c.storeQHead = 0
-	c.storeQGen = 1
-	c.storeQLive = 0
-	c.storeQLo, c.storeQHi = ^uint64(0), 0
-	c.storeQMaxCommit = 0
-	c.lastFetchLine = ^uint64(0)
-	c.mtCursor = 0
 	c.pred.reset()
-	c.stats = Stats{}
 }
 
 // SetPC sets the fetch PC (used by loaders).
@@ -926,23 +937,23 @@ func (c *Core) searchStoreQRef(addr uint64, size int, now uint64) (forward bool,
 }
 
 func (c *Core) pushStoreQ(addr uint64, size int, dataDone, commit uint64) {
-	s := &c.storeQ[c.storeQHead]
-	if s.gen != c.storeQGen {
-		c.storeQLive++
+	// r names the run state once: every c.storeQ* below would otherwise
+	// select through the embedded field, and the extra selectors would
+	// price this function out of inlining into time.
+	r := &c.run
+	s := &c.storeQ[r.storeQHead]
+	if s.gen != r.storeQGen {
+		r.storeQLive++
 	}
-	*s = storeRec{addr: addr, size: size, dataDone: dataDone, commit: commit, gen: c.storeQGen}
-	if c.storeQHead++; c.storeQHead == len(c.storeQ) {
-		c.storeQHead = 0
+	*s = storeRec{addr: addr, size: size, dataDone: dataDone, commit: commit, gen: r.storeQGen}
+	if r.storeQHead++; r.storeQHead == len(c.storeQ) {
+		r.storeQHead = 0
 	}
 	// Commit cycles are booked in order (commitBook requests are clamped
 	// by lastCommit), so the newest store's commit IS the drain edge — no
 	// comparison against the previous edge needed, including right after
 	// a bulk retire zeroed it.
-	c.storeQMaxCommit = commit
-	if addr < c.storeQLo {
-		c.storeQLo = addr
-	}
-	if e := addr + uint64(size); e > c.storeQHi {
-		c.storeQHi = e
-	}
+	r.storeQMaxCommit = commit
+	r.storeQLo = min(r.storeQLo, addr)
+	r.storeQHi = max(r.storeQHi, addr+uint64(size))
 }

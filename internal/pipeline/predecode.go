@@ -90,14 +90,9 @@ type predecoder struct {
 const noWindow = uint64(1)<<63 | 2
 
 func newPredecoder(m *mem.Memory, maxPages int) *predecoder {
-	return &predecoder{
-		m:        m,
-		pages:    make(map[uint64]*decodedPage),
-		maxPages: maxPages,
-		loPN:     1,
-		hiPN:     0,
-		winBase:  noWindow,
-	}
+	d := &predecoder{m: m, maxPages: maxPages}
+	d.reset()
+	return d
 }
 
 // fetch returns the decoded micro-op at pc and the page serving it (nil
@@ -196,9 +191,10 @@ func (d *predecoder) evictLRU() {
 }
 
 // reset drops every decoded page and rezeroes the clocks, bounds, and
-// counters, returning the predecoder to its post-newPredecoder state. The
-// memory write hook registered at construction keeps pointing here, so a
-// recycled core's text cache invalidates exactly like a fresh one's.
+// counters, returning the predecoder to its post-newPredecoder state
+// (newPredecoder ends by calling it). The memory write hook registered at
+// construction keeps pointing here, so a recycled core's text cache
+// invalidates exactly like a fresh one's.
 func (d *predecoder) reset() {
 	d.pages = make(map[uint64]*decodedPage)
 	d.clock = 0

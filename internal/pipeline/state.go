@@ -1,9 +1,13 @@
-// Snapshot/Restore for the pipeline core. The captured surface is exactly
-// the one Core.Reset enumerates — architectural registers, page
-// protections, front-end cursors and the in-flight expansion, timing
-// tables and rings, the store queue, the predecoded-text cache, and
-// statistics — so Snapshot-then-Restore composes with the pool-recycle
-// contract: a restored core continues bit-identically to the original.
+// Snapshot/Restore for the pipeline core. A State holds the core's run
+// state (the embedded run: registers, front-end cursors and flags, the
+// fetch, dispatch, and commit cursors, register ready times, the store
+// queue's head, generation, occupancy, bounds and drain edge, and
+// statistics) as one copied value, beside copies of the state that owns
+// memory (page protections, port tables, occupancy rings, store-queue
+// entries, the predecoded-text cache) and the in-flight expansion. That
+// is exactly what Core.Reset returns to its initial value, so
+// Snapshot-then-Restore composes with the pool-recycle contract: a
+// restored core continues bit-identically to the original.
 //
 // The timing tables serialize what can still affect a future decision:
 //
@@ -14,76 +18,56 @@
 //     only that slot, so both timing modes encode these tables alike;
 //   - a port table is its ring at its current length, stale entries
 //     included. Restore resizes the ring to the snapshot's length;
-//   - a ROB/RS/LSQ ring is copied raw, with the ring's single write
-//     index mapped to the head/tail pair the encoding has always carried
-//     (ring.snapshot);
-//   - the store queue's drain edge (storeQMaxCommit) is part of the
-//     captured surface, and predState carries the predecoder's fetch
-//     window as its page number.
+//   - a ROB/RS/LSQ ring is copied raw. Its encoding maps the ring's
+//     single write index to the head/tail pair the encoding has always
+//     carried (appendRing);
+//   - predState carries the predecoder's fetch window as its page
+//     number.
 //
 // The predecoder is captured as metadata only (which pages, LRU stamps);
 // Restore re-decodes the micro-ops from the restored memory — resolution
 // is a pure function of the instruction word, and the invalidation hook
 // guarantees the restored bytes are what was cached — so the rebuilt uop
 // cache is bit-identical to the donor's. The in-flight expansion likewise
-// serializes only the instructions; derived uop fields re-resolve on
-// restore.
+// serializes only its instructions, of which the derived uop fields are a
+// pure function; Restore shares the snapshot's uops, which are never
+// written after their memo is filled.
 package pipeline
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/dise"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// cursorState is a cursor's serialized form, and a LinearTiming core's
-// reference ring reduced to the same pair.
-type cursorState struct {
-	cycle uint64
-	count uint16
-}
-
-// monoState snapshots a fetch, dispatch, or commit table: the cursor, or
-// on a LinearTiming core its reference ring read as one — last, the
-// newest booked cycle, and that cycle's count.
-func monoState(k *cursor, ref *booking, last uint64) cursorState {
-	if ref == nil {
-		return cursorState{cycle: k.cycle, count: k.count}
-	}
-	st := cursorState{cycle: last}
+// refCursor reads a LinearTiming core's fetch, dispatch, or commit
+// reference ring as the cursor it stands in for: last, the newest booked
+// cycle, and that cycle's count.
+func refCursor(ref *booking, last uint64) cursor {
+	k := cursor{cycle: last, limit: ref.limit}
 	if i := last & uint64(len(ref.cycle)-1); ref.cycle[i] == last {
-		st.count = ref.count[i]
+		k.count = ref.count[i]
 	}
-	return st
+	return k
 }
 
-// restoreMono restores a fetch, dispatch, or commit table. A LinearTiming
-// core's reference ring gets back only the cursor's slot: every other
-// slot holds a cycle below any future request, which no probe can match.
-func restoreMono(k *cursor, ref *booking, st cursorState) {
-	k.cycle, k.count = st.cycle, st.count
-	if ref != nil {
-		ref.reset()
-		i := st.cycle & uint64(len(ref.cycle)-1)
-		ref.cycle[i], ref.count[i] = st.cycle, st.count
-	}
+// restoreCursor gives a LinearTiming core's reference ring back only the
+// cursor's slot: every other slot holds a cycle below any future request,
+// which no probe can match.
+func (b *booking) restoreCursor(k cursor) {
+	b.reset()
+	i := k.cycle & uint64(len(b.cycle)-1)
+	b.cycle[i], b.count[i] = k.cycle, k.count
 }
 
-type bookingState struct {
-	cycle []uint64
-	count []uint16
+func (b *booking) snapshot() booking {
+	return booking{cycle: slices.Clone(b.cycle), count: slices.Clone(b.count), limit: b.limit}
 }
 
-func (b *booking) snapshot() bookingState {
-	return bookingState{
-		cycle: append([]uint64(nil), b.cycle...),
-		count: append([]uint16(nil), b.count...),
-	}
-}
-
-func (b *booking) restore(st *bookingState) {
+func (b *booking) restore(st *booking) {
 	if len(st.cycle) != len(b.cycle) {
 		b.cycle = make([]uint64, len(st.cycle))
 		b.count = make([]uint16, len(st.count))
@@ -92,41 +76,16 @@ func (b *booking) restore(st *bookingState) {
 	copy(b.count, st.count)
 }
 
-type ringState struct {
-	buf           []uint64
-	head, tail, n int
+func (r *ring) snapshot() ring {
+	return ring{buf: slices.Clone(r.buf), pos: r.pos, n: r.n}
 }
 
-func (r *ring) snapshot() ringState {
-	// The single write index maps onto the serialized head/tail pair the
-	// encoding has always carried: while filling the head is pinned at 0
-	// and the tail is the write index; once full the tail freezes at 0
-	// (it wrapped exactly when the ring filled) and the head is the write
-	// index (the oldest entry, recycled in place).
-	st := ringState{
-		buf: append([]uint64(nil), r.buf...),
-		n:   r.n,
-	}
-	if r.n == len(r.buf) {
-		st.head = r.pos
-	} else {
-		st.tail = r.pos
-	}
-	return st
-}
-
-func (r *ring) restore(st *ringState) {
+func (r *ring) restore(st *ring) {
 	if len(st.buf) != len(r.buf) {
 		panic("pipeline: ring restore geometry mismatch")
 	}
 	copy(r.buf, st.buf)
-	r.n = st.n
-	// Reconstruct the write index from the head/tail pair (see snapshot).
-	if r.n == len(r.buf) {
-		r.pos = st.head
-	} else {
-		r.pos = st.tail
-	}
+	r.pos, r.n = st.pos, st.n
 }
 
 type predPageState struct {
@@ -209,43 +168,20 @@ func (d *predecoder) restore(st *predState) {
 // hooks; restore those separately (machine.State composes the whole
 // simulated machine, debug.Checkpoint carries the debugger).
 type State struct {
-	regs      [isa.NumRegs]uint64
+	run
+
 	protPages []uint64
 
-	pc  uint64
-	dpc int
+	// exp is a copy of the in-flight expansion, nil when none was in
+	// flight. Its uops are shared: they are never written after their
+	// memo is filled.
+	exp *dise.Expansion
 
-	expValid        bool
-	expProd         *dise.Production
-	expUops         []isa.Uop
-	expExtraLatency int
-
-	inDiseFunc bool
-	halted     bool
-	stopReq    bool
-
-	fetchCursor                         uint64
-	fetchBook, dispatchBook, commitBook cursorState
-	lastFetch, lastDispatch, lastCommit uint64
-	aluBook, mulBook, loadBook          bookingState
-	robRing, rsRing, lsqRing            ringState
-
-	appReady  [isa.NumRegs]uint64
-	diseReady [isa.NumDiseRegs]uint64
-
-	storeQ             []storeRec
-	storeQHead         int
-	storeQGen          uint64
-	storeQLive         int
-	storeQLo, storeQHi uint64
-	storeQMaxCommit    uint64
-
-	lastFetchLine uint64
-	mtCursor      uint64
+	aluBook, mulBook, loadBook booking
+	robRing, rsRing, lsqRing   ring
+	storeQ                     []storeRec
 
 	pred predState
-
-	stats Stats
 }
 
 // Halted reports whether the core was halted at capture time.
@@ -254,60 +190,35 @@ func (st *State) Halted() bool { return st.halted }
 // ExpansionProd returns the production of the in-flight replacement
 // sequence at capture time, or nil when none was in flight. Encoders use
 // it (via dise.State.IndexOf) to name the production by table index.
-func (st *State) ExpansionProd() *dise.Production { return st.expProd }
+func (st *State) ExpansionProd() *dise.Production {
+	if st.exp == nil {
+		return nil
+	}
+	return st.exp.Prod
+}
 
 // Snapshot captures the core state. It does not modify the core.
 func (c *Core) Snapshot() *State {
 	st := &State{
-		regs:      c.Regs,
+		run:       c.run,
 		protPages: c.Prot.Pages(),
-
-		pc:  c.pc,
-		dpc: c.dpc,
-
-		inDiseFunc: c.inDiseFunc,
-		halted:     c.halted,
-		stopReq:    c.stopReq,
-
-		fetchCursor:  c.fetchCursor,
-		fetchBook:    monoState(&c.fetchBook, c.fetchRef, c.lastFetch),
-		dispatchBook: monoState(&c.dispatchBook, c.dispatchRef, c.lastDispatch),
-		commitBook:   monoState(&c.commitBook, c.commitRef, c.lastCommit),
-		lastFetch:    c.lastFetch,
-		lastDispatch: c.lastDispatch,
-		lastCommit:   c.lastCommit,
-		aluBook:      c.aluBook.snapshot(),
-		mulBook:      c.mulBook.snapshot(),
-		loadBook:     c.loadBook.snapshot(),
-		robRing:      c.robRing.snapshot(),
-		rsRing:       c.rsRing.snapshot(),
-		lsqRing:      c.lsqRing.snapshot(),
-
-		appReady:  c.appReady,
-		diseReady: c.diseReady,
-
-		storeQ:          append([]storeRec(nil), c.storeQ...),
-		storeQHead:      c.storeQHead,
-		storeQGen:       c.storeQGen,
-		storeQLive:      c.storeQLive,
-		storeQLo:        c.storeQLo,
-		storeQHi:        c.storeQHi,
-		storeQMaxCommit: c.storeQMaxCommit,
-
-		lastFetchLine: c.lastFetchLine,
-		mtCursor:      c.mtCursor,
-
-		pred: c.pred.snapshot(),
-
-		stats: c.stats,
+		aluBook:   c.aluBook.snapshot(),
+		mulBook:   c.mulBook.snapshot(),
+		loadBook:  c.loadBook.snapshot(),
+		robRing:   c.robRing.snapshot(),
+		rsRing:    c.rsRing.snapshot(),
+		lsqRing:   c.lsqRing.snapshot(),
+		storeQ:    slices.Clone(c.storeQ),
+		pred:      c.pred.snapshot(),
+	}
+	if c.linear {
+		st.fetchBook = refCursor(c.fetchRef, c.lastFetch)
+		st.dispatchBook = refCursor(c.dispatchRef, c.lastDispatch)
+		st.commitBook = refCursor(c.commitRef, c.lastCommit)
 	}
 	if c.exp != nil {
-		// Expansion uops are never written after their memo is filled,
-		// so the snapshot shares them.
-		st.expValid = true
-		st.expProd = c.exp.Prod
-		st.expUops = c.exp.Uops
-		st.expExtraLatency = c.exp.ExtraLatency
+		exp := *c.exp
+		st.exp = &exp
 	}
 	return st
 }
@@ -318,59 +229,33 @@ func (c *Core) Snapshot() *State {
 // it. Memory must be restored before the core so the predecoded-text
 // cache rebuilds from the right bytes.
 func (c *Core) Restore(st *State) {
-	c.Regs = st.regs
+	c.run = st.run
 	c.Prot.Clear()
 	for _, pn := range st.protPages {
 		c.Prot.ProtectRange(pn*mem.PageSize, mem.PageSize)
 	}
-
-	c.pc, c.dpc = st.pc, st.dpc
-	if st.expValid {
-		c.expBuf = dise.Expansion{
-			Prod:         st.expProd,
-			Uops:         st.expUops,
-			ExtraLatency: st.expExtraLatency,
-		}
+	if st.exp != nil {
+		c.expBuf = *st.exp
 		c.exp = &c.expBuf
 	} else {
-		c.exp = nil
-		c.expBuf = dise.Expansion{}
+		c.exp, c.expBuf = nil, dise.Expansion{}
 	}
-	c.inDiseFunc = st.inDiseFunc
-	c.halted = st.halted
-	c.stopReq = st.stopReq
-
-	c.fetchCursor = st.fetchCursor
-	restoreMono(&c.fetchBook, c.fetchRef, st.fetchBook)
-	restoreMono(&c.dispatchBook, c.dispatchRef, st.dispatchBook)
-	restoreMono(&c.commitBook, c.commitRef, st.commitBook)
-	c.lastFetch, c.lastDispatch, c.lastCommit = st.lastFetch, st.lastDispatch, st.lastCommit
+	if c.linear {
+		c.fetchRef.restoreCursor(st.fetchBook)
+		c.dispatchRef.restoreCursor(st.dispatchBook)
+		c.commitRef.restoreCursor(st.commitBook)
+	}
 	c.aluBook.restore(&st.aluBook)
 	c.mulBook.restore(&st.mulBook)
 	c.loadBook.restore(&st.loadBook)
 	c.robRing.restore(&st.robRing)
 	c.rsRing.restore(&st.rsRing)
 	c.lsqRing.restore(&st.lsqRing)
-
-	c.appReady = st.appReady
-	c.diseReady = st.diseReady
-
 	if len(st.storeQ) != len(c.storeQ) {
 		panic("pipeline: Restore store-queue geometry mismatch")
 	}
 	copy(c.storeQ, st.storeQ)
-	c.storeQHead = st.storeQHead
-	c.storeQGen = st.storeQGen
-	c.storeQLive = st.storeQLive
-	c.storeQLo, c.storeQHi = st.storeQLo, st.storeQHi
-	c.storeQMaxCommit = st.storeQMaxCommit
-
-	c.lastFetchLine = st.lastFetchLine
-	c.mtCursor = st.mtCursor
-
 	c.pred.restore(&st.pred)
-
-	c.stats = st.stats
 }
 
 // AppendBinary appends a deterministic encoding of the snapshot to dst.
@@ -379,7 +264,7 @@ func (c *Core) Restore(st *State) {
 // productions are encoded once, by the engine, and referenced by index
 // here.
 func (st *State) AppendBinary(dst []byte, expProdIdx int) []byte {
-	for _, r := range st.regs {
+	for _, r := range st.Regs {
 		dst = binary.LittleEndian.AppendUint64(dst, r)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.protPages)))
@@ -388,31 +273,36 @@ func (st *State) AppendBinary(dst []byte, expProdIdx int) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, st.pc)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(st.dpc)))
-	dst = appendFlag(dst, st.expValid)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(expProdIdx)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.expUops)))
-	for i := range st.expUops {
-		// Only the instruction is encoded; the derived uop fields are a
-		// pure function of it and re-resolve on restore.
-		dst = appendInst(dst, &st.expUops[i].Inst)
+	var uops []isa.Uop
+	extra := 0
+	if st.exp != nil {
+		uops, extra = st.exp.Uops, st.exp.ExtraLatency
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(st.expExtraLatency)))
+	dst = appendFlag(dst, st.exp != nil)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(expProdIdx)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(uops)))
+	for i := range uops {
+		// Only the instruction is encoded; the derived uop fields are a
+		// pure function of it.
+		dst = appendInst(dst, &uops[i].Inst)
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(extra)))
 	dst = appendFlag(dst, st.inDiseFunc)
 	dst = appendFlag(dst, st.halted)
 	dst = appendFlag(dst, st.stopReq)
 
 	dst = binary.LittleEndian.AppendUint64(dst, st.fetchCursor)
-	for _, k := range []cursorState{st.fetchBook, st.dispatchBook, st.commitBook} {
+	for _, k := range []cursor{st.fetchBook, st.dispatchBook, st.commitBook} {
 		dst = binary.LittleEndian.AppendUint64(dst, k.cycle)
 		dst = binary.LittleEndian.AppendUint16(dst, k.count)
 	}
-	for _, b := range []*bookingState{&st.aluBook, &st.mulBook, &st.loadBook} {
+	for _, b := range []*booking{&st.aluBook, &st.mulBook, &st.loadBook} {
 		dst = appendBooking(dst, b)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, st.lastFetch)
 	dst = binary.LittleEndian.AppendUint64(dst, st.lastDispatch)
 	dst = binary.LittleEndian.AppendUint64(dst, st.lastCommit)
-	for _, r := range []*ringState{&st.robRing, &st.rsRing, &st.lsqRing} {
+	for _, r := range []*ring{&st.robRing, &st.rsRing, &st.lsqRing} {
 		dst = appendRing(dst, r)
 	}
 
@@ -463,7 +353,7 @@ func appendInst(dst []byte, in *isa.Inst) []byte {
 	return appendFlag(dst, in.UseImm)
 }
 
-func appendBooking(dst []byte, b *bookingState) []byte {
+func appendBooking(dst []byte, b *booking) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b.cycle)))
 	for _, c := range b.cycle {
 		dst = binary.LittleEndian.AppendUint64(dst, c)
@@ -474,13 +364,22 @@ func appendBooking(dst []byte, b *bookingState) []byte {
 	return dst
 }
 
-func appendRing(dst []byte, r *ringState) []byte {
+// appendRing encodes a ring with the head/tail pair the encoding has
+// always carried in place of the single write index: while filling the
+// head is pinned at 0 and the tail is the write index; once full the
+// tail is 0 (it wrapped exactly when the ring filled) and the head is
+// the write index (the oldest entry, recycled in place).
+func appendRing(dst []byte, r *ring) []byte {
+	head, tail := 0, r.pos
+	if r.n == len(r.buf) {
+		head, tail = r.pos, 0
+	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(r.buf)))
 	for _, c := range r.buf {
 		dst = binary.LittleEndian.AppendUint64(dst, c)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(r.head)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(r.tail)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(head)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(tail)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(r.n)))
 	return dst
 }

@@ -283,12 +283,12 @@ type Server struct {
 	closed   bool
 	draining bool // Drain in progress: no new admissions, running sessions park
 
-	// The run queue is a FIFO over a head-indexed slice (not a channel)
-	// so load shedding can inspect queued sessions for a pause victim.
-	// Entries below runqHead are cleared; the backing array is compacted
-	// once the dead prefix dominates. A session is queued at most once.
+	// The run queue is a FIFO over a plain slice (not a channel) so load
+	// shedding can inspect queued sessions for a pause victim. Pop clears
+	// the head's slot and reslices past it; append moves the live tail to
+	// a new array when it runs out of room, so the dead prefix is
+	// dropped then. A session is queued at most once.
 	runq     []*Session
-	runqHead int
 	runnable int // queued + executing sessions (bounded by QueueDepth)
 
 	wg sync.WaitGroup
@@ -321,7 +321,7 @@ func New(cfg Config) *Server {
 func (srv *Server) Config() Config { return srv.cfg }
 
 // queuedLocked returns the run-queue length. Caller holds srv.mu.
-func (srv *Server) queuedLocked() int { return len(srv.runq) - srv.runqHead }
+func (srv *Server) queuedLocked() int { return len(srv.runq) }
 
 // pushLocked appends s to the run queue. Caller holds srv.mu.
 func (srv *Server) pushLocked(s *Session) { srv.runq = append(srv.runq, s) }
@@ -329,20 +329,9 @@ func (srv *Server) pushLocked(s *Session) { srv.runq = append(srv.runq, s) }
 // popLocked removes and returns the queue head. Caller holds srv.mu and
 // has checked the queue is non-empty.
 func (srv *Server) popLocked() *Session {
-	s := srv.runq[srv.runqHead]
-	srv.runq[srv.runqHead] = nil
-	srv.runqHead++
-	if srv.runqHead == len(srv.runq) {
-		srv.runq = srv.runq[:0]
-		srv.runqHead = 0
-	} else if srv.runqHead > 64 && srv.runqHead*2 > len(srv.runq) {
-		n := copy(srv.runq, srv.runq[srv.runqHead:])
-		for i := n; i < len(srv.runq); i++ {
-			srv.runq[i] = nil
-		}
-		srv.runq = srv.runq[:n]
-		srv.runqHead = 0
-	}
+	s := srv.runq[0]
+	srv.runq[0] = nil
+	srv.runq = srv.runq[1:]
 	return s
 }
 
@@ -453,7 +442,7 @@ func (srv *Server) enqueue(s *Session) error {
 func (srv *Server) shedVictimLocked(pri int) *Session {
 	var victim *Session
 	victimPri := 0
-	for _, c := range srv.runq[srv.runqHead:] {
+	for _, c := range srv.runq {
 		if c.shedReq.Load() {
 			continue
 		}

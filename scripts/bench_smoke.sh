@@ -85,7 +85,7 @@ go test -bench='BenchmarkSnapshot$|BenchmarkCheckpointOverhead' \
     -run=NONE -benchtime=1x -count=1 ./internal/serve | grep -E 'Benchmark|^ok' || true
 
 # Metrics-overhead micros (informational, not gated): the per-instrument
-# price of the observability layer — counter/gauge/histogram/trace-ring
+# price of the observability layer — counter/histogram/trace-ring
 # ns/op, all required to stay at 0 allocs/op (TestAllocFree enforces it;
 # -benchmem shows it here).
 echo "-- metrics overhead (informational) --"
