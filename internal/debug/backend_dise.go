@@ -12,8 +12,11 @@ import (
 // DISE register allocation used by the generated productions. DR1 carries
 // the store's (quad-aligned) address into the debugger-generated function;
 // DR2/DR3 are sequence temporaries the function may also use as stash
-// space (their values are dead once the conditional call issues).
+// space (their values are dead once the conditional call issues). A row
+// with several meanings serves set-ups that never coexist: one single
+// watchpoint of one kind, or a serial multi-watchpoint set.
 //
+//	dr0        data-region base (conditional-breakpoint slots)
 //	dr1..dr3   temporaries
 //	dr4..dr7   serially matched watched addresses 2..5
 //	dar (dr8)  watched address 1 / Bloom array base / range low bound
@@ -21,16 +24,17 @@ import (
 //	dhdlr      debugger-generated function address
 //	dseg       protection segment base >> 11
 //	dr12       range high bound / indirect pointer quad / serial address 6
-//	dr13       protection error handler / breakpoint condition constant
-//	dr14       breakpoint condition variable address / serial address 7
+//	dr13       protection error handler
+//	dr14       inline-variant condition constant / serial address 7
 //	dr15       serial-overflow address table base
 const (
+	drData = isa.DR0
 	drT1   = isa.DR1
 	drT2   = isa.DR2
 	drT3   = isa.DR3
 	drAux  = isa.DR12
 	drErrH = isa.DR13
-	drBcnd = isa.DR14
+	drCond = isa.DR14
 	// The engine keeps the DISE-call link in dedicated state, not in the
 	// register file, so dr15 is free to hold the overflow table base.
 	drTab = isa.DLINK
@@ -38,10 +42,34 @@ const (
 
 var serialAddrRegs = []isa.Reg{isa.DAR, isa.DR4, isa.DR5, isa.DR6, isa.DR7, isa.DR12, isa.DR14}
 
-// diseState is the installed DISE backend: generated productions, the
-// appended function and data region, and the layout the trap hook needs
-// for classification.
+// breakTrap is the code of the traps breakpoint productions raise, which
+// tells them from a watch trap that an inline variant folds into the same
+// production (both trap at the breakpoint's PC).
+const breakTrap = 1
+
+// bloomBytes is the Bloom filter array size (§4.2: 2KB).
+const bloomBytes = 2048
+
+// diseState is the installed DISE backend's plan of its generated code,
+// fixed by planDise before any template is built: the data-region layout
+// and the watched quads, then where the data and code landed. The
+// templates, the generated function and seedDiseRegs only read it.
 type diseState struct {
+	// quads are the watched quad addresses, in watchpoint order.
+	quads []uint64
+	// Data-region offsets. slotOf is each watchpoint's current-value slot
+	// (scalars) or region copy (ranges); condSlot holds each conditional
+	// watchpoint's comparison constant (64-bit, so it cannot be
+	// materialized inline); breakSlot is each conditional breakpoint's
+	// {condition address, constant} pair.
+	slotOf    map[*Watchpoint]uint64
+	condSlot  map[*Watchpoint]uint64
+	breakSlot map[*Breakpoint]uint64
+	serialTab uint64 // serial-overflow address table (0 = none)
+	bloomOff  uint64 // Bloom array, when bloomSet is not nil
+	bloomBits bool
+	bloomSet  map[uint64]bool // hashes set, for false-positive accounting
+
 	dataBase    uint64
 	dataLen     int
 	handlerBase uint64
@@ -52,20 +80,6 @@ type diseState struct {
 	// watch holds the store-watch productions among prods, the ones
 	// Disable, Enable and the scope hooks toggle.
 	watch []*dise.Production
-
-	// slotOf maps a watchpoint to the data-region offset of its
-	// current-value slot (scalars) or region copy (ranges).
-	slotOf map[*Watchpoint]uint64
-	// condSlot holds each conditional watchpoint's comparison constant
-	// (64-bit, so it cannot be materialized inline).
-	condSlot map[*Watchpoint]uint64
-	// serialTab is the data-region offset of the serial-overflow address
-	// table, when there is one.
-	serialTab uint64
-
-	bloomBase uint64 // absolute address of the Bloom array (0 = none)
-	bloomBits bool
-	bloomSet  map[uint64]bool // hashes set, for false-positive accounting
 }
 
 // installDise implements the paper's proposal (§4): generate productions
@@ -74,22 +88,15 @@ type diseState struct {
 // install everything into the DISE engine. No per-store debugger hook is
 // installed — that is the point.
 func (d *Debugger) installDise() error {
-	st := &diseState{
-		slotOf:   make(map[*Watchpoint]uint64),
-		condSlot: make(map[*Watchpoint]uint64),
-	}
-	d.dise = st
-
 	if err := d.checkDiseFeasible(); err != nil {
 		return err
 	}
 
-	// 1. Lay out and append the debugger data region.
-	data := d.buildDataRegion(st)
-	if len(data) > 0 {
-		st.dataBase = d.m.AppendData(data)
-		st.dataLen = len(data)
-	}
+	// 1. Plan and append the debugger data region.
+	st, data := d.planDise()
+	d.dise = st
+	st.dataBase = d.m.AppendData(data)
+	st.dataLen = len(data)
 
 	// 2. Generate and append the expression-evaluation function and, if
 	// protection is on, the error handler.
@@ -100,21 +107,15 @@ func (d *Debugger) installDise() error {
 		}
 		st.handlerBase = d.m.AppendText(code)
 		st.handlerEnd = st.handlerBase + uint64(len(code))*4
-		d.m.Engine.Regs[isa.DHDLR] = st.handlerBase
 	}
 	if d.opts.Protect {
 		code := buildErrHandler()
 		st.errBase = d.m.AppendText(code)
 		st.errEnd = st.errBase + uint64(len(code))*4
-		d.m.Engine.Regs[drErrH] = st.errBase
-		d.m.Engine.Regs[isa.DSEG] = st.dataBase >> 11
 	}
 
-	// 3. Initialize DISE registers: watched addresses, previous values,
-	// bounds, and Bloom base.
-	d.initDiseRegs(st)
-
-	// 4. Generate and install productions.
+	// 3. Seed the DISE registers, then generate and install productions.
+	d.seedDiseRegs(st)
 	if err := d.buildProductions(st); err != nil {
 		return err
 	}
@@ -124,20 +125,20 @@ func (d *Debugger) installDise() error {
 		}
 	}
 
-	// 5. Classify traps raised by the generated code.
+	// 4. Classify traps raised by the generated code.
 	d.m.Core.Hooks.OnTrap = d.diseTrapHook
 
-	// 5b. Scope gating: watch productions toggle at function entry/exit.
+	// 4b. Scope gating: watch productions toggle at function entry/exit.
 	if d.scoped {
 		if err := d.installScopeHooks(st); err != nil {
 			return err
 		}
 	}
 
-	// 6. Bloom strategies: a statistics-only store hook counts false
+	// 5. Bloom strategies: a statistics-only store hook counts false
 	// positives (it always returns 0 cycles and exists only for the
 	// experiment reports).
-	if st.bloomBase != 0 {
+	if st.bloomSet != nil {
 		d.m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
 			// The application's own store executes as T.INST inside the
 			// expansion (DisePC > 0); stores with DisePC 0 and InDise set
@@ -159,6 +160,9 @@ func (d *Debugger) checkDiseFeasible() error {
 	if d.opts.Variant != VariantMatchAddrEval {
 		if len(d.watchpoints) > 1 {
 			return fmt.Errorf("debug: %v supports a single watchpoint", d.opts.Variant)
+		}
+		if d.opts.Multi != StrategySerial {
+			return fmt.Errorf("debug: %v matches one address in dar, which %v needs for its array", d.opts.Variant, d.opts.Multi)
 		}
 		for _, w := range d.watchpoints {
 			if w.Kind != WatchScalar && w.Kind != WatchIndirect {
@@ -188,27 +192,6 @@ func (d *Debugger) checkDiseFeasible() error {
 			}
 		}
 	}
-	nScalarish := 0
-	for _, w := range d.watchpoints {
-		switch w.Kind {
-		case WatchScalar:
-			nScalarish++
-		case WatchExpr:
-			nScalarish += len(w.Terms)
-		}
-	}
-	hasCondBreak := false
-	for _, b := range d.breakpoints {
-		if b.Cond != nil {
-			hasCondBreak = true
-		}
-	}
-	if hasCondBreak && d.opts.Multi == StrategySerial && nScalarish > len(serialAddrRegs) {
-		return fmt.Errorf("debug: conditional breakpoints conflict with the serial-overflow table registers")
-	}
-	if d.opts.Protect && hasCondBreak {
-		return fmt.Errorf("debug: protection and conditional breakpoints both need dr13")
-	}
 	return nil
 }
 
@@ -221,51 +204,54 @@ func (d *Debugger) needHandler() bool {
 // Data-region layout:
 //
 //	0x00   register save area (8 quads)
-//	0x40+  per scalar/indirect/expr-term slot: current expression value (8)
+//	0x40+  per conditional breakpoint: condition address, constant (16)
+//	 ...   per scalar/indirect/expr watchpoint: current expression value (8)
 //	 ...   per range watchpoint: region copy (length, 8-aligned)
+//	       each followed, when conditional, by its condition constant (8)
 //	 ...   serial-overflow table: watched quad addresses (8 each)
-//	 ...   Bloom array (BloomBytes)
+//	 ...   Bloom array (bloomBytes)
 const saveArea = 0x00
 
-func (d *Debugger) buildDataRegion(st *diseState) []byte {
-	var buf []byte
-	put := func(b []byte) uint64 {
+// planDise lays out the data region and returns the plan with its image.
+func (d *Debugger) planDise() (*diseState, []byte) {
+	st := &diseState{
+		quads:     d.watchQuads(),
+		slotOf:    make(map[*Watchpoint]uint64),
+		condSlot:  make(map[*Watchpoint]uint64),
+		breakSlot: make(map[*Breakpoint]uint64),
+	}
+	buf := make([]byte, 64) // save area
+	put := func(vs ...uint64) uint64 {
 		off := uint64(len(buf))
-		buf = append(buf, b...)
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
 		return off
 	}
-	quad := func(v uint64) []byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return b[:]
+	for _, b := range d.breakpoints {
+		if b.Cond != nil {
+			st.breakSlot[b] = put(b.Cond.Addr, b.Cond.Value)
+		}
 	}
-	put(make([]byte, 64)) // save area
 	for _, w := range d.watchpoints {
-		switch w.Kind {
-		case WatchRange:
-			n := (w.Length + 7) &^ 7
-			st.slotOf[w] = put(d.m.Mem.ReadBytes(w.Addr, int(n)))
-		default:
-			st.slotOf[w] = put(quad(d.evalExpr(w)))
+		if w.Kind == WatchRange {
+			st.slotOf[w] = uint64(len(buf))
+			buf = append(buf, d.m.Mem.ReadBytes(w.Addr, int((w.Length+7)&^7))...)
+		} else {
+			st.slotOf[w] = put(d.evalExpr(w))
 		}
 		if w.Cond != nil {
-			st.condSlot[w] = put(quad(w.Cond.Value))
+			st.condSlot[w] = put(w.Cond.Value)
 		}
 	}
-	// Serial-overflow table.
-	quads := d.watchQuads()
-	if d.opts.Multi == StrategySerial && len(quads) > len(serialAddrRegs) {
-		st.serialTab = uint64(len(buf))
-		for _, q := range quads[len(serialAddrRegs):] {
-			put(quad(q))
-		}
+	if d.opts.Multi == StrategySerial && len(st.quads) > len(serialAddrRegs) {
+		st.serialTab = put(st.quads[len(serialAddrRegs):]...)
 	}
-	// Bloom array.
 	if d.opts.Multi == StrategyBloomByte || d.opts.Multi == StrategyBloomBit {
 		st.bloomBits = d.opts.Multi == StrategyBloomBit
 		st.bloomSet = make(map[uint64]bool)
-		arr := make([]byte, d.opts.BloomBytes)
-		for _, q := range quads {
+		arr := make([]byte, bloomBytes)
+		for _, q := range st.quads {
 			h := d.bloomHashWith(q, st.bloomBits)
 			st.bloomSet[h] = true
 			if st.bloomBits {
@@ -274,10 +260,10 @@ func (d *Debugger) buildDataRegion(st *diseState) []byte {
 				arr[h] = 1
 			}
 		}
-		off := put(arr)
-		st.bloomBase = off // fixed up to absolute after AppendData
+		st.bloomOff = uint64(len(buf))
+		buf = append(buf, arr...)
 	}
-	return buf
+	return st, buf
 }
 
 // watchQuads returns the quad-aligned addresses the address-match stage
@@ -303,9 +289,9 @@ func (d *Debugger) watchQuads() []uint64 {
 
 func (d *Debugger) bloomHashWith(addr uint64, bits bool) uint64 {
 	if bits {
-		return (addr >> 3) & uint64(d.opts.BloomBytes*8-1)
+		return (addr >> 3) & (bloomBytes*8 - 1)
 	}
-	return (addr >> 3) & uint64(d.opts.BloomBytes-1)
+	return (addr >> 3) & (bloomBytes - 1)
 }
 
 func (d *Debugger) bloomHash(addr uint64) uint64 {
@@ -323,50 +309,55 @@ func (d *Debugger) anyWatchQuadHit(addr uint64, size int) bool {
 	return false
 }
 
-// initDiseRegs seeds the DISE register file for the generated sequences.
-func (d *Debugger) initDiseRegs(st *diseState) {
+// seedDiseRegs writes the DISE register file from the plan, once the data
+// region and the generated code have landed. It is the only install-time
+// writer of the registers.
+func (d *Debugger) seedDiseRegs(st *diseState) {
 	regs := &d.m.Engine.Regs
-	if st.bloomBase != 0 || st.bloomSet != nil {
-		st.bloomBase += st.dataBase // fix up offset to absolute
-		regs[isa.DAR] = st.bloomBase
-		return
+	if st.handlerBase != 0 {
+		regs[isa.DHDLR] = st.handlerBase
 	}
+	if st.errBase != 0 {
+		regs[drErrH] = st.errBase
+		regs[isa.DSEG] = st.dataBase >> 11
+	}
+	if len(st.breakSlot) > 0 {
+		regs[drData] = st.dataBase
+	}
+	var single *Watchpoint
 	if len(d.watchpoints) == 1 {
-		w := d.watchpoints[0]
-		switch w.Kind {
-		case WatchScalar:
-			regs[isa.DAR] = w.Addr &^ 7
-			regs[isa.DPV] = d.evalExpr(w)
-		case WatchIndirect:
-			p := d.m.Mem.Read(w.Addr, 8)
-			regs[isa.DAR] = p &^ 7    // current target quad
-			regs[drAux] = w.Addr &^ 7 // the pointer variable's quad
-			if d.opts.Variant == VariantEvalExpr {
-				// The inline variant dereferences through drAux, which
-				// therefore holds the exact pointer address.
-				regs[drAux] = w.Addr
-			}
-			regs[isa.DPV] = d.evalExpr(w)
-		case WatchRange:
-			regs[isa.DAR] = w.Addr
-			regs[drAux] = w.Addr + w.Length
-		case WatchExpr:
-			// Serial over the term quads below.
+		single = d.watchpoints[0]
+	}
+	switch {
+	case st.bloomSet != nil:
+		regs[isa.DAR] = st.dataBase + st.bloomOff
+		return
+	case single != nil && single.Kind == WatchIndirect:
+		p := d.m.Mem.Read(single.Addr, 8)
+		regs[isa.DAR] = p &^ 7         // current target quad
+		regs[drAux] = single.Addr &^ 7 // the pointer variable's quad
+		if d.opts.Variant == VariantEvalExpr {
+			// The inline variant dereferences through drAux, which
+			// therefore holds the exact pointer address.
+			regs[drAux] = single.Addr
 		}
-		if w.Kind != WatchExpr {
-			return
+	case single != nil && single.Kind == WatchRange:
+		regs[isa.DAR] = single.Addr
+		regs[drAux] = single.Addr + single.Length
+	default:
+		// Serial: first addresses in registers, the rest in the table.
+		for i, q := range st.quads[:min(len(st.quads), len(serialAddrRegs))] {
+			regs[serialAddrRegs[i]] = q
+		}
+		if st.serialTab != 0 {
+			regs[drTab] = st.dataBase + st.serialTab
 		}
 	}
-	// Serial: first addresses in registers, the rest in the table.
-	quads := d.watchQuads()
-	for i, q := range quads {
-		if i >= len(serialAddrRegs) {
-			break
-		}
-		regs[serialAddrRegs[i]] = q
+	if single != nil && (single.Kind == WatchScalar || single.Kind == WatchIndirect) {
+		regs[isa.DPV] = d.evalExpr(single)
 	}
-	if len(quads) > len(serialAddrRegs) {
-		regs[drTab] = st.dataBase + st.serialTab
+	if single != nil && single.Cond != nil && d.opts.Variant != VariantMatchAddrEval {
+		regs[drCond] = single.Cond.Value
 	}
 }
 
@@ -412,19 +403,17 @@ func (d *Debugger) buildProductions(st *diseState) error {
 		st.prods = append(st.prods, st.watch...)
 	}
 	for i, b := range d.breakpoints {
-		if d.opts.BreakWithCodewords && b.Cond == nil {
-			p, err := d.breakCodewordProduction(b, int64(i)+1)
-			if err != nil {
+		codeword := d.opts.BreakWithCodewords && b.Cond == nil
+		var p *dise.Production
+		if codeword {
+			var err error
+			if p, err = d.breakCodewordProduction(b, int64(i)+1); err != nil {
 				return err
 			}
-			if err := d.foldWatchIntoBreak(st, p, true); err != nil {
-				return err
-			}
-			st.prods = append(st.prods, p)
-			continue
+		} else {
+			p = d.breakProduction(st, b)
 		}
-		p := d.breakProduction(b)
-		if err := d.foldWatchIntoBreak(st, p, false); err != nil {
+		if err := d.foldWatchIntoBreak(st, p, b, codeword); err != nil {
 			return err
 		}
 		st.prods = append(st.prods, p)
@@ -439,28 +428,16 @@ func (d *Debugger) buildProductions(st *diseState) error {
 // sequence into the breakpoint production. For codeword breakpoints the
 // trigger is the codeword, so the sequence is statically instantiated
 // from the original (patched-out) store instead of using T.* directives.
-func (d *Debugger) foldWatchIntoBreak(st *diseState, p *dise.Production, codeword bool) error {
+func (d *Debugger) foldWatchIntoBreak(st *diseState, p *dise.Production, b *Breakpoint, codeword bool) error {
 	if len(d.watchpoints) == 0 {
 		return nil
 	}
 	last := len(p.Replacement) - 1
-	t := p.Replacement[last]
-	var orig isa.Inst
-	switch {
-	case t.UseTrigger:
-		// PC-pattern production: the trigger is the original instruction.
-		var bp *Breakpoint
-		for _, b := range d.breakpoints {
-			if pcp := p.Pattern.PC; pcp != nil && b.PC == *pcp {
-				bp = b
-			}
-		}
-		if bp == nil {
-			return nil
-		}
-		orig = isa.Decode(uint32(d.m.Mem.Read(bp.PC, 4)))
-	default:
-		orig = t.Inst // codeword production carries the original literally
+	// A codeword production carries the original instruction literally; a
+	// PC-pattern production's trigger is the original instruction.
+	orig := p.Replacement[last].Inst
+	if !codeword {
+		orig = isa.Decode(uint32(d.m.Mem.Read(b.PC, 4)))
 	}
 	if !orig.Op.IsStore() {
 		return nil
@@ -543,32 +520,25 @@ func (d *Debugger) storeSequence(st *diseState, withBic bool) ([]dise.TemplateIn
 		}
 		seq = append(seq, dise.Op3T(isa.OpXor, t2, dpv, t2)) // changed?
 		seq = append(seq, d.condSeq(w, t2, t3)...)
-		seq = append(seq, d.trapOrBranchTrap(t2)...)
+		seq = append(seq, d.trapOrBranchTrap(t2, 0)...)
 
 	case VariantMatchAddrValue:
 		// Figure 7: match address and stored value; no loads, no calls.
 		w := d.watchpoints[0]
 		seq = append(seq, dise.Op3T(isa.OpCmpeq, t1, dar, t2)) // addr match
-		// t3 = stored value XOR previous value (changed?).
-		xorT := dise.TemplateInst{
-			Inst:   isa.Inst{Op: isa.OpXor, RB: isa.DPV, RBSp: isa.DiseSpace, RC: drT3, RCSp: isa.DiseSpace},
-			RAFrom: dise.FromRA, // T.RD: the store's data register
-		}
 		seq = append(seq,
-			xorT,
+			xorStoredDPV(t3),                      // changed?
 			dise.Op3T(isa.OpCmpult, zero, t3, t3), // normalize to 0/1
 			dise.Op3T(isa.OpAnd, t2, t3, t2),
 		)
 		seq = append(seq, d.condSeq(w, t2, t3)...)
-		seq = append(seq, d.trapOrBranchTrap(t2)...)
+		seq = append(seq, d.trapOrBranchTrap(t2, 0)...)
 
 	default: // VariantMatchAddrEval (Figures 2c/2d)
 		switch {
 		case st.bloomSet != nil:
 			seq = append(seq, d.bloomMatch(st, t1, t2, t3)...)
 		case len(d.watchpoints) == 1 && d.watchpoints[0].Kind == WatchRange:
-			w := d.watchpoints[0]
-			_ = w
 			seq = append(seq,
 				dise.Op3T(isa.OpCmpule, dar, t1, t2), // lo <= addr
 				dise.Op3T(isa.OpCmpult, t1, aux, t3), // addr < hi
@@ -588,8 +558,7 @@ func (d *Debugger) storeSequence(st *diseState, withBic bool) ([]dise.TemplateIn
 			if withBic {
 				seq = append(seq, dise.OpIT(isa.OpBic, t1, 7, t1))
 			}
-			quads := d.watchQuads()
-			for i := range quads {
+			for i := range st.quads {
 				if i < len(serialAddrRegs) {
 					r := dise.DReg(serialAddrRegs[i])
 					if i == 0 {
@@ -619,7 +588,7 @@ func (d *Debugger) storeSequence(st *diseState, withBic bool) ([]dise.TemplateIn
 func (d *Debugger) bloomMatch(st *diseState, t1, t2, t3 isa.RegRef) []dise.TemplateInst {
 	dar := dise.DReg(isa.DAR) // Bloom array base
 	idxBits := uint(0)
-	for n := d.opts.BloomBytes; n > 1; n >>= 1 {
+	for n := bloomBytes; n > 1; n >>= 1 {
 		idxBits++
 	}
 	if st.bloomBits {
@@ -655,30 +624,46 @@ func (d *Debugger) condSeq(w *Watchpoint, t, tmp isa.RegRef) []dise.TemplateInst
 	if w.Cond == nil {
 		return nil
 	}
-	// The condition constant lives in drBcnd (set at install).
-	d.m.Engine.Regs[drBcnd] = w.Cond.Value
-	k := dise.DReg(drBcnd)
+	dpv := dise.DReg(isa.DPV)
 	zero := dise.AReg(isa.Zero)
 	var out []dise.TemplateInst
 	// Reconstruct the expression's current value into tmp first (before t
-	// is normalized): for EvalExpr t holds cur XOR dpv, so cur = t XOR
-	// dpv; for MatchAddrValue the stored value is the trigger's T.RD.
+	// is normalized) and make it dpv's value: a change the predicate
+	// rejects still becomes the previous value, as on the other back ends.
 	switch d.opts.Variant {
 	case VariantEvalExpr:
-		out = append(out, dise.Op3T(isa.OpXor, t, dise.DReg(isa.DPV), tmp))
+		// t holds cur XOR dpv, so cur = t XOR dpv.
+		out = append(out,
+			dise.Op3T(isa.OpXor, t, dpv, tmp),
+			dise.Op3T(isa.OpBis, tmp, zero, dpv),
+		)
 	case VariantMatchAddrValue:
-		out = append(out, dise.TemplateInst{
-			Inst:   isa.Inst{Op: isa.OpBis, RB: isa.Zero, RC: tmp.Reg, RCSp: tmp.Space},
-			RAFrom: dise.FromRA,
-		})
+		// t is 1 when the store changed the watched quad, whose new value
+		// is the trigger's T.RD: dpv ^= (T.RD ^ dpv) * t, then tmp = dpv,
+		// the stored value whenever t is 1.
+		out = append(out,
+			xorStoredDPV(tmp),
+			dise.Op3T(isa.OpMulq, tmp, t, tmp),
+			dise.Op3T(isa.OpXor, dpv, tmp, dpv),
+			dise.Op3T(isa.OpBis, dpv, zero, tmp),
+		)
 	}
-	out = append(out, condTemplate(w.Cond.Op, tmp, k, tmp)...)
+	out = append(out, condTemplate(w.Cond.Op, tmp, dise.DReg(drCond), tmp)...)
 	// Normalize the changed indicator and AND in the predicate.
 	out = append(out,
 		dise.Op3T(isa.OpCmpult, zero, t, t),
 		dise.Op3T(isa.OpAnd, t, tmp, t),
 	)
 	return out
+}
+
+// xorStoredDPV builds `xor T.RD, dpv, dst`: the store's data register
+// against the previous value.
+func xorStoredDPV(dst isa.RegRef) dise.TemplateInst {
+	return dise.TemplateInst{
+		Inst:   isa.Inst{Op: isa.OpXor, RB: isa.DPV, RBSp: isa.DiseSpace, RC: dst.Reg, RCSp: dst.Space},
+		RAFrom: dise.FromRA,
+	}
 }
 
 // condTemplate emits the predicate test of a replacement sequence: dst
@@ -700,16 +685,16 @@ func condTemplate(op CondOp, val, k, dst isa.RegRef) []dise.TemplateInst {
 	return nil
 }
 
-// trapOrBranchTrap emits the trap tail: a conditional trap with ISA
-// support, or a DISE branch over an unconditional trap without it
-// (Figure 7 top vs bottom).
-func (d *Debugger) trapOrBranchTrap(t isa.RegRef) []dise.TemplateInst {
+// trapOrBranchTrap emits the trap tail, raising a trap with the given
+// code: a conditional trap with ISA support, or a DISE branch over an
+// unconditional trap without it (Figure 7 top vs bottom).
+func (d *Debugger) trapOrBranchTrap(t isa.RegRef, code int64) []dise.TemplateInst {
 	if d.opts.CondSupport {
-		return []dise.TemplateInst{dise.CtrapT(t)}
+		return []dise.TemplateInst{dise.Lit(isa.Inst{Op: isa.OpCtrap, RA: t.Reg, RASp: t.Space, Imm: code})}
 	}
 	return []dise.TemplateInst{
 		dise.DBranchT(isa.OpDbeq, t, 1), // skip the trap when t == 0
-		dise.TrapT(),
+		dise.Lit(isa.Inst{Op: isa.OpTrap, Imm: code}),
 	}
 }
 
@@ -726,26 +711,28 @@ func (d *Debugger) condCallOrBranch(t isa.RegRef, target isa.Reg) []dise.Templat
 }
 
 // breakProduction builds a breakpoint production (§4.1, §4.3).
-func (d *Debugger) breakProduction(b *Breakpoint) *dise.Production {
+func (d *Debugger) breakProduction(st *diseState, b *Breakpoint) *dise.Production {
 	if b.Cond == nil {
 		// Trap, then the original instruction: restarting needs no
 		// restore/single-step/re-arm dance (§4.1).
 		return &dise.Production{
 			Name:        fmt.Sprintf("break@%#x", b.PC),
 			Pattern:     dise.MatchPC(b.PC),
-			Replacement: []dise.TemplateInst{dise.TrapT(), dise.TInst()},
+			Replacement: []dise.TemplateInst{dise.Lit(isa.Inst{Op: isa.OpTrap, Imm: breakTrap}), dise.TInst()},
 		}
 	}
 	// Conditional breakpoint: evaluate the predicate inline (§4.3). The
-	// condition variable's address and constant live in DISE registers.
-	d.m.Engine.Regs[drBcnd] = b.Cond.Addr
-	d.m.Engine.Regs[drErrH] = b.Cond.Value
+	// condition variable's address and constant live in the breakpoint's
+	// own slot of the debugger data region.
 	t1, t2 := dise.DReg(drT1), dise.DReg(drT2)
+	slot, data := int64(st.breakSlot[b]), dise.DReg(drData)
 	seq := []dise.TemplateInst{
-		dise.MemT(isa.OpLdq, t1, 0, dise.DReg(drBcnd)),
+		dise.MemT(isa.OpLdq, t1, slot, data),   // t1 = condition address
+		dise.MemT(isa.OpLdq, t1, 0, t1),        // t1 = condition variable
+		dise.MemT(isa.OpLdq, t2, slot+8, data), // t2 = constant
 	}
-	seq = append(seq, condTemplate(b.Cond.Op, t1, dise.DReg(drErrH), t2)...)
-	seq = append(seq, d.trapOrBranchTrap(t2)...)
+	seq = append(seq, condTemplate(b.Cond.Op, t1, t2, t2)...)
+	seq = append(seq, d.trapOrBranchTrap(t2, breakTrap)...)
 	seq = append(seq, dise.TInst())
 	return &dise.Production{
 		Name:        fmt.Sprintf("cbreak@%#x", b.PC),

@@ -29,6 +29,9 @@ func (d *Debugger) installBinaryRewrite() error {
 	if len(d.watchpoints) != 1 || d.watchpoints[0].Kind != WatchScalar {
 		return fmt.Errorf("debug: binary-rewrite backend supports exactly one scalar watchpoint")
 	}
+	if w := d.watchpoints[0]; w.Addr&7+uint64(w.Size) > 8 {
+		return fmt.Errorf("debug: binary-rewrite backend matches one quad; %q straddles two", w.Name)
+	}
 	if len(d.breakpoints) > 0 {
 		return fmt.Errorf("debug: binary-rewrite backend does not combine with breakpoints here; use trap patching")
 	}
@@ -83,7 +86,6 @@ func (d *Debugger) installBinaryRewrite() error {
 		return err
 	}
 	d.m.Load(newProg)
-	d.rewritten = true
 
 	// Generate and append the handler; it must land exactly where the
 	// inlined calls point.

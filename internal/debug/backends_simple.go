@@ -48,17 +48,12 @@ func (d *Debugger) installSingleStep() error {
 }
 
 // stopAndInspect models one debugger stop: the debugger inspects
-// breakpoints and watchpoint expressions and either invokes the user
-// (free) or returns to the application (spurious, costed).
+// watchpoint expressions, then the breakpoint at pc, if any, and either
+// invokes the user (free) or returns to the application (spurious,
+// costed). The watchpoints come first: the stores that changed them ran
+// before the instruction the breakpoint stops.
 func (d *Debugger) stopAndInspect(pc uint64, bp *Breakpoint) uint64 {
-	if bp != nil {
-		if ok, _ := d.breakCondHolds(bp); ok {
-			d.user(UserEvent{PC: pc, Breakpoint: bp})
-			return 0
-		}
-		d.stats.SpuriousPred++
-		return d.opts.TransitionCost
-	}
+	user := d.stats.User
 	anyChanged := false
 	for _, w := range d.watchpoints {
 		chg, v := d.changed(w)
@@ -69,15 +64,22 @@ func (d *Debugger) stopAndInspect(pc uint64, bp *Breakpoint) uint64 {
 		d.refresh(w)
 		if w.Cond == nil || w.Cond.Eval(v) {
 			d.user(UserEvent{PC: pc, Watchpoint: w, Value: v})
-			return 0
 		}
 	}
-	if anyChanged {
+	if bp != nil {
+		if ok, _ := d.breakCondHolds(bp); ok {
+			d.user(UserEvent{PC: pc, Breakpoint: bp})
+		}
+	}
+	switch {
+	case d.stats.User > user:
+		return 0
+	case anyChanged || bp != nil:
 		d.stats.SpuriousPred++
-	} else {
+	default:
 		d.stats.SpuriousAddr++
 	}
-	return d.opts.TransitionCost
+	return DefaultTransitionCost
 }
 
 func (d *Debugger) breakCondHolds(b *Breakpoint) (bool, uint64) {
@@ -131,7 +133,7 @@ func (d *Debugger) faultTransition(pc, addr uint64, size int, ws []*Watchpoint) 
 		}
 	}
 	d.stats.SpuriousAddr++
-	return d.opts.TransitionCost
+	return DefaultTransitionCost
 }
 
 // --- hardware watchpoint registers ----------------------------------------
@@ -161,27 +163,17 @@ func (d *Debugger) installHardwareReg() error {
 		case WatchExpr:
 			return fmt.Errorf("debug: hardware backend cannot watch complex expression %q", w.Name)
 		}
-		if len(regs) < hwWatchRegs {
-			for q := range quads(w.Addr, w.Addr+uint64(w.Size)) {
-				regs = append(regs, hwReg{quad: q, w: w})
-			}
+		// A watchpoint takes a register per quad it touches, and only all
+		// of them or none: one that does not fit spills whole to page
+		// protection.
+		var mine []hwReg
+		for q := range quads(w.Addr, w.Addr+uint64(w.Size)) {
+			mine = append(mine, hwReg{quad: q, w: w})
+		}
+		if len(regs)+len(mine) <= hwWatchRegs {
+			regs = append(regs, mine...)
 		} else {
 			overflow = append(overflow, w)
-		}
-	}
-	if len(regs) > hwWatchRegs {
-		// A scalar straddling quads consumed extra registers; spill the
-		// excess watchpoints to virtual memory.
-		spill := regs[hwWatchRegs:]
-		regs = regs[:hwWatchRegs]
-		seen := map[*Watchpoint]bool{}
-		for _, r := range regs {
-			seen[r.w] = true
-		}
-		for _, r := range spill {
-			if !seen[r.w] {
-				overflow = append(overflow, r.w)
-			}
 		}
 	}
 	d.hwRegs = regs
@@ -226,6 +218,6 @@ func (d *Debugger) installBreakpointHook() {
 			return 0
 		}
 		d.stats.SpuriousPred++
-		return d.opts.TransitionCost
+		return DefaultTransitionCost
 	}
 }

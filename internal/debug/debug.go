@@ -13,8 +13,8 @@
 //
 // The package also implements the paper's transition accounting: debugger
 // transitions that lead to user interaction are free; spurious address,
-// value, and predicate transitions cost a configurable round trip
-// (100,000 cycles by default, §5).
+// value, and predicate transitions cost a round trip of 100,000 cycles
+// (§5).
 package debug
 
 import (
@@ -122,8 +122,7 @@ func (s MultiStrategy) String() string {
 
 // Options configures a Debugger.
 type Options struct {
-	Backend        Backend
-	TransitionCost uint64
+	Backend Backend
 
 	// DISE-specific knobs.
 	Variant     DiseVariant
@@ -131,7 +130,6 @@ type Options struct {
 	CondSupport bool // conditional trap/call available (Figure 7 top vs bottom)
 	Protect     bool // §4 protection of embedded debugger data (Figure 9)
 	StackGating bool // pattern-specificity optimization: skip sp-based stores
-	BloomBytes  int  // Bloom filter array size (default 2KB)
 
 	// BreakWithCodewords selects §4.1's first breakpoint scheme for
 	// unconditional breakpoints: the breakpoint instruction is statically
@@ -144,12 +142,10 @@ type Options struct {
 // DefaultOptions returns the paper's default configuration for a backend.
 func DefaultOptions(b Backend) Options {
 	return Options{
-		Backend:        b,
-		TransitionCost: DefaultTransitionCost,
-		Variant:        VariantMatchAddrEval,
-		Multi:          StrategySerial,
-		CondSupport:    true,
-		BloomBytes:     2048,
+		Backend:     b,
+		Variant:     VariantMatchAddrEval,
+		Multi:       StrategySerial,
+		CondSupport: true,
 	}
 }
 
@@ -299,7 +295,6 @@ type Debugger struct {
 
 	installed bool
 	dise      *diseState
-	rewritten bool
 	hwRegs    []hwReg
 
 	scoped                bool
@@ -308,12 +303,6 @@ type Debugger struct {
 
 // New creates a debugger for m.
 func New(m *machine.Machine, opts Options) *Debugger {
-	if opts.TransitionCost == 0 {
-		opts.TransitionCost = DefaultTransitionCost
-	}
-	if opts.BloomBytes == 0 {
-		opts.BloomBytes = 2048
-	}
 	return &Debugger{
 		m:          m,
 		opts:       opts,
@@ -364,10 +353,14 @@ func (d *Debugger) Watch(w *Watchpoint) error {
 	return nil
 }
 
-// Break registers a breakpoint. Must be called before Install.
+// Break registers a breakpoint, at most one per PC. Must be called before
+// Install.
 func (d *Debugger) Break(b *Breakpoint) error {
 	if d.installed {
 		return fmt.Errorf("debug: Break after Install")
+	}
+	if d.bpAt(b.PC) != nil {
+		return fmt.Errorf("debug: a breakpoint is already set at %#x", b.PC)
 	}
 	d.breakpoints = append(d.breakpoints, b)
 	return nil

@@ -1,6 +1,8 @@
 package debug_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -500,9 +502,9 @@ func TestDiseBloomWatchpoints(t *testing.T) {
 }
 
 func TestBloomFalsePositives(t *testing.T) {
-	// Watch vars[0] with a tiny 16-byte Bloom filter: writes to
-	// vars[2] (offset 16 -> quad index collides mod 16) should be
-	// probable matches that the handler prunes.
+	// Watch vars[0] with the 2KB byte filter: a write 16KB past it (2,048
+	// quads on) hashes to the same byte, a probable match the handler
+	// prunes.
 	m := loadProg(t, `
 .data
 .align 4096
@@ -511,12 +513,11 @@ vars: .quad 0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
 main:
     la  r1, vars
     li  r2, 1
-    stq r2, 128(r1)   ; vars[16]: same hash as vars[0] with 16 buckets
+    stq r2, 16384(r1) ; same hash as vars[0] with 2,048 buckets
     halt
 `)
 	opts := debug.DefaultOptions(debug.BackendDise)
 	opts.Multi = debug.StrategyBloomByte
-	opts.BloomBytes = 16
 	d := debug.New(m, opts)
 	if err := d.Watch(&debug.Watchpoint{Name: "v0", Kind: debug.WatchScalar, Addr: m.Program.MustSymbol("vars"), Size: 8}); err != nil {
 		t.Fatal(err)
@@ -824,5 +825,103 @@ main:
 	// expansion inserts extra uops.
 	if st.DiseUops >= 8 {
 		t.Errorf("dise uops = %d; the stack store should expand to itself only", st.DiseUops)
+	}
+}
+
+// condBreakProg stores a falling counter to vars[0] and vars[8] and counts
+// x up, ten times; y stays 0.
+const condBreakProg = `
+.data
+.align 8
+vars: .quad 0,0,0,0,0,0,0,0,0,0
+x:    .quad 0
+y:    .quad 0
+.text
+main:
+    la  r1, vars
+    la  r3, x
+    li  r10, 10
+loop:
+    stq r10, 0(r1)
+    stq r10, 64(r1)
+    ldq r4, 0(r3)
+    addq r4, #1, r4
+bx:
+    stq r4, 0(r3)
+by:
+    subq r10, #1, r10
+    bne r10, loop
+    halt
+`
+
+// TestDiseCondBreakCombinations: each conditional breakpoint evaluates
+// its own predicate from its own data-region slot, so it combines with
+// protection, a serial-overflow table, an inline-variant conditional
+// watch and a second conditional breakpoint, and the DISE back end
+// reports the same user transitions as the hardware back end.
+func TestDiseCondBreakCombinations(t *testing.T) {
+	p := loadProg(t, condBreakProg).Program
+	scalar := func(i int, cond *debug.Condition) *debug.Watchpoint {
+		return &debug.Watchpoint{Name: fmt.Sprintf("vars[%d]", i), Kind: debug.WatchScalar,
+			Addr: p.MustSymbol("vars") + uint64(i)*8, Size: 8, Cond: cond}
+	}
+	var serial []*debug.Watchpoint
+	for i := range 9 {
+		serial = append(serial, scalar(i, nil))
+	}
+	ne1 := &debug.Condition{Op: debug.CondNe, Value: 1}
+	onX := &debug.Breakpoint{PC: p.MustSymbol("bx"), Cond: &debug.BreakCond{Addr: p.MustSymbol("x"), Op: debug.CondEq, Value: 3}}
+	onY := &debug.Breakpoint{PC: p.MustSymbol("by"), Cond: &debug.BreakCond{Addr: p.MustSymbol("y"), Op: debug.CondEq, Value: 7}}
+	dise := func(v debug.DiseVariant, protect bool) debug.Options {
+		o := debug.DefaultOptions(debug.BackendDise)
+		o.Variant, o.Protect = v, protect
+		return o
+	}
+	run := func(opts debug.Options, watches []*debug.Watchpoint, breaks []*debug.Breakpoint) []string {
+		m := loadProg(t, condBreakProg)
+		d := debug.New(m, opts)
+		for _, w := range watches {
+			if err := d.Watch(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range breaks {
+			if err := d.Break(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var events []string
+		d.OnUser = func(ev debug.UserEvent) {
+			if ev.Breakpoint != nil {
+				events = append(events, fmt.Sprintf("break@%#x", ev.Breakpoint.PC))
+			} else {
+				events = append(events, fmt.Sprintf("%v=%d", ev.Watchpoint.Name, ev.Value))
+			}
+		}
+		if err := d.Install(); err != nil {
+			t.Errorf("%v: Install: %v", opts.Backend, err)
+		}
+		m.MustRun(0)
+		return events
+	}
+	for _, tc := range []struct {
+		name    string
+		dise    debug.Options
+		watches []*debug.Watchpoint
+		breaks  []*debug.Breakpoint
+	}{
+		{"protection", dise(debug.VariantMatchAddrEval, true), []*debug.Watchpoint{scalar(0, nil)}, []*debug.Breakpoint{onX}},
+		{"serial overflow", dise(debug.VariantMatchAddrEval, false), serial, []*debug.Breakpoint{onX}},
+		{"eval-expr conditional watch", dise(debug.VariantEvalExpr, false), []*debug.Watchpoint{scalar(0, ne1)}, []*debug.Breakpoint{onX}},
+		{"match-addr-value conditional watch", dise(debug.VariantMatchAddrValue, false), []*debug.Watchpoint{scalar(0, ne1)}, []*debug.Breakpoint{onX}},
+		{"two conditional breakpoints", dise(debug.VariantMatchAddrEval, false), nil, []*debug.Breakpoint{onX, onY}},
+	} {
+		hw := run(debug.DefaultOptions(debug.BackendHardwareReg), tc.watches, tc.breaks)
+		if got := run(tc.dise, tc.watches, tc.breaks); !slices.Equal(got, hw) {
+			t.Errorf("%s: dise reported %v, hardware %v", tc.name, got, hw)
+		}
+		if !slices.Contains(hw, fmt.Sprintf("break@%#x", onX.PC)) {
+			t.Errorf("%s: the breakpoint on x == 3 never fired: %v", tc.name, hw)
+		}
 	}
 }

@@ -7,9 +7,12 @@ import (
 
 // evalExpr computes a watched expression's current value from simulated
 // memory (the debugger-side evaluator used by the classifying backends;
-// the DISE backend evaluates inside the application instead).
+// the DISE backend evaluates inside the application instead). A range's
+// value, which its condition tests, is the quad at its base address.
 func (d *Debugger) evalExpr(w *Watchpoint) uint64 {
 	switch w.Kind {
+	case WatchRange:
+		return d.m.Mem.Read(w.Addr, 8)
 	case WatchScalar:
 		return d.m.Mem.Read(w.Addr, w.Size)
 	case WatchIndirect:
@@ -80,17 +83,13 @@ func (d *Debugger) storeHits(w *Watchpoint, addr uint64, size int) bool {
 	return false
 }
 
-// changed reports whether the watched expression's value differs from the
-// debugger's snapshot, returning the new scalar value when meaningful.
+// changed reports whether the watched expression differs from the
+// debugger's snapshot, returning its new value.
 func (d *Debugger) changed(w *Watchpoint) (bool, uint64) {
-	if w.Kind == WatchRange {
-		cur := d.m.Mem.ReadBytes(w.Addr, int(w.Length))
-		if !bytes.Equal(cur, d.prevRegion[w]) {
-			return true, 0
-		}
-		return false, 0
-	}
 	v := d.evalExpr(w)
+	if w.Kind == WatchRange {
+		return !bytes.Equal(d.m.Mem.ReadBytes(w.Addr, int(w.Length)), d.prevRegion[w]), v
+	}
 	return v != d.prevScalar[w], v
 }
 
@@ -113,17 +112,17 @@ func (d *Debugger) refresh(w *Watchpoint) {
 func (d *Debugger) classify(w *Watchpoint, pc uint64, addrHit bool) uint64 {
 	if !addrHit {
 		d.stats.SpuriousAddr++
-		return d.opts.TransitionCost
+		return DefaultTransitionCost
 	}
 	chg, v := d.changed(w)
 	if !chg {
 		d.stats.SpuriousValue++
-		return d.opts.TransitionCost
+		return DefaultTransitionCost
 	}
 	d.refresh(w)
 	if w.Cond != nil && !w.Cond.Eval(v) {
 		d.stats.SpuriousPred++
-		return d.opts.TransitionCost
+		return DefaultTransitionCost
 	}
 	d.user(UserEvent{PC: pc, Watchpoint: w, Value: v})
 	return 0

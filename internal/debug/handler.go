@@ -251,15 +251,6 @@ func skipUnlessCond(b *asm.Builder, op CondOp, rVal, rK isa.Reg, skip string) {
 	}
 }
 
-// buildErrHandler generates the protection error handler: report the wild
-// store and resume (Figure 2f's "error" target).
-func buildErrHandler() []uint32 {
-	b := asm.New()
-	b.Emit(isa.Inst{Op: isa.OpBrk})
-	b.Emit(isa.Inst{Op: isa.OpDret})
-	return b.MustFinish().Text
-}
-
 // diseTrapHook classifies traps raised by generated code. Every trap the
 // generated code raises is, by construction, a user transition: address
 // matching, silent-store pruning, and predicate evaluation all happened
@@ -275,25 +266,19 @@ func (d *Debugger) diseTrapHook(ev *pipeline.TrapEvent) uint64 {
 		// dr1 still holds the store address the sequence computed.
 		w := d.wpForAddr(d.m.Engine.Regs[drT1] &^ 7)
 		var v uint64
-		if w != nil && w.Kind != WatchRange {
+		if w != nil {
 			v = d.evalExpr(w)
 		}
 		d.user(UserEvent{PC: ev.PC, Watchpoint: w, Value: v})
-	case ev.InDise:
-		if bp := d.bpAt(ev.PC); bp != nil {
-			d.user(UserEvent{PC: ev.PC, Breakpoint: bp})
-			break
-		}
+	case ev.InDise && ev.Code == breakTrap:
+		d.user(UserEvent{PC: ev.PC, Breakpoint: d.bpAt(ev.PC)})
+	case ev.InDise && len(d.watchpoints) > 0:
 		// Inline-variant watch trap: refresh dpv so the next comparison
 		// is against the value the user just saw.
-		if len(d.watchpoints) > 0 {
-			w := d.watchpoints[0]
-			v := d.evalExpr(w)
-			d.m.Engine.Regs[isa.DPV] = v
-			d.user(UserEvent{PC: ev.PC, Watchpoint: w, Value: v})
-			break
-		}
-		d.user(UserEvent{PC: ev.PC})
+		w := d.watchpoints[0]
+		v := d.evalExpr(w)
+		d.m.Engine.Regs[isa.DPV] = v
+		d.user(UserEvent{PC: ev.PC, Watchpoint: w, Value: v})
 	default:
 		// The application's own trap (assertion, illegal instruction):
 		// control goes to the user.
@@ -324,4 +309,13 @@ func (d *Debugger) bpAt(pc uint64) *Breakpoint {
 		}
 	}
 	return nil
+}
+
+// buildErrHandler generates the protection error handler: report the wild
+// store and resume (Figure 2f's "error" target).
+func buildErrHandler() []uint32 {
+	b := asm.New()
+	b.Emit(isa.Inst{Op: isa.OpBrk})
+	b.Emit(isa.Inst{Op: isa.OpDret})
+	return b.MustFinish().Text
 }

@@ -50,26 +50,3 @@ main:
 		t.Errorf("spurious addr = %d, want 1 (busy on the protected page); stats %+v", s.SpuriousAddr, s)
 	}
 }
-
-// TestTransitionCostConfigurable: the modeled round-trip cost is a knob;
-// doubling it must double the charged stalls.
-func TestTransitionCostConfigurable(t *testing.T) {
-	run := func(cost uint64) uint64 {
-		m := loadProg(t, watchProg)
-		opts := debug.DefaultOptions(debug.BackendVirtualMemory)
-		opts.TransitionCost = cost
-		d := debug.New(m, opts)
-		if err := d.Watch(&debug.Watchpoint{Name: "v", Kind: debug.WatchScalar, Addr: m.Program.MustSymbol("v"), Size: 8}); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Install(); err != nil {
-			t.Fatal(err)
-		}
-		return m.MustRun(0).TrapStallCycles
-	}
-	base := run(50_000)
-	double := run(100_000)
-	if double != 2*base || base == 0 {
-		t.Errorf("stalls: cost=50K -> %d, cost=100K -> %d, want exact doubling", base, double)
-	}
-}

@@ -153,6 +153,6 @@ func (d *Debugger) breakCodewordProduction(b *Breakpoint, payload int64) (*dise.
 	return &dise.Production{
 		Name:        fmt.Sprintf("cwbreak@%#x", b.PC),
 		Pattern:     dise.MatchCodeword(payload),
-		Replacement: []dise.TemplateInst{dise.TrapT(), dise.Lit(orig)},
+		Replacement: []dise.TemplateInst{dise.Lit(isa.Inst{Op: isa.OpTrap, Imm: breakTrap}), dise.Lit(orig)},
 	}, nil
 }

@@ -90,22 +90,14 @@ func DefaultConfig() Config {
 }
 
 // StoreEvent describes an architecturally executed store, delivered to the
-// debugger hook just after the memory write (Old carries the pre-store
-// contents, so silent stores remain detectable).
+// debugger hook just after the memory write.
 type StoreEvent struct {
 	PC     uint64
 	DisePC int
 	Addr   uint64
 	Size   int
-	Old    uint64 // previous memory contents at Addr (Size bytes)
-	New    uint64 // value being stored
-	InDise bool   // store issued from a replacement sequence or DISE function
+	InDise bool // store issued from a replacement sequence or DISE function
 }
-
-// Silent reports whether the store leaves memory unchanged — the silent
-// stores whose spurious value transitions hardware watchpoints suffer
-// (paper §2, §5.1).
-func (e *StoreEvent) Silent() bool { return e.Old == e.New }
 
 // TrapEvent describes an executed trap-class instruction (trap, brk, or a
 // ctrap whose condition held).

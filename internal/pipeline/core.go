@@ -457,18 +457,15 @@ func (c *Core) exec(u *isa.Uop, pc uint64, dpc int, inDise bool, ev *execResult)
 		base := c.readReg(inst.RB, inst.RBSp)
 		addr := isa.EffAddr(base, inst.Imm)
 		size := int(u.MemSize)
-		v := isa.StoreValue(inst.Op, c.readReg(inst.RA, inst.RASp))
-		old := c.Mem.Read(addr, size)
-		c.Mem.Write(addr, size, v)
+		c.Mem.Write(addr, size, isa.StoreValue(inst.Op, c.readReg(inst.RA, inst.RASp)))
+		ev.isStore = true
+		ev.addr, ev.size = addr, size
 		if c.Hooks.OnStore != nil {
-			sev := StoreEvent{PC: pc, DisePC: dpc, Addr: addr, Size: size, Old: old, New: v, InDise: inDise}
-			if stall := c.Hooks.OnStore(&sev); stall > 0 {
+			if stall := c.Hooks.OnStore(&StoreEvent{PC: pc, DisePC: dpc, Addr: addr, Size: size, InDise: inDise}); stall > 0 {
 				ev.trapStall += stall
 				ev.trapped = true
 			}
 		}
-		ev.isStore = true
-		ev.addr, ev.size = addr, size
 		if !inDise {
 			c.stats.Stores++
 		}

@@ -206,7 +206,7 @@ main:
     li  r2, 7
     stq r2, 0(r1)   ; silent (7 over 7)
     li  r2, 9
-    stq r2, 0(r1)   ; not silent
+    stl r2, 4(r1)   ; not silent
     halt
 `)
 	if err != nil {
@@ -223,14 +223,22 @@ main:
 	if len(events) != 2 {
 		t.Fatalf("store events = %d, want 2", len(events))
 	}
-	if !events[0].Silent() {
-		t.Error("first store should be silent")
+	v := p.MustSymbol("v")
+	// Both stores reach the hook, silent or not; each names its own PC.
+	for i, want := range []struct {
+		addr uint64
+		size int
+	}{{v, 8}, {v + 4, 4}} {
+		ev := events[i]
+		if ev.Addr != want.addr || ev.Size != want.size || ev.InDise {
+			t.Errorf("event %d = %+v, want addr %#x size %d", i, ev, want.addr, want.size)
+		}
+		if w := isa.Decode(uint32(m.Mem.Read(ev.PC, 4))); !w.Op.IsStore() {
+			t.Errorf("event %d: PC %#x holds %v, not a store", i, ev.PC, w)
+		}
 	}
-	if events[1].Silent() {
-		t.Error("second store should not be silent")
-	}
-	if events[1].Old != 7 || events[1].New != 9 {
-		t.Errorf("event = %+v", events[1])
+	if events[0].PC == events[1].PC {
+		t.Errorf("both events report PC %#x", events[0].PC)
 	}
 }
 

@@ -78,15 +78,20 @@ func TestWriteFrequencies(t *testing.T) {
 			m.Load(w.Program)
 			counts := map[string]uint64{}
 			var stores, hotSilent uint64
+			// hot shadows the HOT quad: a store that leaves it equal to the
+			// shadow was silent.
+			hot := m.ReadQuad(w.WP.Hot)
 			in := func(addr, lo uint64, n uint64) bool { return addr >= lo && addr < lo+n }
 			m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
 				stores++
 				switch {
 				case in(ev.Addr, w.WP.Hot, 8):
 					counts["hot"]++
-					if ev.Silent() {
+					v := m.ReadQuad(w.WP.Hot)
+					if v == hot {
 						hotSilent++
 					}
+					hot = v
 				case in(ev.Addr, w.WP.Warm1, 8):
 					counts["warm1"]++
 				case in(ev.Addr, w.WP.Warm2, 8):
