@@ -1,7 +1,7 @@
 // Package bpred models the front-end branch prediction hardware from the
 // paper's §5 configuration: an 8K-entry hybrid predictor (bimodal and
-// gshare components with a chooser), a 2K-entry BTB, and a return-address
-// stack.
+// gshare components with a chooser), a 2K-entry BTB with LRU replacement
+// (each set kept in recency order), and a return-address stack.
 package bpred
 
 // Config sizes the predictor structures. All counts must be powers of two.
@@ -32,11 +32,11 @@ type Stats struct {
 	TargetMisses   uint64
 }
 
-type btbEntry struct {
-	tag    uint64
-	target uint64
-	valid  bool
-	lru    uint64
+// A btbWay is one BTB way: key is the branch PC with its two low bits
+// set (a PC's low bits never index or tag, and a valid way's key is never
+// 0), target the predicted target. The zero btbWay is invalid.
+type btbWay struct {
+	key, target uint64
 }
 
 // Predictor is the complete front-end prediction unit. Not safe for
@@ -49,8 +49,11 @@ type Predictor struct {
 	chooser []uint8 // 2-bit: >=2 means "use gshare"
 	history uint64
 
-	btb      [][]btbEntry
-	btbClock uint64
+	// btb holds the BTB's sets flat, set-major, each set in recency
+	// order: most recently used first, the victim last.
+	btb      []btbWay
+	btbAssoc int
+	btbMask  uint64 // set count - 1
 
 	ras    []uint64
 	rasTop int
@@ -63,20 +66,16 @@ func New(cfg Config) *Predictor {
 	if cfg.PredEntries&(cfg.PredEntries-1) != 0 || cfg.BTBEntries&(cfg.BTBEntries-1) != 0 {
 		panic("bpred: table sizes must be powers of two")
 	}
-	nSets := cfg.BTBEntries / cfg.BTBAssoc
-	btb := make([][]btbEntry, nSets)
-	backing := make([]btbEntry, cfg.BTBEntries)
-	for i := range btb {
-		btb[i] = backing[i*cfg.BTBAssoc : (i+1)*cfg.BTBAssoc]
-	}
 	n := cfg.PredEntries
 	p := &Predictor{
-		cfg:     cfg,
-		bimodal: make([]uint8, n),
-		gshare:  make([]uint8, n),
-		chooser: make([]uint8, n),
-		btb:     btb,
-		ras:     make([]uint64, cfg.RASEntries),
+		cfg:      cfg,
+		bimodal:  make([]uint8, n),
+		gshare:   make([]uint8, n),
+		chooser:  make([]uint8, n),
+		btb:      make([]btbWay, cfg.BTBEntries),
+		btbAssoc: cfg.BTBAssoc,
+		btbMask:  uint64(cfg.BTBEntries/cfg.BTBAssoc - 1),
+		ras:      make([]uint64, cfg.RASEntries),
 	}
 	p.Reset()
 	return p
@@ -96,10 +95,7 @@ func (p *Predictor) Reset() {
 		p.chooser[i] = 1
 	}
 	p.history = 0
-	for _, set := range p.btb {
-		clear(set)
-	}
-	p.btbClock = 0
+	clear(p.btb)
 	clear(p.ras)
 	p.rasTop = 0
 	p.stats = Stats{}
@@ -159,41 +155,55 @@ func (p *Predictor) UpdateCond(pc uint64, taken bool) (mispredicted bool) {
 	return pred != taken
 }
 
-// PredictTarget looks up the BTB for an indirect-jump target prediction.
-func (p *Predictor) PredictTarget(pc uint64) (target uint64, ok bool) {
-	p.stats.TargetLookups++
-	set := p.btb[(pc>>2)&uint64(len(p.btb)-1)]
-	tag := (pc >> 2) / uint64(len(p.btb))
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			p.btbClock++
-			set[i].lru = p.btbClock
-			return set[i].target, true
+// btbFind returns the ways of pc's BTB set, pc's key, and the index of
+// the way that holds the key, or len(set) on a miss.
+func (p *Predictor) btbFind(pc uint64) ([]btbWay, uint64, int) {
+	base := int((pc>>2)&p.btbMask) * p.btbAssoc
+	set, key := p.btb[base:base+p.btbAssoc], pc|3
+	for i, w := range set {
+		if w.key == key {
+			return set, key, i
 		}
 	}
-	p.stats.TargetMisses++
-	return 0, false
+	return set, key, len(set)
 }
 
-// UpdateTarget installs or refreshes a BTB entry.
-func (p *Predictor) UpdateTarget(pc, target uint64) {
-	set := p.btb[(pc>>2)&uint64(len(p.btb)-1)]
-	tag := (pc >> 2) / uint64(len(p.btb))
-	p.btbClock++
-	victim := 0
+// btbPush writes w at the front of set, shifting the others down one; the
+// way shifted out of the back is dropped.
+func btbPush(set []btbWay, w btbWay) {
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].target = target
-			set[i].lru = p.btbClock
-			return
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lru < set[victim].lru {
-			victim = i
-		}
+		set[i], w = w, set[i]
 	}
-	set[victim] = btbEntry{tag: tag, target: target, valid: true, lru: p.btbClock}
+}
+
+// PredictTarget looks up the BTB for an indirect-jump target prediction.
+// Its hit path is btbHit, which keeps PredictTarget small enough to
+// inline into the core's jump execution.
+func (p *Predictor) PredictTarget(pc uint64) (target uint64, ok bool) {
+	p.stats.TargetLookups++
+	if target, ok = p.btbHit(pc); !ok {
+		p.stats.TargetMisses++
+	}
+	return target, ok
+}
+
+// btbHit returns the target in pc's BTB way and makes the way its set's
+// most recently used; ok is false if pc has no way.
+func (p *Predictor) btbHit(pc uint64) (target uint64, ok bool) {
+	set, _, i := p.btbFind(pc)
+	if i == len(set) {
+		return 0, false
+	}
+	w := set[i]
+	btbPush(set[:i+1], w)
+	return w.target, true
+}
+
+// UpdateTarget installs or refreshes a BTB entry as its set's most
+// recently used; an install evicts the least recently used way, the last.
+func (p *Predictor) UpdateTarget(pc, target uint64) {
+	set, key, i := p.btbFind(pc)
+	btbPush(set[:min(i+1, len(set))], btbWay{key: key, target: target})
 }
 
 // PushRAS records a call's return address.

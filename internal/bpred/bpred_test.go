@@ -1,6 +1,10 @@
 package bpred
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"testing/quick"
+)
 
 func TestLearnsAlwaysTaken(t *testing.T) {
 	p := New(DefaultConfig())
@@ -111,4 +115,112 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	New(Config{PredEntries: 1000, BTBEntries: 2048, BTBAssoc: 4, RASEntries: 8, HistoryBits: 8})
+}
+
+// refBTB is the stamp-LRU reference for the BTB: per-set entry slices
+// with a tag, a valid bit and a recency stamp from a clock that advances
+// on every hit and every update. A miss fills an invalid way if the set
+// has one, else the way with the smallest stamp.
+type refBTB struct {
+	sets  [][]refBTBEntry
+	clock uint64
+	stats Stats
+}
+
+type refBTBEntry struct {
+	tag, target, lru uint64
+	valid            bool
+}
+
+func newRefBTB(entries, assoc int) *refBTB {
+	sets := make([][]refBTBEntry, entries/assoc)
+	for i := range sets {
+		sets[i] = make([]refBTBEntry, assoc)
+	}
+	return &refBTB{sets: sets}
+}
+
+func (r *refBTB) lookup(pc uint64) ([]refBTBEntry, uint64) {
+	return r.sets[(pc>>2)&uint64(len(r.sets)-1)], (pc >> 2) / uint64(len(r.sets))
+}
+
+func (r *refBTB) predict(pc uint64) (uint64, bool) {
+	r.stats.TargetLookups++
+	set, tag := r.lookup(pc)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			r.clock++
+			set[i].lru = r.clock
+			return set[i].target, true
+		}
+	}
+	r.stats.TargetMisses++
+	return 0, false
+}
+
+func (r *refBTB) update(pc, target uint64) {
+	set, tag := r.lookup(pc)
+	r.clock++
+	victim := 0
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].target = target
+			set[i].lru = r.clock
+			return
+		}
+		if !set[i].valid {
+			victim = i
+		} else if set[victim].valid && set[i].lru < set[victim].lru {
+			victim = i
+		}
+	}
+	set[victim] = refBTBEntry{tag: tag, target: target, valid: true, lru: r.clock}
+}
+
+// TestBTBMatchesReference drives the recency-ordered BTB and the
+// stamp-LRU reference with one random stream of PredictTarget and
+// UpdateTarget calls over PCs that alias in every set, on the default
+// 2048x4 BTB, smaller and wider shapes, and the no-bpred preset's single
+// entry, comparing every prediction and the statistics.
+func TestBTBMatchesReference(t *testing.T) {
+	for _, shape := range [][2]int{{2048, 4}, {16, 4}, {64, 2}, {64, 8}, {1, 1}} {
+		entries, assoc := shape[0], shape[1]
+		t.Run(fmt.Sprintf("%dx%d", entries, assoc), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.BTBEntries, cfg.BTBAssoc = entries, assoc
+			f := func(seed uint64) bool {
+				p := New(cfg)
+				ref := newRefBTB(entries, assoc)
+				x := seed | 1
+				for i := 0; i < 16*entries+2000; i++ {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					// Twice as many PCs as entries, unaligned ones among
+					// them: the low two bits neither index nor tag.
+					pc := 0x1000 + (x>>8)%uint64(8*entries)
+					if x%3 == 0 {
+						target := x >> 32
+						p.UpdateTarget(pc, target)
+						ref.update(pc, target)
+						continue
+					}
+					gt, gok := p.PredictTarget(pc)
+					wt, wok := ref.predict(pc)
+					if gt != wt || gok != wok {
+						t.Logf("seed %#x op %d pc %#x: btb=(%#x, %v) ref=(%#x, %v)", seed, i, pc, gt, gok, wt, wok)
+						return false
+					}
+				}
+				if p.Stats() != ref.stats {
+					t.Logf("stats diverged: btb=%+v ref=%+v", p.Stats(), ref.stats)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

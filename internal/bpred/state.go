@@ -1,5 +1,5 @@
 // Snapshot/Restore for the branch predictor: counter tables, global
-// history, BTB contents with replacement clock, and the return-address
+// history, BTB ways in each set's recency order, and the return-address
 // stack are copied bit-exactly so a restored predictor produces the same
 // prediction/misprediction sequence the original would have.
 package bpred
@@ -8,36 +8,28 @@ import "encoding/binary"
 
 // State is a point-in-time copy of a Predictor.
 type State struct {
-	bimodal  []uint8
-	gshare   []uint8
-	chooser  []uint8
-	history  uint64
-	btb      []btbEntry // flat, set-major, len nSets*assoc
-	btbClock uint64
-	ras      []uint64
-	rasTop   int
-	stats    Stats
+	bimodal []uint8
+	gshare  []uint8
+	chooser []uint8
+	history uint64
+	btb     []btbWay
+	ras     []uint64
+	rasTop  int
+	stats   Stats
 }
 
 // Snapshot captures the predictor contents and statistics.
 func (p *Predictor) Snapshot() *State {
-	st := &State{
-		bimodal:  append([]uint8(nil), p.bimodal...),
-		gshare:   append([]uint8(nil), p.gshare...),
-		chooser:  append([]uint8(nil), p.chooser...),
-		history:  p.history,
-		btbClock: p.btbClock,
-		ras:      append([]uint64(nil), p.ras...),
-		rasTop:   p.rasTop,
-		stats:    p.stats,
+	return &State{
+		bimodal: append([]uint8(nil), p.bimodal...),
+		gshare:  append([]uint8(nil), p.gshare...),
+		chooser: append([]uint8(nil), p.chooser...),
+		history: p.history,
+		btb:     append([]btbWay(nil), p.btb...),
+		ras:     append([]uint64(nil), p.ras...),
+		rasTop:  p.rasTop,
+		stats:   p.stats,
 	}
-	if len(p.btb) > 0 {
-		st.btb = make([]btbEntry, 0, len(p.btb)*len(p.btb[0]))
-		for _, set := range p.btb {
-			st.btb = append(st.btb, set...)
-		}
-	}
-	return st
 }
 
 // Restore replaces the predictor contents and statistics with the
@@ -48,22 +40,14 @@ func (p *Predictor) Restore(st *State) {
 		len(st.chooser) != len(p.chooser) || len(st.ras) != len(p.ras) {
 		panic("bpred: Restore geometry mismatch")
 	}
+	if len(st.btb) != len(p.btb) {
+		panic("bpred: Restore BTB geometry mismatch")
+	}
 	copy(p.bimodal, st.bimodal)
 	copy(p.gshare, st.gshare)
 	copy(p.chooser, st.chooser)
 	p.history = st.history
-	off := 0
-	for _, set := range p.btb {
-		if off+len(set) > len(st.btb) {
-			panic("bpred: Restore BTB geometry mismatch")
-		}
-		copy(set, st.btb[off:off+len(set)])
-		off += len(set)
-	}
-	if off != len(st.btb) {
-		panic("bpred: Restore BTB geometry mismatch")
-	}
-	p.btbClock = st.btbClock
+	copy(p.btb, st.btb)
 	copy(p.ras, st.ras)
 	p.rasTop = st.rasTop
 	p.stats = st.stats
@@ -80,18 +64,10 @@ func (st *State) AppendBinary(dst []byte) []byte {
 	dst = appendBytes(dst, st.chooser)
 	dst = binary.LittleEndian.AppendUint64(dst, st.history)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.btb)))
-	for i := range st.btb {
-		e := &st.btb[i]
-		dst = binary.LittleEndian.AppendUint64(dst, e.tag)
-		dst = binary.LittleEndian.AppendUint64(dst, e.target)
-		dst = binary.LittleEndian.AppendUint64(dst, e.lru)
-		v := byte(0)
-		if e.valid {
-			v = 1
-		}
-		dst = append(dst, v)
+	for _, w := range st.btb {
+		dst = binary.LittleEndian.AppendUint64(dst, w.key)
+		dst = binary.LittleEndian.AppendUint64(dst, w.target)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, st.btbClock)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.ras)))
 	for _, a := range st.ras {
 		dst = binary.LittleEndian.AppendUint64(dst, a)

@@ -6,8 +6,11 @@
 // 32-byte bus running at 1/4 the processor frequency.
 //
 // The caches are timing-only: data lives in internal/mem; these structures
-// track tags and report latencies.
+// keep each set's line addresses, dirty bits and recency order, and report
+// latencies.
 package cache
+
+import "math/bits"
 
 // Config describes one cache.
 type Config struct {
@@ -37,54 +40,49 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	lru   uint64 // larger = more recently used; valid lines are >= 1
-	valid bool
-	dirty bool
-}
+// A way is one word: the line address of the line it holds, with the
+// valid and dirty flags in the two low bits that a line of at least 4
+// bytes leaves free. 0 is an invalid way.
+const (
+	valid uint64 = 1
+	dirty uint64 = 2
+)
 
-// Cache is a set-associative, write-back, write-allocate cache.
+// Cache is a set-associative, write-back, write-allocate cache with LRU
+// replacement.
 //
-// Lines are stored flat — way w of set s lives at lines[s*assoc+w] — so
-// one allocation backs the whole cache and an access touches a single
-// contiguous slice of ways. Set index and tag come from precomputed
-// shifts/masks (no division on the access path), and recency is a
-// monotonic clock stamped per access: valid lines always carry lru >= 1,
-// which lets the victim scan treat 0 as "invalid way here" and fuse the
-// tag match and victim selection into one pass.
+// Ways are stored flat — set s occupies ways[s*assoc : (s+1)*assoc] — so
+// one allocation backs the whole cache, and each set is kept in recency
+// order, most recently used first. A hit moves its way to the front; a
+// fill shifts the set down one and writes the front, so the victim is
+// always the last way. Invalid ways sink to the back, where a fill takes
+// one before it evicts a valid line. The set index comes from a
+// precomputed shift and mask (no division on the access path).
 type Cache struct {
 	cfg      Config
-	lines    []line
+	ways     []uint64
 	assoc    int
 	setShift uint
-	tagShift uint
 	setMask  uint64
-	lruClock uint64
 	stats    Stats
 }
 
-// New builds a cache from cfg. Sizes must be powers of two.
+// New builds a cache from cfg. The line size and the set count must be
+// powers of two, the line at least 4 bytes.
 func New(cfg Config) *Cache {
+	if cfg.LineBytes < 4 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		panic("cache: line size must be a power of two of at least 4 bytes")
+	}
 	nLines := cfg.SizeBytes / cfg.LineBytes
 	nSets := nLines / cfg.Assoc
 	if nSets <= 0 || nSets&(nSets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
-	}
-	setBits := uint(0)
-	for 1<<setBits < nSets {
-		setBits++
-	}
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, nLines),
+		ways:     make([]uint64, nLines),
 		assoc:    cfg.Assoc,
-		setShift: shift,
-		tagShift: shift + setBits,
+		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  uint64(nSets - 1),
 	}
 }
@@ -135,112 +133,73 @@ func (c *Cache) WritebackClean(addr uint64) AccessResult {
 	return c.access(addr, false, false)
 }
 
-// access is the shared probe/allocate path; demand selects whether a miss
-// counts in the demand statistics. One fused pass over the set's ways
-// answers both questions an access asks — "is the tag here?" and "which
-// way would I evict?" — so a miss pays no second scan.
-func (c *Cache) access(addr uint64, write, demand bool) AccessResult {
-	if c.lruClock == ^uint64(0) {
-		// The clock saturated (2^64 accesses — unreachable in practice but
-		// cheap to be correct about): compact recency once instead of
-		// renormalizing per access.
-		c.renormalize()
-	}
-	c.lruClock++
+// set returns the ways of addr's set and addr's way word, valid and
+// clean.
+func (c *Cache) set(addr uint64) ([]uint64, uint64) {
 	base := int((addr>>c.setShift)&c.setMask) * c.assoc
-	tag := addr >> c.tagShift
-	ways := c.lines[base : base+c.assoc]
-	// Victim selection needs no validity branch: invalid ways always
-	// carry lru == 0 while valid lines are stamped >= 1, so the min-lru
-	// scan prefers the first invalid way all by itself.
-	victim, victimLRU := 0, ^uint64(0)
-	for i := range ways {
-		w := &ways[i]
-		if w.valid && w.tag == tag {
-			w.lru = c.lruClock
-			if write {
-				w.dirty = true
-			}
+	return c.ways[base : base+c.assoc], c.LineBase(addr) | valid
+}
+
+// access is the shared probe/allocate path; demand selects whether a miss
+// counts in the demand statistics.
+func (c *Cache) access(addr uint64, write, demand bool) AccessResult {
+	ways, key := c.set(addr)
+	if write {
+		key |= dirty
+	}
+	for i, w := range ways {
+		if (w^key)&^dirty == 0 {
+			push(ways[:i+1], w|key)
 			return AccessResult{Hit: true}
-		}
-		if w.lru < victimLRU {
-			victim, victimLRU = i, w.lru
 		}
 	}
 	if demand {
 		c.stats.Misses++
 	}
 	res := AccessResult{}
-	v := &ways[victim]
-	if v.valid {
+	if v := push(ways, key); v != 0 {
 		res.VictimValid = true
-		res.VictimAddr = v.tag<<c.tagShift | uint64(base/c.assoc)<<c.setShift
-		if v.dirty {
+		res.VictimAddr = v &^ (valid | dirty)
+		if v&dirty != 0 {
 			res.WritebackReq = true
 			c.stats.Writebacks++
 		}
 	}
-	*v = line{tag: tag, valid: true, dirty: write, lru: c.lruClock}
 	return res
 }
 
-// renormalize compacts the recency clock. LRU comparisons only ever
-// happen between ways of one set, so each set's valid ways are restamped
-// with their rank (1..assoc) and the clock restarts just above the
-// largest stamp — relative order inside every set is preserved and the
-// clock always collapses, regardless of how stale the oldest line is.
-// Called only when the clock saturates, never per access.
-func (c *Cache) renormalize() {
-	old := make([]uint64, c.assoc)
-	for base := 0; base < len(c.lines); base += c.assoc {
-		ways := c.lines[base : base+c.assoc]
-		for i := range ways {
-			old[i] = ways[i].lru
-		}
-		for i := range ways {
-			if !ways[i].valid {
-				continue
-			}
-			rank := uint64(1)
-			for j := range ways {
-				if j != i && ways[j].valid && (old[j] < old[i] ||
-					(old[j] == old[i] && j < i)) {
-					rank++
-				}
-			}
-			ways[i].lru = rank
-		}
+// push writes w at the front of ways, shifting the others down one, and
+// returns the way shifted out of the back. It is an explicit loop: a set
+// has a handful of ways, too few for copy's memmove to pay.
+func push(ways []uint64, w uint64) uint64 {
+	for i := range ways {
+		ways[i], w = w, ways[i]
 	}
-	c.lruClock = uint64(c.assoc)
+	return w
 }
 
 // Probe reports whether addr hits without updating state (used in tests).
 func (c *Cache) Probe(addr uint64) bool {
-	base := int((addr>>c.setShift)&c.setMask) * c.assoc
-	tag := addr >> c.tagShift
-	for _, w := range c.lines[base : base+c.assoc] {
-		if w.valid && w.tag == tag {
+	ways, key := c.set(addr)
+	for _, w := range ways {
+		if (w^key)&^dirty == 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// Flush invalidates all lines (contents, not stats). The flattened
-// backing store is zeroed wholesale, including each line's lru stamp, so
-// no stale recency survives into the next fill.
+// Flush invalidates all lines (contents, not stats).
 func (c *Cache) Flush() {
-	clear(c.lines)
+	clear(c.ways)
 }
 
-// Reset returns the cache to its post-New state: all lines invalid,
-// statistics cleared, and the LRU clock rezeroed so a recycled cache's
-// replacement decisions replay exactly like a fresh one's (a clock left
-// near saturation would renormalize at a different access than a fresh
-// cache would).
+// Reset returns the cache to its post-New state: all lines invalid and
+// statistics cleared. Recency lives in the order of each set's ways, so
+// a recycled cache replays replacement decisions exactly like a fresh
+// one.
 func (c *Cache) Reset() {
 	c.Flush()
-	c.lruClock = 0
 	c.stats = Stats{}
 }
 
@@ -268,6 +227,6 @@ func (t *TLB) Lookup(addr uint64) bool {
 // Stats returns TLB statistics.
 func (t *TLB) Stats() Stats { return t.inner.Stats() }
 
-// Reset invalidates all translations and clears statistics and the LRU
-// clock (see Cache.Reset).
+// Reset invalidates all translations and clears statistics (see
+// Cache.Reset).
 func (t *TLB) Reset() { t.inner.Reset() }

@@ -481,9 +481,18 @@ func TestSidesSymmetric(t *testing.T) {
 	}
 }
 
+// line is one way of refCache: a tag, a recency stamp from the
+// reference's clock (0 while the way is invalid), and the flags.
+type line struct {
+	tag   uint64
+	lru   uint64 // larger = more recently used; valid lines are >= 1
+	valid bool
+	dirty bool
+}
+
 // refCache is the seed-style two-pass reference implementation: per-set
 // line slices, a tag-match scan, then a separate victim scan (first
-// invalid way, else least recently used). The fused single-pass
+// invalid way, else the smallest recency stamp). The recency-ordered
 // Cache.access must be behaviorally identical to it.
 type refCache struct {
 	sets     [][]line
@@ -552,113 +561,126 @@ func (c *refCache) access(addr uint64, write, demand bool) AccessResult {
 	return res
 }
 
-// TestFusedScanMatchesReference drives the flattened fused-scan cache and
-// the two-pass reference with an identical randomized stream of demand
+// TestFusedScanMatchesReference drives the recency-ordered cache and the
+// stamp-LRU reference with an identical randomized stream of demand
 // reads/writes and writeback installs, comparing every AccessResult and
-// the final statistics.
+// the final statistics, over associativities 1 to 16, the smallest line
+// a way word allows, and the TLB shape.
 func TestFusedScanMatchesReference(t *testing.T) {
-	f := func(seed uint64) bool {
-		cfg := Config{Name: "t", SizeBytes: 2048, LineBytes: 64, Assoc: 4, HitLatency: 1}
-		got := New(cfg)
-		want := newRefCache(cfg)
-		x := seed | 1
-		for i := 0; i < 4000; i++ {
-			x = xorshift(x)
-			addr := (x >> 8) % (1 << 14) // enough aliasing to churn sets
-			write := x&1 == 1
-			var gr, wr AccessResult
-			switch {
-			case x%16 == 0:
-				gr = got.Writeback(addr)
-				wr = want.access(addr, true, false)
-			case x%16 == 1:
-				gr = got.WritebackClean(addr)
-				wr = want.access(addr, false, false)
-			default:
-				gr = got.Access(addr, write)
-				wr = want.access(addr, write, true)
+	for _, cfg := range []Config{
+		{Name: "assoc1", SizeBytes: 1024, LineBytes: 64, Assoc: 1},
+		{Name: "assoc2", SizeBytes: 2048, LineBytes: 64, Assoc: 2},
+		{Name: "assoc4", SizeBytes: 2048, LineBytes: 64, Assoc: 4},
+		{Name: "assoc8", SizeBytes: 4096, LineBytes: 64, Assoc: 8},
+		{Name: "assoc16", SizeBytes: 8192, LineBytes: 64, Assoc: 16},
+		{Name: "line4", SizeBytes: 128, LineBytes: 4, Assoc: 2},
+		{Name: "tlb", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 4},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			f := func(seed uint64) bool {
+				got := New(cfg)
+				want := newRefCache(cfg)
+				x := seed | 1
+				for i := 0; i < 4000; i++ {
+					x = xorshift(x)
+					// Eight times the cache's size: enough aliasing to
+					// churn sets, enough reuse to hit.
+					addr := (x >> 8) % uint64(8*cfg.SizeBytes)
+					write := x&1 == 1
+					var gr, wr AccessResult
+					switch {
+					case x%16 == 0:
+						gr = got.Writeback(addr)
+						wr = want.access(addr, true, false)
+					case x%16 == 1:
+						gr = got.WritebackClean(addr)
+						wr = want.access(addr, false, false)
+					default:
+						gr = got.Access(addr, write)
+						wr = want.access(addr, write, true)
+					}
+					if gr != wr {
+						t.Logf("seed %#x op %d addr %#x: cache=%+v ref=%+v", seed, i, addr, gr, wr)
+						return false
+					}
+				}
+				if got.Stats() != want.stats {
+					t.Logf("stats diverged: cache=%+v ref=%+v", got.Stats(), want.stats)
+					return false
+				}
+				return true
 			}
-			if gr != wr {
-				t.Logf("seed %#x op %d addr %#x: fused=%+v ref=%+v", seed, i, addr, gr, wr)
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got.Stats() != want.stats {
-			t.Logf("stats diverged: fused=%+v ref=%+v", got.Stats(), want.stats)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
 // TestResetClearsFlattenedStorage is the white-box recycle guarantee for
-// the flattened layout: after Flush no line survives (tags, dirt, and lru
-// stamps all zero), and after Reset the LRU clock itself restarts, so a
-// recycled cache replays replacement decisions exactly like a fresh one.
+// the flattened layout: after Flush and after Reset every way is 0
+// (invalid), and Reset zeroes the statistics, so a recycled cache replays
+// replacement decisions exactly like a fresh one.
 func TestResetClearsFlattenedStorage(t *testing.T) {
 	c := smallCache()
 	for a := uint64(0); a < 16; a++ {
 		c.Access(a*64, a%2 == 0)
 	}
 	c.Flush()
-	for i, w := range c.lines {
-		if w != (line{}) {
-			t.Fatalf("line %d survived Flush: %+v", i, w)
+	for i, w := range c.ways {
+		if w != 0 {
+			t.Fatalf("way %d survived Flush: %#x", i, w)
 		}
 	}
-	if c.lruClock == 0 {
-		t.Fatal("test lost its teeth: clock should be nonzero before Reset")
-	}
-	c.Access(0x1000, false)
+	c.Access(0x1000, true)
 	c.Reset()
-	if c.lruClock != 0 {
-		t.Errorf("Reset kept lruClock = %d", c.lruClock)
-	}
 	if c.stats != (Stats{}) {
 		t.Errorf("Reset kept stats %+v", c.stats)
 	}
-	for i, w := range c.lines {
-		if w != (line{}) {
-			t.Fatalf("line %d survived Reset: %+v", i, w)
+	for i, w := range c.ways {
+		if w != 0 {
+			t.Fatalf("way %d survived Reset: %#x", i, w)
 		}
 	}
 }
 
-// TestLRUClockSaturation pins the saturating-clock behavior: with the
-// clock forced to its ceiling, the next access renormalizes recency
-// per set (ranks 1..assoc) instead of wrapping, and LRU order survives.
-func TestLRUClockSaturation(t *testing.T) {
+// TestLRUEvictsPastDirtyMRU: after the accesses a, b, a (written), d to
+// one 2-way set, d evicts clean b and leaves a resident and dirty, so
+// evicting a next requests its writeback.
+func TestLRUEvictsPastDirtyMRU(t *testing.T) {
 	c := smallCache() // 4 sets x 2 ways
 	a, b, d := uint64(0x0000), uint64(0x0100), uint64(0x0200)
 	c.Access(a, false)
 	c.Access(b, false)
 	c.Access(a, true) // a is MRU and dirty
-	c.lruClock = ^uint64(0)
-	// The renormalized stamps must keep a > b, so this access evicts b.
 	res := c.Access(d, false)
-	if !res.VictimValid || res.VictimAddr != b {
-		t.Fatalf("post-saturation eviction = %+v, want clean victim %#x", res, b)
-	}
-	if c.lruClock >= 1<<32 {
-		t.Errorf("clock did not renormalize: %d", c.lruClock)
+	if res != (AccessResult{VictimValid: true, VictimAddr: b}) {
+		t.Fatalf("eviction = %+v, want clean victim %#x", res, b)
 	}
 	if !c.Probe(a) || c.Probe(b) || !c.Probe(d) {
-		t.Error("LRU order lost across renormalization")
+		t.Error("LRU order lost")
 	}
-	// a's dirt survived renormalization: evicting it requests a writeback.
-	if res := c.Access(a+0x300, false); res.VictimValid && !res.WritebackReq && res.VictimAddr == a {
-		t.Error("renormalization dropped dirty bit")
+	if res := c.Access(a+0x300, false); res != (AccessResult{VictimValid: true, WritebackReq: true, VictimAddr: a}) {
+		t.Errorf("evicting a = %+v, want dirty victim %#x", res, a)
 	}
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on non-power-of-two set count")
-		}
-	}()
-	New(Config{SizeBytes: 384, LineBytes: 64, Assoc: 2})
+	for _, tc := range []struct {
+		why string
+		cfg Config
+	}{
+		{"non-power-of-two set count", Config{SizeBytes: 384, LineBytes: 64, Assoc: 2}},
+		{"line too short for the way flags", Config{SizeBytes: 16, LineBytes: 2, Assoc: 2}},
+		{"non-power-of-two line", Config{SizeBytes: 384, LineBytes: 48, Assoc: 2}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("want panic on %s", tc.why)
+				}
+			}()
+			New(tc.cfg)
+		}()
+	}
 }

@@ -188,8 +188,8 @@ func (h *Hierarchy) DataLatency(addr uint64, write bool, now uint64) uint64 {
 }
 
 // Reset returns the whole memory system to its post-NewHierarchy state:
-// caches and TLBs are invalidated with their statistics and LRU clocks
-// cleared, and the bus is idle again. A recycled hierarchy produces
+// caches and TLBs are invalidated with their statistics cleared, and the
+// bus is idle again. A recycled hierarchy produces
 // bit-identical latencies and statistics to a fresh one.
 func (h *Hierarchy) Reset() {
 	h.L1I.Reset()

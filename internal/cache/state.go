@@ -1,59 +1,41 @@
 // Snapshot/Restore for caches, TLBs, and the full hierarchy. A snapshot
-// captures tags, valid/dirty bits, and LRU clocks bit-exactly, so a
-// restored cache produces the identical hit/miss/writeback sequence the
-// original would have. States are deep copies both ways and carry no
-// configuration: Restore panics if the geometry does not match, which
-// keeps config mismatches loud instead of silently corrupting timing.
+// captures every way word (line address, valid and dirty bits, in each
+// set's recency order) bit-exactly, so a restored cache produces the
+// identical hit/miss/writeback sequence the original would have. States
+// are deep copies both ways and carry no configuration: Restore panics if
+// the geometry does not match, which keeps config mismatches loud instead
+// of silently corrupting timing.
 package cache
 
 import "encoding/binary"
 
 // State is a point-in-time copy of one Cache.
 type State struct {
-	lines    []line
-	lruClock uint64
-	stats    Stats
+	ways  []uint64
+	stats Stats
 }
 
 // Snapshot captures the cache contents and statistics.
 func (c *Cache) Snapshot() *State {
-	st := &State{
-		lines:    make([]line, len(c.lines)),
-		lruClock: c.lruClock,
-		stats:    c.stats,
-	}
-	copy(st.lines, c.lines)
-	return st
+	return &State{ways: append([]uint64(nil), c.ways...), stats: c.stats}
 }
 
 // Restore replaces the cache contents and statistics with the snapshot's.
 // It panics if the snapshot was taken from a cache with different
 // geometry.
 func (c *Cache) Restore(st *State) {
-	if len(st.lines) != len(c.lines) {
+	if len(st.ways) != len(c.ways) {
 		panic("cache: Restore geometry mismatch")
 	}
-	copy(c.lines, st.lines)
-	c.lruClock = st.lruClock
+	copy(c.ways, st.ways)
 	c.stats = st.stats
 }
 
 // AppendBinary appends a deterministic encoding of the snapshot to dst.
 func (st *State) AppendBinary(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, st.lruClock)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.lines)))
-	for i := range st.lines {
-		ln := &st.lines[i]
-		dst = binary.LittleEndian.AppendUint64(dst, ln.tag)
-		dst = binary.LittleEndian.AppendUint64(dst, ln.lru)
-		var flags byte
-		if ln.valid {
-			flags |= 1
-		}
-		if ln.dirty {
-			flags |= 2
-		}
-		dst = append(dst, flags)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.ways)))
+	for _, w := range st.ways {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, st.stats.Accesses)
 	dst = binary.LittleEndian.AppendUint64(dst, st.stats.Misses)
@@ -103,11 +85,9 @@ func (h *Hierarchy) Restore(st *HierarchyState) {
 
 // AppendBinary appends a deterministic encoding of the snapshot to dst.
 func (st *HierarchyState) AppendBinary(dst []byte) []byte {
-	dst = st.L1I.AppendBinary(dst)
-	dst = st.L1D.AppendBinary(dst)
-	dst = st.L2.AppendBinary(dst)
-	dst = st.ITLB.AppendBinary(dst)
-	dst = st.DTLB.AppendBinary(dst)
+	for _, c := range [...]*State{st.L1I, st.L1D, st.L2, st.ITLB, st.DTLB} {
+		dst = c.AppendBinary(dst)
+	}
 	dst = binary.LittleEndian.AppendUint64(dst, st.busFreeAt)
 	dst = binary.LittleEndian.AppendUint64(dst, st.busBusyCycles)
 	return dst

@@ -33,7 +33,7 @@ type agreeStore struct{ size, off, stride, mask uint8 }
 // agreeWatch watches slot 0-3 (a scalar), 4 (the target of an indirect
 // watch through ptr) or 5 (the range). For a scalar or the target, shape
 // gives the size (1<<(shape&3)) and the offset in the slot, which may
-// straddle two quads; for the range, the length, 8..48 bytes.
+// straddle two quads; for the range, the length, 1..48 bytes.
 type agreeWatch struct{ slot, shape, cond uint8 }
 
 // agreeBreak breaks at the instruction at index pc (modulo the text
@@ -139,7 +139,7 @@ func (w agreeWatch) watchpoint(m *machine.Machine) *debug.Watchpoint {
 		m.WriteQuad(wp.Addr, area+64+off&^uint64(size-1))
 	case 5:
 		wp.Kind, wp.Addr, wp.Size = debug.WatchRange, area+80, 0
-		wp.Length = 8 * (1 + uint64(w.shape)%6)
+		wp.Length = 1 + uint64(w.shape)%48
 	}
 	if op, v, ok := agreeCond(w.cond); ok {
 		wp.Cond = &debug.Condition{Op: op, Value: v}
@@ -274,6 +274,11 @@ func FuzzBackendsAgree(f *testing.F) {
 			watches: []agreeWatch{{slot: scalar0, shape: 1, cond: cond(ne, 0)}}},
 		{iters: 10, dise: matchValue, stores: []agreeStore{{quad, 0, 0, 1}},
 			watches: []agreeWatch{{slot: scalar0, shape: 3, cond: cond(eq, 1)}}},
+		// A 4-byte range, a byte store past its end in its quad, and a
+		// silent word store to its base: dise compared whole quads, so
+		// the silent store reported the other's byte as a change.
+		{iters: 2, stores: []agreeStore{{0, 85, 0, 127}, {1, 80, 0, 0}},
+			watches: []agreeWatch{{slot: rng, shape: 3}}},
 	} {
 		f.Add(c.encode())
 	}

@@ -320,6 +320,52 @@ main:
 	}
 }
 
+// TestRangeWatchTail: a range whose length is not a multiple of 8 is its
+// own bytes only, on every back end that watches ranges (the hardware
+// and binary-rewriting back ends watch scalars only). A store past its
+// end and a quad store that leaves its bytes as they were change nothing
+// the user watches; a store to its last byte does. The DISE handler once
+// compared whole quads, so on dise alone the quad store was a user
+// transition.
+func TestRangeWatchTail(t *testing.T) {
+	const prog = `
+.data
+.align 8
+r: .quad 0
+.text
+main:
+    la  r1, r
+    li  r2, 5
+    stl r2, 4(r1)    ; past the range's end
+    li  r2, 7
+    sll r2, #32, r2
+    stq r2, 0(r1)    ; the range's bytes stay 0
+    li  r2, 9
+    stb r2, 3(r1)    ; the range's last byte changes
+    halt
+`
+	for _, b := range []debug.Backend{debug.BackendSingleStep, debug.BackendVirtualMemory,
+		debug.BackendHardwareReg, debug.BackendDise, debug.BackendBinaryRewrite} {
+		m := loadProg(t, prog)
+		d := debug.New(m, debug.DefaultOptions(b))
+		if err := d.Watch(&debug.Watchpoint{Name: "r", Kind: debug.WatchRange, Addr: m.Program.MustSymbol("r"), Length: 4}); err != nil {
+			t.Fatal(err)
+		}
+		var values []uint64
+		d.OnUser = func(ev debug.UserEvent) { values = append(values, ev.Value) }
+		if err := d.Install(); err != nil {
+			if b == debug.BackendHardwareReg || b == debug.BackendBinaryRewrite {
+				continue
+			}
+			t.Fatalf("%v: Install: %v", b, err)
+		}
+		m.MustRun(0)
+		if want := []uint64{7<<32 | 9<<24}; !slices.Equal(values, want) {
+			t.Errorf("%v: user transitions with values %#x, want %#x", b, values, want)
+		}
+	}
+}
+
 // TestWatchRangeBounds: Watch rejects a range longer than MaxRangeLength,
 // and a range, scalar or indirect pointer whose bytes do not fit below
 // 2^64, before Install would copy or enumerate them.

@@ -162,22 +162,34 @@ func (d *Debugger) emitEval(b *asm.Builder, st *diseState, w *Watchpoint, i int)
 
 	case WatchRange:
 		nQuads := int64((w.Length + 7) / 8)
+		whole, rem := int64(w.Length/8), int64(w.Length%8)
 		cmp := fmt.Sprintf("wp%d_cmp", i)
 		chg := fmt.Sprintf("wp%d_chg", i)
 		cpy := fmt.Sprintf("wp%d_cpy", i)
 		// Compare the region against the copy, quad by quad.
 		b.Li32(rA, int64(w.Addr))
 		b.Li32(rB, int64(st.dataBase)+slot)
-		b.Li32(rC, nQuads)
-		b.Label(cmp)
-		b.Mem(isa.OpLdq, rD, 0, rA)
-		b.Mem(isa.OpLdq, rAddr, 0, rB) // store address is dead by now
-		b.Op3(isa.OpCmpeq, rD, rAddr, rD)
-		b.CondBr(isa.OpBeq, rD, chg)
-		b.Lda(rA, 8, rA)
-		b.Lda(rB, 8, rB)
-		b.OpI(isa.OpSubq, rC, 1, rC)
-		b.CondBr(isa.OpBne, rC, cmp)
+		if whole > 0 {
+			b.Li32(rC, whole)
+			b.Label(cmp)
+			b.Mem(isa.OpLdq, rD, 0, rA)
+			b.Mem(isa.OpLdq, rAddr, 0, rB) // store address is dead by now
+			b.Op3(isa.OpCmpeq, rD, rAddr, rD)
+			b.CondBr(isa.OpBeq, rD, chg)
+			b.Lda(rA, 8, rA)
+			b.Lda(rB, 8, rB)
+			b.OpI(isa.OpSubq, rC, 1, rC)
+			b.CondBr(isa.OpBne, rC, cmp)
+		}
+		if rem != 0 {
+			// The last quad holds the region's final rem bytes in its low
+			// bytes: shift the difference's other bytes out.
+			b.Mem(isa.OpLdq, rD, 0, rA)
+			b.Mem(isa.OpLdq, rAddr, 0, rB)
+			b.Op3(isa.OpXor, rD, rAddr, rD)
+			b.OpI(isa.OpSll, rD, 64-8*rem, rD)
+			b.CondBr(isa.OpBne, rD, chg)
+		}
 		b.Br("done") // unchanged
 		// Changed: refresh the copy, check the predicate, trap.
 		b.Label(chg)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -215,10 +216,10 @@ func TestWriteQuad(t *testing.T) {
 }
 
 // TestResetRestoresColdHierarchy pins machine.Reset over the cache
-// hierarchy's flattened line layout: after a warm run, Reset must leave
+// hierarchy's flattened way layout: after a warm run, Reset must leave
 // no resident lines, zeroed memory-system statistics, and timing that
 // replays a fresh machine's exactly (same cold latency for the same
-// first access — a stale LRU clock or surviving line would diverge).
+// first access — a surviving line would diverge).
 func TestResetRestoresColdHierarchy(t *testing.T) {
 	p, err := asm.Assemble(`
 .data
@@ -262,6 +263,46 @@ loop:
 	if got, want := m.Hier.FetchLatency(addr+64, 100), fresh.Hier.FetchLatency(addr+64, 100); got != want {
 		t.Errorf("recycled cold fetch latency = %d, fresh = %d", got, want)
 	}
+}
+
+// footprintSink keeps TestMachineFootprint's machines on the heap.
+var footprintSink *Machine
+
+// TestMachineFootprint bounds the bytes one New allocates on each preset,
+// as the TotalAlloc delta over ten calls: a debug service holds a whole
+// machine per session. Each cache, TLB and BTB way is one word (a BTB way
+// two), so the default machine stays under 256 KiB; with a 24-byte
+// stamped cache line and a 32-byte BTB entry it took 552 KiB.
+func TestMachineFootprint(t *testing.T) {
+	bounds := map[string]uint64{
+		"default":     256 << 10,
+		"small-cache": 144 << 10,
+		"big-l2":      640 << 10,
+		"no-bpred":    192 << 10,
+		"narrow-core": 256 << 10,
+	}
+	for _, preset := range Presets() {
+		cfg, _ := PresetConfig(preset)
+		bound, ok := bounds[preset]
+		if !ok {
+			t.Errorf("%s: no footprint bound", preset)
+			continue
+		}
+		const n = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			footprintSink = New(cfg)
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / n
+		if got > bound {
+			t.Errorf("%s: New allocates %d bytes per machine, want at most %d", preset, got, bound)
+			continue
+		}
+		t.Logf("%s: New allocates %d bytes per machine", preset, got)
+	}
+	footprintSink = nil
 }
 
 // BenchmarkMachineNew builds one machine per preset: what a debug service

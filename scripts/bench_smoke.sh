@@ -68,8 +68,8 @@ go test -bench='BenchmarkBooking$|BenchmarkTimeEdge$' \
 # machine.New per preset, the cost of a session the serve pool cannot
 # recycle; one Load of mcf into a recycled machine, which maps the 4 MiB
 # data image rather than copying it; and one build of each kernel, mcf's
-# ring written in place. -benchmem shows the bytes each takes; the core's
-# share of a machine is bounded by TestCoreFootprint.
+# ring written in place. -benchmem shows the bytes each takes;
+# TestMachineFootprint (internal/machine) bounds each preset's machine.
 echo "-- machine construction and set-up (informational) --"
 go test -bench='BenchmarkMachineNew$|BenchmarkMachineLoad$' -benchmem \
     -run=NONE -benchtime=1s -count=1 ./internal/machine | grep -E 'Benchmark|^ok' || true
