@@ -6,15 +6,15 @@
 // Usage:
 //
 //	disesrv [-listen addr] [-stdio] [-workers N] [-quantum N] [-max-sessions N]
-//	        [-machine preset] [-queue-depth N] [-shed reject|pause] [-push-buffer N]
+//	        [-machine preset] [-queue-depth N] [-push-buffer N]
 //	        [-checkpoint-every N] [-read-timeout d] [-write-timeout d] [-drain-timeout d]
 //	        [-pprof addr] [-log-format text|json] [-trace-depth N]
 //
 // -machine selects the default machine configuration preset for sessions
 // that do not bring their own (clients pick per-session presets with the
 // create op's "machine" field). -queue-depth bounds how many sessions may
-// be runnable at once and -shed picks what happens beyond it: reject new
-// admissions, or pause the lowest-priority queued session. -push-buffer
+// be runnable at once; a continue or step beyond it fails with the wire
+// code "overloaded", and the client may retry. -push-buffer
 // is the default queue depth of a subscribe op's subscription: how far an
 // ordinary subscriber may fall behind before it is disconnected, or a
 // backpressure one before its session waits for it.
@@ -92,8 +92,7 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 0, "concurrent session cap (default 1024)")
 		machineName = flag.String("machine", "default",
 			"default machine preset ("+strings.Join(machine.Presets(), "|")+")")
-		queueDepth = flag.Int("queue-depth", 0, "runnable-session bound before load shedding (default max-sessions)")
-		shed       = flag.String("shed", "reject", "load-shedding policy past queue-depth (reject|pause)")
+		queueDepth = flag.Int("queue-depth", 0, "runnable-session bound; resumes past it are rejected (default max-sessions)")
 		pushBuffer = flag.Int("push-buffer", 0, "default subscription queue depth: events a subscriber may fall behind (default 128)")
 		checkpoint = flag.Int("checkpoint-every", 0, "checkpoint each session every N quanta (0 = off)")
 		readTO     = flag.Duration("read-timeout", 0, "sever TCP clients idle past this (0 = none)")
@@ -120,11 +119,6 @@ func main() {
 			*machineName, strings.Join(machine.Presets(), ", "))
 		os.Exit(2)
 	}
-	policy, ok := serve.ParseShedPolicy(*shed)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "disesrv: unknown shed policy %q (have reject, pause)\n", *shed)
-		os.Exit(2)
-	}
 
 	srv := serve.New(serve.Config{
 		Workers:         *workers,
@@ -132,7 +126,6 @@ func main() {
 		MaxSessions:     *maxSessions,
 		Machine:         mcfg,
 		QueueDepth:      *queueDepth,
-		Shed:            policy,
 		PushBuffer:      *pushBuffer,
 		CheckpointEvery: *checkpoint,
 		ReadTimeout:     *readTO,

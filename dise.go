@@ -184,15 +184,12 @@ func RunAllExperiments(cfg ExperimentConfig) []*ResultTable {
 // cmd/disesrv).
 type (
 	// Server multiplexes debug sessions over pooled machines.
-	// Server.SetPriority migrates a session between shed priorities at
-	// runtime (the wire protocol's rerank op) without close/recreate.
 	Server = serve.Server
 	// ServeConfig sizes a Server (workers, quantum, session cap, queue
-	// depth, shedding policy, push buffers).
+	// depth, push buffers).
 	ServeConfig = serve.Config
-	// ServeSessionConfig carries per-session creation parameters
-	// (machine configuration and initial shedding priority — re-rankable
-	// later via Server.SetPriority).
+	// ServeSessionConfig carries per-session creation parameters (the
+	// session's machine configuration).
 	ServeSessionConfig = serve.SessionConfig
 	// ServeSession is one session in a Server.
 	ServeSession = serve.Session
@@ -200,21 +197,13 @@ type (
 	ServeEvent = serve.Event
 	// ServeSubscription streams a session's events as they fire.
 	ServeSubscription = serve.Subscription
-	// ShedPolicy selects the overload behavior past the queue depth.
-	ShedPolicy = serve.ShedPolicy
 	// MachinePoolSet recycles machines of many configurations, keyed by
 	// machine configuration under one shared idle budget.
 	MachinePoolSet = serve.PoolSet
 )
 
-// Load-shedding policies.
-const (
-	ShedRejectNew   = serve.ShedRejectNew
-	ShedPauseLowest = serve.ShedPauseLowest
-)
-
-// ErrServerOverloaded is returned by ServeSession.Continue when load
-// shedding rejects the admission.
+// ErrServerOverloaded is returned by ServeSession.Continue when the
+// queue depth's worth of sessions is runnable already.
 var ErrServerOverloaded = serve.ErrOverloaded
 
 // NewServer builds a debug service and starts its workers.
@@ -222,10 +211,6 @@ func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 
 // DefaultServeConfig returns the default service configuration.
 func DefaultServeConfig() ServeConfig { return serve.DefaultConfig() }
-
-// ParseShedPolicy resolves a shedding-policy selector name (reject,
-// pause).
-func ParseShedPolicy(name string) (ShedPolicy, bool) { return serve.ParseShedPolicy(name) }
 
 // NewMachinePoolSet builds a multi-configuration pool keeping at most
 // capacity idle machines in total.

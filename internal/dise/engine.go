@@ -24,8 +24,10 @@ func (p *Production) String() string {
 }
 
 // Config sizes the DISE engine. The paper's §5 evaluation uses a modest
-// configuration: a 32-entry pattern table and a 512-instruction 2-way
-// set-associative replacement table.
+// configuration: a 32-entry pattern table and a 512-instruction
+// replacement table. The replacement table is modelled fully associative
+// per production: a production's whole sequence is resident or not, and
+// the least recently used sequences make room for a missing one.
 type Config struct {
 	PatternEntries   int
 	ReplacementInsts int // total replacement-table capacity in instructions
@@ -64,12 +66,13 @@ type Stats struct {
 type Engine struct {
 	cfg   Config
 	prods []*Production
-	// stamp[i] is prods[i]'s replacement-table LRU stamp, 0 while its
-	// sequence is not resident. It lives beside prods rather than in the
-	// Production because productions are shared across engines (a
-	// restored dise.State installs the donor's pointers).
-	stamp []uint64
-	gen   uint64 // see Memo
+	// resident lists the table indexes of the productions whose sequences
+	// are in the replacement table, most recently used first. It lives
+	// beside prods rather than in the Production because productions are
+	// shared across engines (a restored dise.State installs the donor's
+	// pointers).
+	resident []int
+	gen      uint64 // see Memo
 
 	// Active is false while the core executes a DISE-called function;
 	// expansion is disabled there to keep replacement sequences
@@ -84,11 +87,6 @@ type Engine struct {
 	// ⟨PC:DISEPC+1⟩.
 	DLinkPC  uint64
 	DLinkDPC int
-
-	// replacement-table residency model, production-granular LRU over
-	// stamp.
-	replUsed int
-	lruClock uint64
 
 	stats Stats
 }
@@ -116,7 +114,6 @@ func (e *Engine) Install(p *Production) error {
 	}
 	e.gen++
 	e.prods = append(e.prods, p)
-	e.stamp = append(e.stamp, 0)
 	return nil
 }
 
@@ -128,11 +125,13 @@ func (e *Engine) Remove(p *Production) bool {
 		return false
 	}
 	e.gen++
-	if e.stamp[i] != 0 {
-		e.replUsed -= len(p.Replacement)
-	}
 	e.prods = append(e.prods[:i], e.prods[i+1:]...)
-	e.stamp = append(e.stamp[:i], e.stamp[i+1:]...)
+	e.resident = slices.DeleteFunc(e.resident, func(r int) bool { return r == i })
+	for k, r := range e.resident {
+		if r > i {
+			e.resident[k] = r - 1
+		}
+	}
 	return true
 }
 
@@ -140,22 +139,19 @@ func (e *Engine) Remove(p *Production) bool {
 func (e *Engine) Clear() {
 	e.gen++
 	e.prods = nil
-	e.stamp = nil
-	e.replUsed = 0
+	e.resident = nil
 }
 
 // Reset returns the engine to its post-NewEngine state: no productions,
-// expansion enabled, DISE registers and the pending call link zeroed, the
-// replacement-table LRU clock rewound, and statistics cleared. A
-// recycled engine behaves bit-identically to a fresh one; only the
-// generation keeps counting, so memos filled before the reset are stale
-// after it.
+// expansion enabled, DISE registers and the pending call link zeroed, and
+// statistics cleared. A recycled engine behaves bit-identically to a
+// fresh one; only the generation keeps counting, so memos filled before
+// the reset are stale after it.
 func (e *Engine) Reset() {
 	e.Clear()
 	e.Active = true
 	e.Regs = [isa.NumDiseRegs]uint64{}
 	e.DLinkPC, e.DLinkDPC = 0, 0
-	e.lruClock = 0
 	e.stats = Stats{}
 }
 
@@ -167,9 +163,9 @@ func (e *Engine) Productions() []*Production { return e.prods }
 type Expansion struct {
 	Prod *Production
 	// Uops are the instantiated micro-ops; DISEPC k executes Uops[k-1].
-	// From ExpandMemo and ReexpandMemo they alias the memo's sequence,
-	// which is never written after the fill, so an expansion stays valid
-	// however the memo is refilled later.
+	// They alias the memo's sequence, which is never written after the
+	// fill, so an expansion stays valid however the memo is refilled
+	// later.
 	Uops []isa.Uop
 	// ExtraLatency is the replacement-table refill penalty, if any.
 	ExtraLatency int
@@ -206,19 +202,6 @@ func (e *Engine) matchBest(inst isa.Inst, pc uint64) (best, scanned int) {
 	return best, scanned
 }
 
-// Lookup returns the most specific matching production, if any, without
-// touching the replacement table. Ties break toward the earliest
-// installed.
-func (e *Engine) Lookup(inst isa.Inst, pc uint64) (*Production, bool) {
-	e.stats.Lookups++
-	i, scanned := e.matchBest(inst, pc)
-	e.stats.PatternsScanned += uint64(scanned)
-	if i < 0 {
-		return nil, false
-	}
-	return e.prods[i], true
-}
-
 // instantiate builds p's replacement sequence against the trigger uop in
 // fresh storage. T.INST slots copy the trigger's already-resolved uop;
 // every other slot resolves its instantiated instruction, and the
@@ -243,43 +226,6 @@ func instantiate(p *Production, trigger *isa.Uop) (uops []isa.Uop, resolved int)
 // engine is active and holds a production. Most simulated machines run
 // with none, so the pipeline checks this before it looks up a memo.
 func (e *Engine) Armed() bool { return e.Active && len(e.prods) != 0 }
-
-// Expand applies the most specific matching production to inst at pc. The
-// boolean result is false if the engine is inactive or nothing matches.
-// It scans the pattern table and instantiates on every call: the
-// unmemoized reference that ExpandMemo must answer exactly like.
-func (e *Engine) Expand(inst isa.Inst, pc uint64) (Expansion, bool) {
-	if !e.Armed() {
-		return Expansion{}, false
-	}
-	p, ok := e.Lookup(inst, pc)
-	if !ok {
-		return Expansion{}, false
-	}
-	penalty := e.touchReplacement(slices.Index(e.prods, p))
-	trigger := isa.ResolveUop(inst)
-	uops, resolved := instantiate(p, &trigger)
-	e.stats.Expansions++
-	e.stats.InstsInserted += uint64(len(uops))
-	return Expansion{Prod: p, Uops: uops, ExtraLatency: penalty, Resolved: resolved}, true
-}
-
-// Reexpand re-instantiates the matching production without touching
-// statistics or the replacement table. The pipeline does this when fetch
-// resumes mid-sequence — after a DISE call returns to ⟨PC:DISEPC⟩ — and
-// the engine must rebuild the expansion of the instruction at PC (paper
-// §3: "the DISE engine ... begins expanding the instruction at
-// newDISEPC"). Like Expand, it is the unmemoized reference for
-// ReexpandMemo.
-func (e *Engine) Reexpand(inst isa.Inst, pc uint64) (Expansion, bool) {
-	i, _ := e.matchBest(inst, pc)
-	if i < 0 {
-		return Expansion{}, false
-	}
-	trigger := isa.ResolveUop(inst)
-	uops, resolved := instantiate(e.prods[i], &trigger)
-	return Expansion{Prod: e.prods[i], Uops: uops, Resolved: resolved}, true
-}
 
 // Memo holds the part of one static instruction's expansion that cannot
 // change between fetches: which production the pattern table matches
@@ -310,13 +256,15 @@ func (e *Engine) fill(m *Memo, trigger *isa.Uop, pc uint64) {
 	*m = Memo{gen: e.gen, uops: uops, prod: uint32(i + 1), scanned: uint32(scanned), resolved: uint32(resolved)}
 }
 
-// ExpandMemo is Expand for the trigger uop at pc through its memo m,
-// refilled first if the generation has moved. Only the stateful part runs
-// per call — the lookup counters, and on a match the replacement-table
-// touch and the expansion counters — so statistics, residency and the
-// expansion are exactly Expand's. On a match it fills *exp and reports
-// true; otherwise it leaves *exp alone. (An Expansion result would be
-// spilled and copied on every fetch, match or not.)
+// ExpandMemo applies the most specific production matching the trigger
+// uop at pc, through its memo m, refilled first if the generation has
+// moved. Only the stateful part runs per call — the lookup counters, and
+// on a match the replacement-table touch and the expansion counters — so
+// statistics, residency and the expansion are exactly those of a scan and
+// instantiation on every call. It does nothing while the engine is not
+// Armed. On a match it fills *exp and reports true; otherwise it leaves
+// *exp alone. (An Expansion result would be spilled and copied on every
+// fetch, match or not.)
 func (e *Engine) ExpandMemo(trigger *isa.Uop, pc uint64, m *Memo, exp *Expansion) bool {
 	if !e.Armed() {
 		return false
@@ -337,8 +285,13 @@ func (e *Engine) ExpandMemo(trigger *isa.Uop, pc uint64, m *Memo, exp *Expansion
 	return true
 }
 
-// ReexpandMemo is Reexpand through the memo m of the trigger at pc,
-// filling *exp like ExpandMemo.
+// ReexpandMemo re-instantiates the production matching the trigger at pc
+// through its memo m, filling *exp like ExpandMemo but touching neither
+// statistics nor the replacement table. The pipeline does this when
+// fetch resumes mid-sequence — after a DISE call returns to ⟨PC:DISEPC⟩ —
+// and the engine must rebuild the expansion of the instruction at PC
+// (paper §3: "the DISE engine ... begins expanding the instruction at
+// newDISEPC").
 func (e *Engine) ReexpandMemo(trigger *isa.Uop, pc uint64, m *Memo, exp *Expansion) bool {
 	if m.gen != e.gen {
 		e.fill(m, trigger, pc)
@@ -350,34 +303,33 @@ func (e *Engine) ReexpandMemo(trigger *isa.Uop, pc uint64, m *Memo, exp *Expansi
 	return true
 }
 
-// touchReplacement models replacement-table capacity for prods[i]: if its
-// sequence is not resident, evict LRU productions until it fits and
-// charge the refill penalty. Stamps are distinct (the clock advances on
-// every touch), so the LRU victim is unique.
+// touchReplacement models replacement-table capacity for prods[i] and
+// returns the cycles its expansion waits. A resident sequence moves to
+// the front of the recency order. A missing one is charged the refill
+// penalty and goes to the front, and the least recently used sequences
+// leave from the back until the resident ones fit. A sequence larger
+// than the table misses every time and never becomes resident.
 func (e *Engine) touchReplacement(i int) int {
-	e.lruClock++
-	if e.stamp[i] != 0 {
-		e.stamp[i] = e.lruClock
+	if len(e.resident) != 0 && e.resident[0] == i {
+		return 0
+	}
+	if k := slices.Index(e.resident, i); k > 0 {
+		copy(e.resident[1:k+1], e.resident[:k])
+		e.resident[0] = i
 		return 0
 	}
 	e.stats.ReplMisses++
-	need := len(e.prods[i].Replacement)
-	if need > e.cfg.ReplacementInsts {
-		// Degenerate: sequence larger than the table; always misses.
+	if len(e.prods[i].Replacement) > e.cfg.ReplacementInsts {
 		return e.cfg.ReplMissPenalty
 	}
-	for e.replUsed+need > e.cfg.ReplacementInsts {
-		victim := -1
-		for j, at := range e.stamp {
-			if at != 0 && (victim < 0 || at < e.stamp[victim]) {
-				victim = j
-			}
+	e.resident = slices.Insert(e.resident, 0, i)
+	used := 0
+	for k, r := range e.resident {
+		if used += len(e.prods[r].Replacement); used > e.cfg.ReplacementInsts {
+			e.resident = e.resident[:k]
+			break
 		}
-		e.stamp[victim] = 0
-		e.replUsed -= len(e.prods[victim].Replacement)
 	}
-	e.stamp[i] = e.lruClock
-	e.replUsed += need
 	return e.cfg.ReplMissPenalty
 }
 

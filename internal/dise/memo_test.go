@@ -9,6 +9,52 @@ import (
 	"repro/internal/isa"
 )
 
+// Lookup returns the most specific matching production, if any, without
+// touching the replacement table. Ties break toward the earliest
+// installed.
+func (e *Engine) Lookup(inst isa.Inst, pc uint64) (*Production, bool) {
+	e.stats.Lookups++
+	i, scanned := e.matchBest(inst, pc)
+	e.stats.PatternsScanned += uint64(scanned)
+	if i < 0 {
+		return nil, false
+	}
+	return e.prods[i], true
+}
+
+// Expand applies the most specific matching production to inst at pc. The
+// boolean result is false if the engine is inactive or nothing matches.
+// It scans the pattern table and instantiates on every call: the
+// unmemoized reference that ExpandMemo must answer exactly like.
+func (e *Engine) Expand(inst isa.Inst, pc uint64) (Expansion, bool) {
+	if !e.Armed() {
+		return Expansion{}, false
+	}
+	p, ok := e.Lookup(inst, pc)
+	if !ok {
+		return Expansion{}, false
+	}
+	penalty := e.touchReplacement(slices.Index(e.prods, p))
+	trigger := isa.ResolveUop(inst)
+	uops, resolved := instantiate(p, &trigger)
+	e.stats.Expansions++
+	e.stats.InstsInserted += uint64(len(uops))
+	return Expansion{Prod: p, Uops: uops, ExtraLatency: penalty, Resolved: resolved}, true
+}
+
+// Reexpand re-instantiates the matching production without touching
+// statistics or the replacement table: the unmemoized reference for
+// ReexpandMemo.
+func (e *Engine) Reexpand(inst isa.Inst, pc uint64) (Expansion, bool) {
+	i, _ := e.matchBest(inst, pc)
+	if i < 0 {
+		return Expansion{}, false
+	}
+	trigger := isa.ResolveUop(inst)
+	uops, resolved := instantiate(e.prods[i], &trigger)
+	return Expansion{Prod: e.prods[i], Uops: uops, Resolved: resolved}, true
+}
+
 // memoSlots are the static instructions the memo property test fetches:
 // a handful of PCs, each holding an instruction word the test may
 // rewrite, with one memo per slot as the predecoder keeps one per page

@@ -9,8 +9,7 @@
 // list in install order (see Engine), and a Memo keeps a static
 // instruction's match and instantiated sequence until the installed set
 // changes, so the fetch path scans the table and instantiates once per
-// static instruction rather than once per fetch. Expand and Reexpand are
-// the unmemoized reference forms.
+// static instruction rather than once per fetch.
 //
 // The engine itself is purely architectural: it answers "what does this
 // instruction expand to". Timing (expansion bandwidth, DISE-branch

@@ -2,19 +2,14 @@
 // treated as immutable values owned by whoever installed them (the
 // debugger holds the same pointers for Remove-by-identity), so a snapshot
 // keeps the production pointers shallow and copies only the engine-owned
-// mutable state around them: the installation order, the
-// replacement-table residency set with its LRU clock, the DISE register
-// file, the pending d-call link, and statistics. Install order is the
-// whole of the pattern table's state, so a restored engine, which
-// installs the saved order, matches and expands identically.
+// mutable state around them: the installation order, the replacement
+// table's resident productions in recency order, the DISE register file,
+// the pending d-call link, and statistics. Install order is the whole of
+// the pattern table's state, so a restored engine, which installs the
+// saved order, matches and expands identically.
 package dise
 
 import "encoding/binary"
-
-type residentEntry struct {
-	idx   int // index into State.prods
-	stamp uint64
-}
 
 // State is a point-in-time copy of an Engine.
 type State struct {
@@ -23,9 +18,7 @@ type State struct {
 	regs     [16]uint64
 	dlinkPC  uint64
 	dlinkDPC int
-	resident []residentEntry // sorted by idx
-	replUsed int
-	lruClock uint64
+	resident []int // indexes into prods, most recently used first
 	stats    Stats
 }
 
@@ -55,27 +48,20 @@ func (st *State) Production(i int) *Production {
 
 // Snapshot captures the engine state.
 func (e *Engine) Snapshot() *State {
-	st := &State{
+	return &State{
 		prods:    append([]*Production(nil), e.prods...),
 		active:   e.Active,
 		regs:     e.Regs,
 		dlinkPC:  e.DLinkPC,
 		dlinkDPC: e.DLinkDPC,
-		replUsed: e.replUsed,
-		lruClock: e.lruClock,
+		resident: append([]int(nil), e.resident...),
 		stats:    e.stats,
 	}
-	for i, stamp := range e.stamp {
-		if stamp != 0 {
-			st.resident = append(st.resident, residentEntry{idx: i, stamp: stamp})
-		}
-	}
-	return st
 }
 
 // Restore replaces the engine state with the snapshot's. The production
 // pointers are installed as-is and in the saved order (identity is
-// preserved across a round trip), and the residency stamps are rebuilt.
+// preserved across a round trip), and so is the residency order.
 // The generation moves on, as for any change of the installed set; it is
 // not part of the snapshot.
 func (e *Engine) Restore(st *State) {
@@ -85,19 +71,14 @@ func (e *Engine) Restore(st *State) {
 	e.Regs = st.regs
 	e.DLinkPC = st.dlinkPC
 	e.DLinkDPC = st.dlinkDPC
-	e.stamp = make([]uint64, len(e.prods))
-	for _, r := range st.resident {
-		e.stamp[r.idx] = r.stamp
-	}
-	e.replUsed = st.replUsed
-	e.lruClock = st.lruClock
+	e.resident = append(e.resident[:0:0], st.resident...)
 	e.stats = st.stats
 }
 
 // AppendBinary appends a deterministic encoding of the snapshot to dst.
 // Productions are encoded structurally (name, pattern, replacement
-// templates) in installation order; residency references productions by
-// table index.
+// templates) in installation order; residency lists productions by table
+// index in recency order.
 func (st *State) AppendBinary(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.prods)))
 	for _, p := range st.prods {
@@ -111,11 +92,8 @@ func (st *State) AppendBinary(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(st.dlinkDPC)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(st.resident)))
 	for _, r := range st.resident {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.idx))
-		dst = binary.LittleEndian.AppendUint64(dst, r.stamp)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r))
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.replUsed))
-	dst = binary.LittleEndian.AppendUint64(dst, st.lruClock)
 	dst = binary.LittleEndian.AppendUint64(dst, st.stats.Lookups)
 	dst = binary.LittleEndian.AppendUint64(dst, st.stats.PatternsScanned)
 	dst = binary.LittleEndian.AppendUint64(dst, st.stats.Expansions)

@@ -24,7 +24,7 @@ const (
 var wireOps = []string{
 	"ping", "list", "stats", "metrics", "create", "attach", "watch", "break",
 	"continue", "step", "wait", "events", "subscribe", "unsubscribe",
-	"rerank", "read", "snapshot", "restore", "trace", "close",
+	"read", "snapshot", "restore", "trace", "close",
 }
 
 // serveMetrics is the server's observability surface: every instrument
@@ -42,7 +42,6 @@ type serveMetrics struct {
 	sessionsClosed  *obs.Counter
 	quanta          *obs.Counter
 	shed            *obs.Counter
-	paused          *obs.Counter
 	slow            *obs.Counter
 	bpStalls        *obs.Counter
 	evDropped       *obs.Counter
@@ -70,7 +69,6 @@ func newServeMetrics() *serveMetrics {
 		sessionsClosed:  reg.Counter("dise_sessions_closed_total", "", "sessions closed"),
 		quanta:          reg.Counter("dise_quanta_total", "", "scheduling quanta completed"),
 		shed:            reg.Counter("dise_shed_total", "", "admissions rejected by load shedding"),
-		paused:          reg.Counter("dise_shed_paused_total", "", "sessions paused to admit higher priority (ShedPauseLowest)"),
 		slow:            reg.Counter("dise_slow_consumers_total", "", "push subscriptions severed for falling behind"),
 		bpStalls:        reg.Counter("dise_backpressure_stalls_total", "", "quantum boundaries parked for a lagging backpressure subscriber"),
 		evDropped:       reg.Counter("dise_events_dropped_total", "", "pull-queue events discarded at EventBuffer"),
@@ -124,9 +122,7 @@ func (sm *serveMetrics) registerServerFuncs(srv *Server) {
 		return int64(srv.runnable)
 	})
 	reg.GaugeFunc("dise_queue_len", "", "run-queue length right now", func() int64 {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return int64(srv.queuedLocked())
+		return int64(len(srv.runq))
 	})
 	reg.GaugeFunc("dise_sessions_open", "", "sessions in the server table right now", func() int64 {
 		srv.mu.Lock()

@@ -59,7 +59,7 @@ import (
 // path.
 //
 // Failures carry a machine-readable code alongside the message when one
-// applies: "overloaded" (load shedding rejected the continue/step),
+// applies: "overloaded" (the continue/step was past Config.QueueDepth),
 // "running", "halted", "closed", "no-server", "draining" (the server is
 // shutting down gracefully), "errored" (the session faulted beyond
 // recovery), "no-checkpoint" (restore with nothing to rewind to),
@@ -71,21 +71,19 @@ type Request struct {
 	// Seq is echoed verbatim in the response for client-side matching.
 	Seq uint64 `json:"seq,omitempty"`
 	// Op selects the operation: create, attach, list, watch, break,
-	// continue, step, wait, events, subscribe, unsubscribe, rerank,
-	// stats, metrics, trace, read, snapshot, restore, close, ping.
+	// continue, step, wait, events, subscribe, unsubscribe, stats,
+	// metrics, trace, read, snapshot, restore, close, ping.
 	Op string `json:"op"`
 	// Session addresses every op except create, list, ping, metrics, and
 	// the server-wide stats form.
 	Session uint64 `json:"session,omitempty"`
 
 	// create: assembly source, back end name (dise|vm|hw|step|rewrite;
-	// default dise), machine preset (default|small-cache|big-l2|no-bpred|
-	// narrow-core; default "default"), and load-shedding priority.
-	// rerank: Priority is the session's new load-shedding rank.
-	Program  string `json:"program,omitempty"`
-	Backend  string `json:"backend,omitempty"`
-	Machine  string `json:"machine,omitempty"`
-	Priority int    `json:"priority,omitempty"`
+	// default dise) and machine preset (default|small-cache|big-l2|
+	// no-bpred|narrow-core; default "default").
+	Program string `json:"program,omitempty"`
+	Backend string `json:"backend,omitempty"`
+	Machine string `json:"machine,omitempty"`
 
 	// watch: watched symbol/address, kind (scalar|indirect|range; default
 	// scalar), size in bytes (default 8), range length, optional name and
@@ -171,8 +169,7 @@ type Response struct {
 	Session  uint64       `json:"session,omitempty"`
 	State    string       `json:"state,omitempty"`
 	Entry    uint64       `json:"entry,omitempty"`
-	Machine  string       `json:"machine,omitempty"`  // session's machine preset
-	Priority *int         `json:"priority,omitempty"` // rerank: the session's new rank
+	Machine  string       `json:"machine,omitempty"` // session's machine preset
 	Events   []Event      `json:"events,omitempty"`
 	Stats    *StatsJSON   `json:"stats,omitempty"`
 	Server   *ServerStats `json:"server,omitempty"`
@@ -521,7 +518,7 @@ func (srv *Server) handleErr(c *protoConn, req *Request) (Response, error) {
 		if !ok {
 			return Response{}, fmt.Errorf("unknown backend %q", req.Backend)
 		}
-		sc := SessionConfig{Priority: req.Priority}
+		var sc SessionConfig
 		if req.Machine != "" {
 			mcfg, ok := machine.PresetConfig(req.Machine)
 			if !ok {
@@ -598,14 +595,6 @@ func (srv *Server) handleErr(c *protoConn, req *Request) (Response, error) {
 		}, c.wake)
 		c.subs[s.ID] = sub
 		return Response{Session: s.ID, State: s.State().String(), sub: sub}, nil
-	case "rerank":
-		// Runtime shed-priority migration: no close/recreate, the session
-		// keeps its machine, events, and subscriptions.
-		if err := srv.SetPriority(s.ID, req.Priority); err != nil {
-			return Response{}, err
-		}
-		prio := s.Priority()
-		return Response{Session: s.ID, State: s.State().String(), Priority: &prio}, nil
 	case "unsubscribe":
 		c.unsubscribe(s.ID) // queued frames precede the ack; none follow it
 		return Response{Session: s.ID}, nil

@@ -86,35 +86,6 @@ func (c *protoClient) ok(req Request) Response {
 	return resp
 }
 
-// TestProtocolRerank: the rerank op migrates a session's shed priority
-// at runtime (no close/recreate) and echoes the new rank.
-func TestProtocolRerank(t *testing.T) {
-	srv := newTestServer(t, Config{Workers: 1, Quantum: 500})
-	c := newProtoClient(t, srv)
-
-	created := c.ok(Request{Op: "create", Program: countdownProg, Priority: 2})
-	id := created.Session
-	s, attached := srv.Attach(id)
-	if !attached {
-		t.Fatalf("no session %d", id)
-	}
-	if got := s.Priority(); got != 2 {
-		t.Fatalf("created priority = %d, want 2", got)
-	}
-
-	resp := c.ok(Request{Op: "rerank", Session: id, Priority: 7})
-	if resp.Priority == nil || *resp.Priority != 7 {
-		t.Errorf("rerank echo = %v, want 7", resp.Priority)
-	}
-	if got := s.Priority(); got != 7 {
-		t.Errorf("priority after rerank = %d, want 7", got)
-	}
-
-	if fail := c.call(Request{Op: "rerank", Session: 999, Priority: 1}); fail.OK {
-		t.Error("rerank of unknown session succeeded")
-	}
-}
-
 func TestProtocolSession(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 2, Quantum: 1000})
 	c := newProtoClient(t, srv)
@@ -491,7 +462,7 @@ func TestProtocolWatchTopQuad(t *testing.T) {
 func TestProtocolMachinePresets(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 1, Quantum: 1000})
 	c := newProtoClient(t, srv)
-	created := c.ok(Request{Op: "create", Program: countdownProg, Machine: "small-cache", Priority: 3})
+	created := c.ok(Request{Op: "create", Program: countdownProg, Machine: "small-cache"})
 	if created.Machine != "small-cache" {
 		t.Fatalf("create echo = %+v", created)
 	}
@@ -502,9 +473,6 @@ func TestProtocolMachinePresets(t *testing.T) {
 	s, ok := srv.Attach(created.Session)
 	if !ok {
 		t.Fatal("no session")
-	}
-	if s.Priority() != 3 {
-		t.Errorf("priority = %d, want 3", s.Priority())
 	}
 	want, _ := machine.PresetConfig("small-cache")
 	if cfg, _ := s.MachineConfig(); cfg != want {
@@ -595,6 +563,10 @@ func TestProtocolErrors(t *testing.T) {
 	created := c.ok(Request{Op: "create", Program: countdownProg})
 	if resp := c.call(Request{Op: "watch", Session: created.Session, Sym: "nosuch"}); resp.OK {
 		t.Error("watch on missing symbol succeeded")
+	}
+	// An unknown op fails the same way when it names an open session.
+	if resp := c.call(Request{Op: "rerank", Session: created.Session}); resp.OK || resp.Err != `unknown op "rerank"` {
+		t.Errorf("rerank = %+v, want unknown op", resp)
 	}
 
 	// continue on a halted session fails and must report the session's

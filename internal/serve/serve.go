@@ -15,17 +15,16 @@
 //     Subscribe additionally tees events into a bounded queue per
 //     subscriber as they fire, for push-style clients.
 //   - Server owns the sessions and runs them: each of M worker goroutines
-//     repeatedly pops a runnable session from a FIFO run queue and
+//     repeatedly takes a runnable session from a FIFO run queue and
 //     executes one bounded step-quantum (Config.Quantum application
 //     instructions), requeueing the session if it has budget left. N
 //     sessions therefore share M workers round-robin, and no session can
 //     monopolize a worker for more than a quantum. Sessions carry their
-//     own machine configuration and a shedding priority, so one server
-//     hosts heterogeneous machines.
-//   - When more sessions are runnable than Config.QueueDepth allows, new
-//     admissions are shed: rejected outright (ShedRejectNew) or traded
-//     against a lower-priority queued session, which is paused with an
-//     EventShed and can simply be continued later (ShedPauseLowest).
+//     own machine configuration, so one server hosts heterogeneous
+//     machines.
+//   - At most Config.QueueDepth sessions are runnable at once; a Continue
+//     past that bound is rejected with ErrOverloaded and can simply be
+//     retried.
 //   - proto.go serves the session API as a line-delimited JSON protocol
 //     over any connection (cmd/disesrv binds it to TCP and stdio),
 //     including asynchronous event push on subscribed connections.
@@ -48,45 +47,10 @@ import (
 	"repro/internal/machine"
 )
 
-// ErrOverloaded is returned when load shedding rejects an admission: the
-// run queue is at Config.QueueDepth and policy found nothing to pause.
+// ErrOverloaded rejects an admission past Config.QueueDepth: that many
+// sessions are runnable already. Runnable sessions are undisturbed, and
+// the rejected session stays idle, so a retry may succeed later.
 var ErrOverloaded = errors.New("serve: server overloaded, run queue full")
-
-// ShedPolicy selects what happens when a Continue would push the number
-// of runnable sessions past Config.QueueDepth.
-type ShedPolicy int
-
-const (
-	// ShedRejectNew rejects the new admission with ErrOverloaded; already
-	// runnable sessions are undisturbed.
-	ShedRejectNew ShedPolicy = iota
-	// ShedPauseLowest pauses the lowest-priority queued session (only if
-	// it ranks strictly below the newcomer) to make room; the victim gets
-	// an EventShed and can be continued again later. With no lower-priority
-	// victim available the admission is rejected as in ShedRejectNew.
-	ShedPauseLowest
-)
-
-var shedNames = [...]string{"reject", "pause"}
-
-func (p ShedPolicy) String() string {
-	if int(p) < len(shedNames) {
-		return shedNames[p]
-	}
-	return fmt.Sprintf("shed(%d)", int(p))
-}
-
-// ParseShedPolicy resolves a policy selector name (reject, pause), shared
-// by the CLI flags and tests.
-func ParseShedPolicy(name string) (ShedPolicy, bool) {
-	switch name {
-	case "reject", "":
-		return ShedRejectNew, true
-	case "pause":
-		return ShedPauseLowest, true
-	}
-	return 0, false
-}
 
 // Config parameterizes a Server.
 type Config struct {
@@ -109,12 +73,10 @@ type Config struct {
 	// their own configuration (default machine.DefaultConfig).
 	Machine machine.Config
 	// QueueDepth bounds how many sessions may be runnable (queued or
-	// executing) at once; admissions beyond it are shed per Shed. 0
-	// selects MaxSessions, which never sheds (a session is runnable at
-	// most once).
+	// executing) at once; admissions beyond it are rejected with
+	// ErrOverloaded. 0 selects MaxSessions, which never rejects (a
+	// session is runnable at most once).
 	QueueDepth int
-	// Shed selects the overload policy (default ShedRejectNew).
-	Shed ShedPolicy
 	// PushBuffer is the default subscription queue depth (a subscribe op
 	// or SubscribeOptions without a depth of its own): an ordinary
 	// subscriber that falls this many events behind is dropped as a slow
@@ -234,10 +196,6 @@ type SessionConfig struct {
 	// (machine.PresetName): the wire protocol echoes that name, and the
 	// per-preset metrics count the session under it.
 	Machine machine.Config
-	// Priority ranks the session for ShedPauseLowest: higher outranks
-	// lower, and only a strictly lower-priority session can be paused to
-	// admit this one. The default is 0.
-	Priority int
 }
 
 // ServerStats counts server activity (also the wire protocol's
@@ -249,7 +207,6 @@ type ServerStats struct {
 	SessionsClosed  uint64 `json:"sessions_closed"`
 	QuantaRun       uint64 `json:"quanta_run"`
 	Shed            uint64 `json:"shed"`           // admissions rejected by load shedding
-	Paused          uint64 `json:"paused"`         // sessions paused to make room (ShedPauseLowest)
 	SlowConsumers   uint64 `json:"slow_consumers"` // subscriptions dropped for not keeping up
 	// BackpressureStalls counts quantum boundaries at which a session
 	// parked because a backpressure subscriber had not drained yet.
@@ -277,18 +234,18 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast when a session is dropped
-	runcond  *sync.Cond // signaled when the run queue gains work
 	sessions map[uint64]*Session
 	nextID   uint64
 	closed   bool
 	draining bool // Drain in progress: no new admissions, running sessions park
 
-	// The run queue is a FIFO over a plain slice (not a channel) so load
-	// shedding can inspect queued sessions for a pause victim. Pop clears
-	// the head's slot and reslices past it; append moves the live tail to
-	// a new array when it runs out of room, so the dead prefix is
-	// dropped then. A session is queued at most once.
-	runq     []*Session
+	// runq is the run queue, which the workers range over. Every send
+	// happens under mu after the closed check, for a session that holds
+	// one of the runnable slots and is not queued, so queued <= runnable
+	// <= QueueDepth, the channel's capacity, and a send never blocks.
+	// Close closes it once the session table is empty. A session is
+	// queued at most once.
+	runq     chan *Session
 	runnable int // queued + executing sessions (bounded by QueueDepth)
 
 	wg sync.WaitGroup
@@ -303,13 +260,13 @@ func New(cfg Config) *Server {
 		met:      newServeMetrics(),
 		logger:   cfg.Logger,
 		sessions: make(map[uint64]*Session),
+		runq:     make(chan *Session, cfg.QueueDepth),
 	}
 	if srv.logger == nil {
 		srv.logger = slog.New(slog.DiscardHandler)
 	}
 	srv.met.registerServerFuncs(srv)
 	srv.cond = sync.NewCond(&srv.mu)
-	srv.runcond = sync.NewCond(&srv.mu)
 	srv.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go srv.worker()
@@ -320,43 +277,11 @@ func New(cfg Config) *Server {
 // Config returns the server's effective configuration.
 func (srv *Server) Config() Config { return srv.cfg }
 
-// queuedLocked returns the run-queue length. Caller holds srv.mu.
-func (srv *Server) queuedLocked() int { return len(srv.runq) }
-
-// pushLocked appends s to the run queue. Caller holds srv.mu.
-func (srv *Server) pushLocked(s *Session) { srv.runq = append(srv.runq, s) }
-
-// popLocked removes and returns the queue head. Caller holds srv.mu and
-// has checked the queue is non-empty.
-func (srv *Server) popLocked() *Session {
-	s := srv.runq[0]
-	srv.runq[0] = nil
-	srv.runq = srv.runq[1:]
-	return s
-}
-
-// worker is one scheduler goroutine: pop, run a quantum, requeue.
+// worker is one scheduler goroutine: take a session off the run queue,
+// run a quantum, requeue it. It exits once Close closes the queue.
 func (srv *Server) worker() {
 	defer srv.wg.Done()
-	for {
-		srv.mu.Lock()
-		for srv.queuedLocked() == 0 && !srv.closed {
-			srv.runcond.Wait()
-		}
-		if srv.queuedLocked() == 0 { // closed and drained
-			srv.mu.Unlock()
-			return
-		}
-		s := srv.popLocked()
-		srv.mu.Unlock()
-
-		if s.shedReq.CompareAndSwap(true, false) {
-			// Load shedding picked this session as a pause victim; its
-			// runnable slot was already released when it was marked.
-			s.pauseShed()
-			continue
-		}
-
+	for s := range srv.runq {
 		t0 := time.Now()
 		again := s.runQuantumGuarded(srv.cfg.Quantum)
 		// Observed here, around the guarded run, so the histogram count
@@ -366,8 +291,7 @@ func (srv *Server) worker() {
 		srv.met.quanta.Inc()
 		srv.mu.Lock()
 		if again && !srv.closed && !srv.draining {
-			srv.pushLocked(s)
-			srv.runcond.Signal()
+			srv.runq <- s
 			srv.mu.Unlock()
 			continue
 		}
@@ -391,20 +315,20 @@ func (srv *Server) worker() {
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		case again:
-			// Draining: park the session idle with an EventShed, exactly
-			// like a load-shedding pause — a Continue after the next start
-			// resumes it from here (its checkpoint preserves the rewind
-			// point too).
+			// Draining: park the session idle with an EventShed — a
+			// Continue after the next start resumes it from here (its
+			// checkpoint preserves the rewind point too).
 			s.pauseShed()
 		}
 	}
 }
 
-// enqueue admits s to the run queue (a user-initiated resume, subject to
-// load shedding — worker requeues of in-flight sessions go through the
-// worker loop and are never shed, they own an admitted slot already).
-// The caller has already marked the session running; a session is never
-// on the queue twice.
+// enqueue admits s to the run queue: a user-initiated resume, or a
+// backpressure-parked session coming back, either rejected with
+// ErrOverloaded once QueueDepth sessions are runnable. Worker requeues of
+// in-flight sessions go through the worker loop and are never rejected;
+// they own a runnable slot already. The caller has already marked the
+// session running; a session is never on the queue twice.
 func (srv *Server) enqueue(s *Session) error {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
@@ -415,79 +339,11 @@ func (srv *Server) enqueue(s *Session) error {
 		return ErrDraining
 	}
 	if srv.runnable >= srv.cfg.QueueDepth {
-		victim := (*Session)(nil)
-		if srv.cfg.Shed == ShedPauseLowest {
-			victim = srv.shedVictimLocked(s.Priority())
-		}
-		if victim == nil {
-			srv.met.shed.Inc()
-			return ErrOverloaded
-		}
-		// The victim keeps its queue slot; the worker that pops it sees
-		// the mark and pauses it instead of running a quantum. Its
-		// runnable slot transfers to the newcomer immediately.
-		victim.shedReq.Store(true)
-		srv.runnable--
-		srv.met.paused.Inc()
+		srv.met.shed.Inc()
+		return ErrOverloaded
 	}
 	srv.runnable++
-	srv.pushLocked(s)
-	srv.runcond.Signal()
-	return nil
-}
-
-// shedVictimLocked picks the queued session with the lowest priority
-// strictly below pri, skipping sessions already marked. Caller holds
-// srv.mu.
-func (srv *Server) shedVictimLocked(pri int) *Session {
-	var victim *Session
-	victimPri := 0
-	for _, c := range srv.runq {
-		if c.shedReq.Load() {
-			continue
-		}
-		if p := c.Priority(); p < pri && (victim == nil || p < victimPri) {
-			victim, victimPri = c, p
-		}
-	}
-	return victim
-}
-
-// SetPriority re-ranks an open session's load-shedding priority at
-// runtime, without closing and recreating it (session migration between
-// shed priorities). The new rank applies to every later shedding
-// decision — in particular, a paused shed victim whose priority is
-// raised can Continue back above the shed line, displacing a session
-// that now ranks strictly below it.
-//
-// If the session is itself a queued pause victim (marked but not yet
-// paused by a worker) and another queued session now ranks strictly
-// below the new priority, the pause mark transfers to that session: the
-// re-ranked one keeps its queue slot and runs, and the newly lowest
-// session is paused in its place. The transfer only happens if the mark
-// is still unconsumed — a worker pausing the session concurrently wins.
-func (srv *Server) SetPriority(id uint64, prio int) error {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	if srv.closed {
-		return ErrNoServer
-	}
-	s, ok := srv.sessions[id]
-	if !ok {
-		return fmt.Errorf("serve: no session %d", id)
-	}
-	s.priority.Store(int64(prio))
-	if !s.shedReq.Load() {
-		return nil
-	}
-	// s is skipped by shedVictimLocked while marked, so v != s.
-	if v := srv.shedVictimLocked(prio); v != nil && s.shedReq.CompareAndSwap(true, false) {
-		// Both runnable slots survive the swap: s regains the one it lost
-		// when it was marked, v gives up its own, so the counter is
-		// untouched and the paused total is unchanged (still one pending
-		// pause, now aimed at v).
-		v.shedReq.Store(true)
-	}
+	srv.runq <- s
 	return nil
 }
 
@@ -500,7 +356,7 @@ func (srv *Server) Create(prog *asm.Program, opts debug.Options) (*Session, erro
 }
 
 // CreateWith is Create with per-session parameters: a machine
-// configuration of the session's own and a load-shedding priority.
+// configuration of the session's own.
 func (srv *Server) CreateWith(prog *asm.Program, opts debug.Options, sc SessionConfig) (*Session, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("serve: nil program")
@@ -594,14 +450,13 @@ func (srv *Server) Stats() ServerStats {
 		SessionsClosed:     m.sessionsClosed.Load(),
 		QuantaRun:          m.quanta.Load(),
 		Shed:               m.shed.Load(),
-		Paused:             m.paused.Load(),
 		SlowConsumers:      m.slow.Load(),
 		BackpressureStalls: m.bpStalls.Load(),
 		EventsDropped:      m.evDropped.Load(),
 		Faults:             m.faults.Load(),
 		Recoveries:         m.recoveries.Load(),
 		Runnable:           srv.runnable,
-		QueueLen:           srv.queuedLocked(),
+		QueueLen:           len(srv.runq),
 	}
 	srv.mu.Unlock()
 	st.Pool = srv.pools.Stats()
@@ -714,12 +569,13 @@ func (srv *Server) Close() {
 		s.Close()
 	}
 	// Running sessions finalize on their workers; wait for the table to
-	// empty, then wake any idle workers so they observe the shutdown.
+	// empty, then close the run queue, which is empty too, so the workers
+	// exit.
 	srv.mu.Lock()
 	for len(srv.sessions) > 0 {
 		srv.cond.Wait()
 	}
-	srv.runcond.Broadcast()
+	close(srv.runq)
 	srv.mu.Unlock()
 	srv.wg.Wait()
 }

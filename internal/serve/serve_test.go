@@ -919,15 +919,12 @@ func TestSessionMachineConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss, err := srv.CreateSourceWith(countdownProg, debug.DefaultOptions(debug.BackendDise),
-		SessionConfig{Machine: small, Priority: 2})
+		SessionConfig{Machine: small})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg, preset := ss.MachineConfig(); cfg != small || preset != "small-cache" {
 		t.Errorf("session machine config = (%v, %q)", cfg.Cache.L1I.SizeBytes, preset)
-	}
-	if ss.Priority() != 2 {
-		t.Errorf("priority = %d, want 2", ss.Priority())
 	}
 	for _, s := range []*Session{sd, ss} {
 		if err := s.Continue(0); err != nil {
@@ -944,8 +941,8 @@ func TestSessionMachineConfigs(t *testing.T) {
 	}
 }
 
-// TestLoadSheddingReject: with ShedRejectNew, admissions beyond
-// QueueDepth fail with ErrOverloaded and succeed again once load drains.
+// TestLoadSheddingReject: admissions beyond QueueDepth fail with
+// ErrOverloaded and succeed again once load drains.
 func TestLoadSheddingReject(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 1, Quantum: 1000, QueueDepth: 2})
 	var sessions []*Session
@@ -991,237 +988,6 @@ func TestLoadSheddingReject(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	sessions[2].Wait()
-}
-
-// TestLoadSheddingPauseLowest: with ShedPauseLowest a high-priority
-// continue pauses the lowest-priority queued session, which receives an
-// EventShed and resumes later with a plain Continue.
-func TestLoadSheddingPauseLowest(t *testing.T) {
-	srv := newTestServer(t, Config{Workers: 1, Quantum: 200_000, QueueDepth: 2, Shed: ShedPauseLowest})
-	mk := func(pri int) *Session {
-		t.Helper()
-		s, err := srv.CreateSourceWith(spinProg, debug.DefaultOptions(debug.BackendDise),
-			SessionConfig{Priority: pri})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s1, s2, s3 := mk(3), mk(1), mk(5)
-	if err := s1.Continue(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Continue(0); err != nil {
-		t.Fatal(err)
-	}
-	// s2 has the lowest priority of the two runnable sessions, so the
-	// high-priority s3 displaces it (whether s1 is queued or on the
-	// worker, s2 ranks below both s1 and s3).
-	if err := s3.Continue(0); err != nil {
-		t.Fatalf("high-priority continue = %v, want shed-and-admit", err)
-	}
-	if st := s2.Wait(); st != StateIdle {
-		t.Fatalf("victim state = %v, want idle", st)
-	}
-	evs := s2.Events()
-	found := false
-	for _, ev := range evs {
-		if ev.Kind == EventShed {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("victim events = %+v, want an EventShed", evs)
-	}
-	if st := srv.Stats(); st.Paused != 1 || st.Runnable != 2 {
-		t.Errorf("stats after pause-shed = %+v", st)
-	}
-	// An equal-priority newcomer must not displace anyone: strictly lower
-	// only.
-	if err := s2.Continue(0); err != ErrOverloaded {
-		t.Fatalf("victim's eager retry = %v, want ErrOverloaded", err)
-	}
-	// Fair recovery: once the high-priority sessions drain, the victim's
-	// plain Continue succeeds.
-	s1.Close()
-	s3.Close()
-	s1.Wait()
-	s3.Wait()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		err := s2.Continue(10)
-		if err == nil {
-			break
-		}
-		if err != ErrOverloaded || time.Now().After(deadline) {
-			t.Fatalf("victim never recovered: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := s2.Wait(); st != StateIdle {
-		t.Fatalf("victim after recovery = %v", st)
-	}
-}
-
-// TestRerankShedVictimRecovers: runtime priority migration. A
-// pause-lowest victim re-ranked above the running sessions drives its
-// way back above the shed line with a plain Continue — no
-// close/recreate — displacing a session that now ranks strictly below
-// it.
-func TestRerankShedVictimRecovers(t *testing.T) {
-	srv := newTestServer(t, Config{Workers: 1, Quantum: 200_000, QueueDepth: 2, Shed: ShedPauseLowest})
-	mk := func(pri int) *Session {
-		t.Helper()
-		s, err := srv.CreateSourceWith(spinProg, debug.DefaultOptions(debug.BackendDise),
-			SessionConfig{Priority: pri})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s1, s2, s3 := mk(3), mk(1), mk(5)
-	if err := s1.Continue(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Continue(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s3.Continue(0); err != nil {
-		t.Fatalf("high-priority continue = %v, want shed-and-admit", err)
-	}
-	if st := s2.Wait(); st != StateIdle {
-		t.Fatalf("victim state = %v, want idle", st)
-	}
-	s2.Events() // drain the EventShed
-
-	// Without the re-rank the victim stays below the shed line (pinned by
-	// TestLoadSheddingPauseLowest). Raise it above both survivors.
-	if err := srv.SetPriority(s2.ID, 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Priority(); got != 10 {
-		t.Fatalf("priority after rerank = %d, want 10", got)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		err := s2.Continue(0)
-		if err == nil {
-			break
-		}
-		// The only losing race is the instant the worker holds the queue
-		// between pop and requeue; retry like the other shedding tests.
-		if err != ErrOverloaded || time.Now().After(deadline) {
-			t.Fatalf("re-ranked victim not admitted: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// One of the previously runnable sessions (whichever was queued) is
-	// displaced in turn: Paused counts the mark immediately, and the
-	// victim pauses with an EventShed once a worker pops its queue slot.
-	for {
-		if st := srv.Stats(); st.Paused == 2 && st.Runnable == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no second pause after rerank: %+v", srv.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	shedEvents := 0
-	for shedEvents == 0 {
-		for _, s := range []*Session{s1, s3} {
-			if s.State() != StateIdle {
-				continue
-			}
-			for _, ev := range s.Events() {
-				if ev.Kind == EventShed {
-					shedEvents++
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("displaced session never received its EventShed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if shedEvents != 1 {
-		t.Errorf("shed events among displaced sessions = %d, want 1", shedEvents)
-	}
-	for _, s := range []*Session{s1, s2, s3} {
-		s.Close()
-	}
-}
-
-// TestRerankTransfersQueuedMark: re-ranking a session that is still a
-// *queued* pause victim (marked, not yet paused by a worker) moves the
-// pause mark to the session that now ranks lowest, so the re-ranked one
-// runs and the other pauses in its place — re-sorting among shed
-// victims without the victim ever stopping.
-func TestRerankTransfersQueuedMark(t *testing.T) {
-	// One worker with a long quantum keeps s0 on the worker while the
-	// others sit in the queue, so the mark is observable before any
-	// worker consumes it.
-	srv := newTestServer(t, Config{Workers: 1, Quantum: 2_000_000, QueueDepth: 3, Shed: ShedPauseLowest})
-	mk := func(pri int) *Session {
-		t.Helper()
-		s, err := srv.CreateSourceWith(spinProg, debug.DefaultOptions(debug.BackendDise),
-			SessionConfig{Priority: pri})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s0, s1, s2, s4 := mk(9), mk(1), mk(3), mk(6)
-	for _, s := range []*Session{s0, s1, s2} {
-		if err := s.Continue(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// s4 exceeds the depth: queued s1 (lowest, strictly below 6) is
-	// marked as the pause victim.
-	if err := s4.Continue(0); err != nil {
-		t.Fatalf("continue past depth = %v, want pause-lowest admit", err)
-	}
-	if st := srv.Stats(); st.Paused != 1 {
-		t.Fatalf("stats after mark = %+v, want Paused=1", st)
-	}
-	// Re-rank the marked victim above everything else queued: the mark
-	// must transfer to s2, now the lowest.
-	if err := srv.SetPriority(s1.ID, 8); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if st := s2.State(); st == StateIdle {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("transferred mark never paused s2: %+v", srv.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	found := false
-	for _, ev := range s2.Events() {
-		if ev.Kind == EventShed {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("transferred victim s2 got no EventShed")
-	}
-	// The re-ranked session was never paused, and the transfer did not
-	// double-count: still exactly one pause.
-	for _, ev := range s1.Events() {
-		if ev.Kind == EventShed {
-			t.Error("re-ranked session s1 was paused despite the transfer")
-		}
-	}
-	if st := srv.Stats(); st.Paused != 1 {
-		t.Errorf("paused = %d, want 1 (transfer must not double-count)", st.Paused)
-	}
-	for _, s := range []*Session{s0, s1, s2, s4} {
-		s.Close()
-	}
 }
 
 // TestShedSoak drives the server well past saturation and asserts the

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"iter"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/asm"
@@ -67,7 +66,7 @@ const (
 	EventTrap  EventKind = "trap"  // another user transition (e.g. raw trap)
 	EventHalt  EventKind = "halt"  // the program executed halt
 	EventStop  EventKind = "stop"  // the instruction budget was exhausted
-	EventShed  EventKind = "shed"  // paused by load shedding; Continue resumes
+	EventShed  EventKind = "shed"  // parked by drain or a refused resume; Continue resumes
 	EventError EventKind = "error" // the run failed (e.g. uop safety cap)
 	EventFault EventKind = "fault" // a quantum panicked; session recovered from its checkpoint
 )
@@ -99,20 +98,10 @@ type Session struct {
 
 	srv *Server
 
-	// shedReq marks the session as a load-shedding pause victim while it
-	// waits on the run queue; the worker that pops it consumes the mark
-	// and pauses the session instead of running a quantum. Written under
-	// srv.mu, consumed lock-free on the worker, hence atomic.
-	shedReq atomic.Bool
-
-	// priority starts at sc.Priority and can be re-ranked at runtime via
-	// Server.SetPriority (the rerank wire op); it is read lock-free by the
-	// shedding paths, hence atomic. sc itself is fixed at creation, and
-	// so is preset, the name of the preset sc.Machine equals ("" for
-	// none).
-	priority atomic.Int64
-	sc       SessionConfig
-	preset   string
+	// sc is fixed at creation, and so is preset, the name of the preset
+	// sc.Machine equals ("" for none).
+	sc     SessionConfig
+	preset string
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast whenever state leaves StateRunning
@@ -171,7 +160,6 @@ type checkpoint struct {
 func newSession(srv *Server, m *machine.Machine, prog *asm.Program, opts debug.Options, sc SessionConfig) *Session {
 	s := &Session{srv: srv, m: m, prog: prog, sc: sc, preset: machine.PresetName(sc.Machine)}
 	s.trace = obs.NewTraceRing(srv.cfg.TraceDepth)
-	s.priority.Store(int64(sc.Priority))
 	s.cond = sync.NewCond(&s.mu)
 	s.d = debug.New(m, opts)
 	s.d.OnUser = func(ev debug.UserEvent) {
@@ -189,9 +177,6 @@ func newSession(srv *Server, m *machine.Machine, prog *asm.Program, opts debug.O
 	}
 	return s
 }
-
-// Priority returns the session's current load-shedding priority.
-func (s *Session) Priority() int { return int(s.priority.Load()) }
 
 // MachineConfig returns the session's machine configuration and the name
 // of the preset it equals, or "" when it equals none.
@@ -577,8 +562,8 @@ func (s *Session) resumeLocked() {
 	}
 	s.bpParked = false
 	if err := s.srv.enqueue(s); err != nil {
-		// Draining or overloaded: park idle with an EventShed, like a
-		// load-shedding pause; Continue resumes later.
+		// Draining or overloaded: park idle with an EventShed; Continue
+		// resumes later.
 		s.pauseShedLocked()
 	}
 }
@@ -645,10 +630,10 @@ func (s *Session) finalizeLocked() {
 	s.cond.Broadcast()
 }
 
-// pauseShed stops a load-shedding victim at its queue slot: the session
-// pauses as if its budget ran out, with an EventShed marking why, and a
-// plain Continue resumes it later. Runs on the worker that popped the
-// session, which owns its machine.
+// pauseShed parks a session that a drain took off the run queue: the
+// session pauses as if its budget ran out, with an EventShed marking why,
+// and a plain Continue resumes it later. Runs on the worker that ran the
+// session's last quantum, which owns its machine.
 func (s *Session) pauseShed() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
