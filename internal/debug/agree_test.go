@@ -15,8 +15,8 @@ import (
 // An agreeCase is one FuzzBackendsAgree input: a loop of stores into a
 // 128-byte area, a watchpoint set over the area and up to two
 // breakpoints. The area holds four 16-byte scalar slots (0-63), a pointer
-// target (64-79) and a range (80-127); every watchpoint owns its slot, so
-// no two share a quad.
+// target (64-79) and a range (80-127). A scalar slot may hold several
+// watchpoints, which then may share a quad or the same bytes.
 type agreeCase struct {
 	iters   uint8 // loop iterations, 1..16
 	dise    uint8 // DISE options, see options
@@ -78,7 +78,7 @@ func decodeAgree(in []byte) agreeCase {
 	used := map[uint8]bool{}
 	for range next() % 4 {
 		w := agreeWatch{slot: next() % 6, shape: next(), cond: next()}
-		if !used[w.slot] {
+		if w.slot < 4 || !used[w.slot] {
 			used[w.slot] = true
 			c.watches = append(c.watches, w)
 		}
@@ -123,13 +123,13 @@ func (c agreeCase) program() (*asm.Program, error) {
 	return asm.Assemble(sb.String())
 }
 
-// watchpoint builds w's watchpoint over the program's area, setting ptr
-// for an indirect watch.
-func (w agreeWatch) watchpoint(m *machine.Machine) *debug.Watchpoint {
+// watchpoint builds the case's i'th watchpoint, w, over the program's
+// area, setting ptr for an indirect watch.
+func (w agreeWatch) watchpoint(m *machine.Machine, i int) *debug.Watchpoint {
 	area := m.Program.MustSymbol("area")
 	size := 1 << (w.shape & 3)
 	off := uint64(w.shape>>2) % uint64(17-size)
-	wp := &debug.Watchpoint{Name: fmt.Sprintf("slot%d", w.slot), Kind: debug.WatchScalar, Addr: area + 16*uint64(w.slot) + off, Size: size}
+	wp := &debug.Watchpoint{Name: fmt.Sprintf("w%d.slot%d", i, w.slot), Kind: debug.WatchScalar, Addr: area + 16*uint64(w.slot) + off, Size: size}
 	switch w.slot {
 	case 4:
 		// The DISE back end tracks an indirect target in one quad, so the
@@ -179,8 +179,8 @@ func (c agreeCase) run(t *testing.T, m *machine.Machine, p *asm.Program, b debug
 	m.Reset()
 	m.Load(p)
 	d := debug.New(m, c.options(b))
-	for _, w := range c.watches {
-		if err := d.Watch(w.watchpoint(m)); err != nil {
+	for i, w := range c.watches {
+		if err := d.Watch(w.watchpoint(m, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,6 +279,15 @@ func FuzzBackendsAgree(f *testing.F) {
 		// the silent store reported the other's byte as a change.
 		{iters: 2, stores: []agreeStore{{0, 85, 0, 127}, {1, 80, 0, 0}},
 			watches: []agreeWatch{{slot: rng, shape: 3}}},
+		// Two 4-byte scalars in one quad, an stl to the upper one, then
+		// an stq over both: virtual memory, hardware and dise classified
+		// each store by the first watchpoint it matched.
+		{iters: 2, stores: []agreeStore{{2, 4, 0, 127}, {quad, 0, 0, 127}},
+			watches: []agreeWatch{{slot: scalar0, shape: 2}, {slot: scalar0, shape: 1<<4 | 2}}},
+		// Two watchpoints on the same 8 bytes, the first conditional: its
+		// failed predicate ended dise's check before the second's block.
+		{iters: 3, stores: []agreeStore{{quad, 0, 0, 127}},
+			watches: []agreeWatch{{slot: scalar0, shape: 3, cond: cond(eq, 2)}, {slot: scalar0, shape: 3}}},
 	} {
 		f.Add(c.encode())
 	}
@@ -308,4 +317,64 @@ func FuzzBackendsAgree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSharedQuadWatchpoints runs two watchpoints in one quad, and two on
+// the same bytes, on every back end that takes several scalars. Each must
+// report the same values in the same order as single-step, which
+// re-evaluates every watchpoint at every statement.
+func TestSharedQuadWatchpoints(t *testing.T) {
+	type watch struct {
+		name      string
+		off, size int
+		cond      *debug.Condition
+	}
+	bloom := debug.DefaultOptions(debug.BackendDise)
+	bloom.Multi = debug.StrategyBloomByte
+	for _, c := range []struct {
+		name    string
+		stores  []string // one statement each, with r1 = v and r2 = 9<<32 | 7
+		watches []watch
+		want    []string
+	}{
+		{"one-quad", []string{"stl r3, 4(r1)", "stq r2, 0(r1)"},
+			[]watch{{"v", 0, 4, nil}, {"u", 4, 4, nil}},
+			[]string{"u=0x5", "v=0x7", "u=0x9"}},
+		{"same-bytes", []string{"stq r3, 0(r1)", "stq r3, 0(r1)", "stq r2, 0(r1)"},
+			[]watch{{"a", 0, 8, &debug.Condition{Op: debug.CondGt, Value: 5}}, {"b", 0, 8, nil}},
+			[]string{"b=0x5", "a=0x900000007", "b=0x900000007"}},
+	} {
+		src := ".data\n.align 8\nv: .quad 0\nval: .quad 0x900000007\n.text\nmain:\n.stmt\n    la r1, v\n    la r2, val\n    ldq r2, 0(r2)\n    li r3, 5\n"
+		for _, st := range c.stores {
+			src += ".stmt\n    " + st + "\n"
+		}
+		src += ".stmt\n    halt\n"
+		for _, opts := range []debug.Options{
+			debug.DefaultOptions(debug.BackendSingleStep),
+			debug.DefaultOptions(debug.BackendVirtualMemory),
+			debug.DefaultOptions(debug.BackendHardwareReg),
+			debug.DefaultOptions(debug.BackendDise),
+			bloom,
+		} {
+			m := loadProg(t, src)
+			d := debug.New(m, opts)
+			for _, w := range c.watches {
+				wp := &debug.Watchpoint{Name: w.name, Kind: debug.WatchScalar, Addr: m.Program.MustSymbol("v") + uint64(w.off), Size: w.size, Cond: w.cond}
+				if err := d.Watch(wp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []string
+			d.OnUser = func(ev debug.UserEvent) {
+				got = append(got, fmt.Sprintf("%s=%#x", ev.Watchpoint.Name, ev.Value))
+			}
+			if err := d.Install(); err != nil {
+				t.Fatalf("%s on %v/%v: %v", c.name, opts.Backend, opts.Multi, err)
+			}
+			m.MustRun(0)
+			if !slices.Equal(got, c.want) {
+				t.Errorf("%s on %v/%v: user transitions %v, want %v", c.name, opts.Backend, opts.Multi, got, c.want)
+			}
+		}
+	}
 }

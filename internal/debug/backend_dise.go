@@ -73,7 +73,6 @@ type diseState struct {
 	dataBase    uint64
 	dataLen     int
 	handlerBase uint64
-	handlerEnd  uint64
 	errBase     uint64
 	errEnd      uint64
 	prods       []*dise.Production
@@ -106,7 +105,6 @@ func (d *Debugger) installDise() error {
 			return err
 		}
 		st.handlerBase = d.m.AppendText(code)
-		st.handlerEnd = st.handlerBase + uint64(len(code))*4
 	}
 	if d.opts.Protect {
 		code := buildErrHandler()
@@ -126,7 +124,7 @@ func (d *Debugger) installDise() error {
 	}
 
 	// 4. Classify traps raised by the generated code.
-	d.m.Core.Hooks.OnTrap = d.diseTrapHook
+	d.m.Core.Hooks.OnTrap = d.trapHook
 
 	// 4b. Scope gating: watch productions toggle at function entry/exit.
 	if d.scoped {
@@ -271,17 +269,12 @@ func (d *Debugger) planDise() (*diseState, []byte) {
 func (d *Debugger) watchQuads() []uint64 {
 	var out []uint64
 	seen := map[uint64]bool{}
-	add := func(lo, hi uint64) {
-		for q := range quads(lo, hi) {
+	for _, w := range d.watchpoints {
+		for _, q := range d.quadsOf(w) {
 			if !seen[q] {
 				seen[q] = true
 				out = append(out, q)
 			}
-		}
-	}
-	for _, w := range d.watchpoints {
-		for _, r := range d.watchedRanges(w) {
-			add(r[0], r[1])
 		}
 	}
 	return out

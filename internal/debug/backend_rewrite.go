@@ -6,9 +6,24 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/pipeline"
 	"repro/internal/rewrite"
 )
+
+// rewriteInstsPerStore is the number of instructions binary rewriting
+// inserts after every store: the address match and the handler call.
+const rewriteInstsPerStore = 9
+
+// RewriteAddedInsts is the number of instructions binary rewriting adds
+// to text: rewriteInstsPerStore after every store.
+func RewriteAddedInsts(text []uint32) int {
+	n := 0
+	for _, word := range text {
+		if isa.Decode(word).Op.IsStore() {
+			n += rewriteInstsPerStore
+		}
+	}
+	return n
+}
 
 // rwSaveQuads is the register save area at the start of the rewrite
 // backend's data region; the previous-value slot follows it.
@@ -53,14 +68,7 @@ func (d *Debugger) installBinaryRewrite() error {
 
 	// Predict the handler's address: the transformed text plus the
 	// AppendText guard gap.
-	nStores := 0
-	for _, word := range p.Text {
-		if isa.Decode(word).Op.IsStore() {
-			nStores++
-		}
-	}
-	const addedPerStore = 9
-	handlerBase := p.TextBase + uint64(len(p.Text)+nStores*addedPerStore)*4 + 64
+	handlerBase := p.TextBase + uint64(len(p.Text)+RewriteAddedInsts(p.Text))*4 + 64
 
 	waddrQuad := int64(w.Addr &^ 7)
 	expand := func(inst isa.Inst, pc uint64) ([]isa.Inst, int) {
@@ -89,7 +97,7 @@ func (d *Debugger) installBinaryRewrite() error {
 
 	// Generate and append the handler; it must land exactly where the
 	// inlined calls point.
-	code, err := buildRewriteHandler(handlerBase, dataBase, w)
+	code, err := d.buildRewriteHandler(handlerBase, dataBase, w)
 	if err != nil {
 		return err
 	}
@@ -97,15 +105,7 @@ func (d *Debugger) installBinaryRewrite() error {
 	if got != handlerBase {
 		return fmt.Errorf("debug: handler landed at %#x, expected %#x", got, handlerBase)
 	}
-
-	d.m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 {
-		if ev.PC >= handlerBase && ev.PC < handlerBase+uint64(len(code))*4 {
-			d.user(UserEvent{PC: ev.PC, Watchpoint: w, Value: d.evalExpr(w)})
-			return 0
-		}
-		d.user(UserEvent{PC: ev.PC})
-		return 0
-	}
+	d.m.Core.Hooks.OnTrap = d.trapHook
 	return nil
 }
 
@@ -127,7 +127,7 @@ func li32Pair(reg isa.Reg, v int64) []isa.Inst {
 // function: entered via jsr with the link in r27 and the quad-aligned
 // store address in r28; r28 is dead on entry (scavenged), so it becomes
 // the data-region base.
-func buildRewriteHandler(base, dataBase uint64, w *Watchpoint) ([]uint32, error) {
+func (d *Debugger) buildRewriteHandler(base, dataBase uint64, w *Watchpoint) ([]uint32, error) {
 	b := asm.NewAt(base, dataBase)
 	b.Li32(isa.AT, int64(dataBase))
 	b.Mem(isa.OpStq, isa.R20, 0, isa.AT)
@@ -143,6 +143,7 @@ func buildRewriteHandler(base, dataBase uint64, w *Watchpoint) ([]uint32, error)
 		b.Mem(isa.OpLdq, isa.R22, rwCondOff, isa.AT)
 		skipUnlessCond(b, w.Cond.Op, isa.R21, isa.R22, "rwdone")
 	}
+	d.traps[b.PC()] = w
 	b.Trap()
 	b.Label("rwdone")
 	b.Mem(isa.OpLdq, isa.R20, 0, isa.AT)

@@ -2,6 +2,7 @@ package debug
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/pipeline"
@@ -30,71 +31,90 @@ func (d *Debugger) installSingleStep() error {
 			stops[d.m.Program.TextBase+uint64(i)*4] = true
 		}
 	}
-	bps := make(map[uint64]*Breakpoint, len(d.breakpoints))
-	for _, b := range d.breakpoints {
-		stops[b.PC] = true
-		bps[b.PC] = b
-	}
-	if len(stops) == 0 {
+	if len(stops)+len(d.breakpoints) == 0 {
 		return fmt.Errorf("debug: single-step backend needs statement metadata or breakpoints")
 	}
-	d.m.Core.Hooks.OnInst = func(pc uint64) uint64 {
-		if !stops[pc] {
-			return 0
-		}
-		return d.stopAndInspect(pc, bps[pc])
-	}
+	d.installStops(stops)
 	return nil
 }
 
-// stopAndInspect models one debugger stop: the debugger inspects
-// watchpoint expressions, then the breakpoint at pc, if any, and either
-// invokes the user (free) or returns to the application (spurious,
-// costed). The watchpoints come first: the stores that changed them ran
-// before the instruction the breakpoint stops.
-func (d *Debugger) stopAndInspect(pc uint64, bp *Breakpoint) uint64 {
+// inspect models one debugger stop, the only place the hook back ends
+// classify a transition (§2). After a store it re-evaluates every
+// watchpoint the store wrote; at a statement or breakpoint stop, with no
+// store, it re-evaluates every watchpoint. The watchpoints come before
+// the breakpoint at pc, if any: the stores that changed them ran before
+// the instruction the breakpoint stops. The stop is a user transition
+// (free) when any of them invokes the user, and otherwise one spurious
+// transition, costed: predicate when a value changed or a breakpoint
+// stopped, value when the store wrote watched data, address when it
+// wrote none or nothing was written.
+func (d *Debugger) inspect(pc uint64, store *pipeline.StoreEvent, bp *Breakpoint) uint64 {
 	user := d.stats.User
-	anyChanged := false
+	wrote, changed := false, false
 	for _, w := range d.watchpoints {
+		if store != nil {
+			if !d.storeHits(w, store.Addr, store.Size) {
+				continue
+			}
+			wrote = true
+		}
 		chg, v := d.changed(w)
 		if !chg {
 			continue
 		}
-		anyChanged = true
+		changed = true
 		d.refresh(w)
 		if w.Cond == nil || w.Cond.Eval(v) {
 			d.user(UserEvent{PC: pc, Watchpoint: w, Value: v})
 		}
 	}
-	if bp != nil {
-		if ok, _ := d.breakCondHolds(bp); ok {
-			d.user(UserEvent{PC: pc, Breakpoint: bp})
-		}
+	if bp != nil && d.breakCondHolds(bp) {
+		d.user(UserEvent{PC: pc, Breakpoint: bp})
 	}
 	switch {
 	case d.stats.User > user:
 		return 0
-	case anyChanged || bp != nil:
+	case changed || bp != nil:
 		d.stats.SpuriousPred++
+	case wrote:
+		d.stats.SpuriousValue++
 	default:
 		d.stats.SpuriousAddr++
 	}
 	return DefaultTransitionCost
 }
 
-func (d *Debugger) breakCondHolds(b *Breakpoint) (bool, uint64) {
+func (d *Debugger) breakCondHolds(b *Breakpoint) bool {
 	if b.Cond == nil {
-		return true, 0
+		return true
 	}
-	v := d.m.Mem.Read(b.Cond.Addr, 8)
 	c := Condition{Op: b.Cond.Op, Value: b.Cond.Value}
-	return c.Eval(v), v
+	return c.Eval(d.m.Mem.Read(b.Cond.Addr, 8))
+}
+
+// installStops stops the application, and inspects, before every
+// instruction whose PC is in stops or holds a breakpoint.
+func (d *Debugger) installStops(stops map[uint64]bool) {
+	bps := make(map[uint64]*Breakpoint, len(d.breakpoints))
+	for _, b := range d.breakpoints {
+		stops[b.PC] = true
+		bps[b.PC] = b
+	}
+	if len(stops) == 0 {
+		return
+	}
+	d.m.Core.Hooks.OnInst = func(pc uint64) uint64 {
+		if !stops[pc] {
+			return 0
+		}
+		return d.inspect(pc, nil, bps[pc])
+	}
 }
 
 // --- virtual memory -------------------------------------------------------
 
-// installVirtualMemory write-protects every page holding watched data and
-// classifies the resulting store faults (§2). It cannot watch indirect
+// installVirtualMemory write-protects every page holding watched data; a
+// store that faults stops the application (§2). It cannot watch indirect
 // expressions: the debugger cannot statically determine the pages (§5.1).
 func (d *Debugger) installVirtualMemory() error {
 	for _, w := range d.watchpoints {
@@ -107,9 +127,9 @@ func (d *Debugger) installVirtualMemory() error {
 		if !d.m.Core.Prot.WriteFaults(ev.Addr, ev.Size) {
 			return 0
 		}
-		return d.faultTransition(ev.PC, ev.Addr, ev.Size, d.watchpoints)
+		return d.inspect(ev.PC, ev, nil)
 	}
-	d.installBreakpointHook()
+	d.installStops(map[uint64]bool{})
 	return nil
 }
 
@@ -122,37 +142,19 @@ func (d *Debugger) protectAll(ws []*Watchpoint) {
 	}
 }
 
-// faultTransition classifies one page-protection fault against a
-// watchpoint set: if the store wrote actual watched data, it is a
-// value/predicate/user classification; otherwise it is the spurious
-// address transition page granularity inflicts (§5.1).
-func (d *Debugger) faultTransition(pc, addr uint64, size int, ws []*Watchpoint) uint64 {
-	for _, w := range ws {
-		if d.storeHits(w, addr, size) {
-			return d.classify(w, pc, true)
-		}
-	}
-	d.stats.SpuriousAddr++
-	return DefaultTransitionCost
-}
-
 // --- hardware watchpoint registers ----------------------------------------
 
 // hwWatchRegs is the machine's hardware watchpoint register count; the
 // paper's machine has four (§2, §5.3).
 const hwWatchRegs = 4
 
-type hwReg struct {
-	quad uint64 // aligned quad address the register matches
-	w    *Watchpoint
-}
-
 // installHardwareReg implements quad-granular hardware watchpoint
-// registers (§2). Scalars only; watchpoints beyond the register count fall
-// back to virtual memory (§5.3); indirect and range watchpoints are not
+// registers (§2): a store to a register's quad stops the application.
+// Scalars only; watchpoints beyond the register count fall back to
+// virtual memory (§5.3); indirect and range watchpoints are not
 // supported, as in real debuggers.
 func (d *Debugger) installHardwareReg() error {
-	var regs []hwReg
+	var regs []uint64 // the aligned quad each register matches
 	var overflow []*Watchpoint
 	for _, w := range d.watchpoints {
 		switch w.Kind {
@@ -166,58 +168,25 @@ func (d *Debugger) installHardwareReg() error {
 		// A watchpoint takes a register per quad it touches, and only all
 		// of them or none: one that does not fit spills whole to page
 		// protection.
-		var mine []hwReg
-		for q := range quads(w.Addr, w.Addr+uint64(w.Size)) {
-			mine = append(mine, hwReg{quad: q, w: w})
-		}
+		mine := slices.Collect(quads(w.Addr, w.Addr+uint64(w.Size)))
 		if len(regs)+len(mine) <= hwWatchRegs {
 			regs = append(regs, mine...)
 		} else {
 			overflow = append(overflow, w)
 		}
 	}
-	d.hwRegs = regs
 	d.protectAll(overflow)
 	d.m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
-		sLo, sHi := ev.Addr, ev.Addr+uint64(ev.Size)
-		for _, r := range d.hwRegs {
-			if rangesOverlap(sLo, sHi, r.quad, r.quad+8) {
-				// The register fired. Spurious address transition when
-				// only the unwatched part of the quad was written.
-				return d.classify(r.w, ev.PC, d.storeHits(r.w, ev.Addr, ev.Size))
+		for _, q := range regs {
+			if rangesOverlap(ev.Addr, ev.Addr+uint64(ev.Size), q, q+8) {
+				return d.inspect(ev.PC, ev, nil)
 			}
 		}
 		if len(overflow) > 0 && d.m.Core.Prot.WriteFaults(ev.Addr, ev.Size) {
-			return d.faultTransition(ev.PC, ev.Addr, ev.Size, overflow)
+			return d.inspect(ev.PC, ev, nil)
 		}
 		return 0
 	}
-	d.installBreakpointHook()
+	d.installStops(map[uint64]bool{})
 	return nil
-}
-
-// installBreakpointHook wires conventional trap-based breakpoints (static
-// replacement with a trapping instruction, §2): every hit is either a user
-// transition (free) or, for a failed conditional, a spurious predicate
-// transition.
-func (d *Debugger) installBreakpointHook() {
-	if len(d.breakpoints) == 0 {
-		return
-	}
-	bps := make(map[uint64]*Breakpoint, len(d.breakpoints))
-	for _, b := range d.breakpoints {
-		bps[b.PC] = b
-	}
-	d.m.Core.Hooks.OnInst = func(pc uint64) uint64 {
-		b := bps[pc]
-		if b == nil {
-			return 0
-		}
-		if ok, _ := d.breakCondHolds(b); ok {
-			d.user(UserEvent{PC: pc, Breakpoint: b})
-			return 0
-		}
-		d.stats.SpuriousPred++
-		return DefaultTransitionCost
-	}
 }

@@ -7,11 +7,19 @@
 // machine.State.
 package debug
 
-import "repro/internal/machine"
+import (
+	"maps"
+
+	"repro/internal/machine"
+)
 
 // Checkpoint is the debugger-side companion to a machine.State: the
 // state a debugger must reapply so that, after machine.Restore, watchpoint
 // classification and statistics continue exactly as they would have.
+//
+// The shadow maps are copied, their region slices shared: snapshotPrev
+// and refresh only ever store a fresh Mem.ReadBytes slice and never write
+// one in place, so a debugger and its checkpoints may hold the same one.
 type Checkpoint struct {
 	stats      TransitionStats
 	prevScalar map[*Watchpoint]uint64
@@ -21,32 +29,15 @@ type Checkpoint struct {
 // Checkpoint captures the debugger state. Take it at the same instant as
 // the machine snapshot it accompanies.
 func (d *Debugger) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		stats:      d.stats,
-		prevScalar: make(map[*Watchpoint]uint64, len(d.prevScalar)),
-		prevRegion: make(map[*Watchpoint][]byte, len(d.prevRegion)),
-	}
-	for w, v := range d.prevScalar {
-		cp.prevScalar[w] = v
-	}
-	for w, b := range d.prevRegion {
-		cp.prevRegion[w] = append([]byte(nil), b...)
-	}
-	return cp
+	return &Checkpoint{stats: d.stats, prevScalar: maps.Clone(d.prevScalar), prevRegion: maps.Clone(d.prevRegion)}
 }
 
 // RestoreCheckpoint replaces the debugger state with the checkpoint's.
 // Call it after restoring the accompanying machine.State.
 func (d *Debugger) RestoreCheckpoint(cp *Checkpoint) {
 	d.stats = cp.stats
-	d.prevScalar = make(map[*Watchpoint]uint64, len(cp.prevScalar))
-	d.prevRegion = make(map[*Watchpoint][]byte, len(cp.prevRegion))
-	for w, v := range cp.prevScalar {
-		d.prevScalar[w] = v
-	}
-	for w, b := range cp.prevRegion {
-		d.prevRegion[w] = append([]byte(nil), b...)
-	}
+	d.prevScalar = maps.Clone(cp.prevScalar)
+	d.prevRegion = maps.Clone(cp.prevRegion)
 }
 
 // Rebind points the debugger at a replacement machine that has been

@@ -293,9 +293,12 @@ type Debugger struct {
 	prevScalar map[*Watchpoint]uint64
 	prevRegion map[*Watchpoint][]byte
 
+	// traps maps the PC of each trap in generated check code (DISE or
+	// binary rewriting) to the watchpoint it reports, fixed at Install.
+	traps map[uint64]*Watchpoint
+
 	installed bool
 	dise      *diseState
-	hwRegs    []hwReg
 
 	scoped                bool
 	scopeEntry, scopeExit uint64
@@ -308,6 +311,7 @@ func New(m *machine.Machine, opts Options) *Debugger {
 		opts:       opts,
 		prevScalar: make(map[*Watchpoint]uint64),
 		prevRegion: make(map[*Watchpoint][]byte),
+		traps:      make(map[uint64]*Watchpoint),
 	}
 }
 

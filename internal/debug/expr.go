@@ -3,6 +3,7 @@ package debug
 import (
 	"bytes"
 	"iter"
+	"slices"
 )
 
 // evalExpr computes a watched expression's current value from simulated
@@ -72,6 +73,15 @@ func quads(lo, hi uint64) iter.Seq[uint64] {
 	}
 }
 
+// quadsOf returns the aligned quads of w's watched ranges.
+func (d *Debugger) quadsOf(w *Watchpoint) []uint64 {
+	var out []uint64
+	for _, r := range d.watchedRanges(w) {
+		out = slices.AppendSeq(out, quads(r[0], r[1]))
+	}
+	return out
+}
+
 // storeHits reports whether a store to [addr, addr+size) touches data the
 // watchpoint depends on.
 func (d *Debugger) storeHits(w *Watchpoint, addr uint64, size int) bool {
@@ -100,30 +110,4 @@ func (d *Debugger) refresh(w *Watchpoint) {
 		return
 	}
 	d.prevScalar[w] = d.evalExpr(w)
-}
-
-// classify implements the paper's §2 transition taxonomy for one debugger
-// transition caused by a store that the backend's trigger mechanism
-// matched. It returns the stall cost to charge: 0 for user transitions,
-// the round-trip cost otherwise.
-//
-// addrHit says whether the store actually wrote data the expression
-// depends on (page- and quad-granular triggers fire without it).
-func (d *Debugger) classify(w *Watchpoint, pc uint64, addrHit bool) uint64 {
-	if !addrHit {
-		d.stats.SpuriousAddr++
-		return DefaultTransitionCost
-	}
-	chg, v := d.changed(w)
-	if !chg {
-		d.stats.SpuriousValue++
-		return DefaultTransitionCost
-	}
-	d.refresh(w)
-	if w.Cond != nil && !w.Cond.Eval(v) {
-		d.stats.SpuriousPred++
-		return DefaultTransitionCost
-	}
-	d.user(UserEvent{PC: pc, Watchpoint: w, Value: v})
-	return 0
 }

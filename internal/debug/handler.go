@@ -2,6 +2,7 @@ package debug
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -16,9 +17,9 @@ import (
 //     functions), r22–r25 go to the save area in the debugger data region
 //     — it never touches the application stack;
 //   - receives the store's effective address in dr1;
-//   - finds the watchpoint whose quad matched (pruning Bloom false
-//     positives), re-evaluates the expression, updates the current-value
-//     slot, checks the predicate, and traps only when the user must be
+//   - finds every watchpoint whose quad matched (pruning Bloom false
+//     positives), re-evaluates its expression, updates its current-value
+//     slot, checks its predicate, and traps only when the user must be
 //     invoked. Silent stores and failed predicates return without a trap —
 //     the transitions every other implementation pays for (§4.2, §4.3).
 func (d *Debugger) buildHandler(st *diseState) ([]uint32, error) {
@@ -62,17 +63,26 @@ func (d *Debugger) buildHandler(st *diseState) ([]uint32, error) {
 		b.Emit(isa.Inst{Op: isa.OpDmfr, RB: drT1, RBSp: isa.DiseSpace, RC: rAddr})
 		b.OpI(isa.OpBic, rAddr, 7, rAddr)
 	}
+	// last maps each watched quad to the last watchpoint watching it.
+	last := map[uint64]int{}
+	for i, w := range d.watchpoints {
+		for _, q := range d.quadsOf(w) {
+			last[q] = i
+		}
+	}
 	for i, w := range d.watchpoints {
 		blockEnd := fmt.Sprintf("wp%d_end", i)
+		wq := d.quadsOf(w)
+		// A block leaves for done only when no later watchpoint shares one
+		// of its quads; otherwise it falls through to the next block, whose
+		// value the same store may have changed too.
+		exit := "done"
+		if slices.ContainsFunc(wq, func(q uint64) bool { return last[q] > i }) {
+			exit = blockEnd
+		}
 		// Address dispatch: with several candidates (or a Bloom probable
 		// match) the function must check precisely which quad was hit.
-		if needDispatch := needAddr; needDispatch {
-			var wq []uint64
-			for _, r := range d.watchedRanges(w) {
-				for q := range quads(r[0], r[1]) {
-					wq = append(wq, q)
-				}
-			}
+		if needAddr {
 			if w.Kind == WatchRange && len(wq) > 4 {
 				// Bound dispatch code size: range membership via compares.
 				b.Li32(rA, int64(w.Addr&^7))
@@ -92,7 +102,7 @@ func (d *Debugger) buildHandler(st *diseState) ([]uint32, error) {
 				b.Label(hit)
 			}
 		}
-		d.emitEval(b, st, w, i)
+		d.emitEval(b, st, w, i, exit)
 		b.Label(blockEnd)
 	}
 
@@ -119,8 +129,11 @@ func (d *Debugger) buildHandler(st *diseState) ([]uint32, error) {
 
 // emitEval emits the expression re-evaluation for one watchpoint:
 // compute the current value, compare with the slot, update, test the
-// predicate, trap.
-func (d *Debugger) emitEval(b *asm.Builder, st *diseState, w *Watchpoint, i int) {
+// predicate, trap. A silent store, a failed predicate and the trap all
+// leave through exit. The comparison constant is a full 64-bit value,
+// kept in the debugger data region (§4.3: "auxiliary information in the
+// debugger's static data area").
+func (d *Debugger) emitEval(b *asm.Builder, st *diseState, w *Watchpoint, i int, exit string) {
 	const (
 		rBase = isa.R20
 		rAddr = isa.R21
@@ -134,13 +147,6 @@ func (d *Debugger) emitEval(b *asm.Builder, st *diseState, w *Watchpoint, i int)
 	case WatchScalar:
 		b.Li32(rA, int64(w.Addr))
 		b.Mem(loadOpForSize(w.Size), rB, 0, rA) // rB = current value
-		b.Mem(isa.OpLdq, rC, slot, rBase)       // rC = previous value
-		b.Op3(isa.OpCmpeq, rB, rC, rC)
-		b.CondBr(isa.OpBne, rC, "done") // silent: return without trapping
-		b.Mem(isa.OpStq, rB, slot, rBase)
-		d.emitCond(b, st, w, rB, rC)
-		b.Trap()
-		b.Br("done")
 
 	case WatchIndirect:
 		b.Li32(rA, int64(w.Addr))
@@ -152,13 +158,15 @@ func (d *Debugger) emitEval(b *asm.Builder, st *diseState, w *Watchpoint, i int)
 		b.OpI(isa.OpBic, rB, 7, rC)
 		b.Emit(isa.Inst{Op: isa.OpDmtr, RA: rC, RB: isa.DAR, RBSp: isa.DiseSpace})
 		b.Mem(loadOpForSize(w.Size), rB, 0, rB) // rB = *p
-		b.Mem(isa.OpLdq, rC, slot, rBase)
-		b.Op3(isa.OpCmpeq, rB, rC, rC)
-		b.CondBr(isa.OpBne, rC, "done")
-		b.Mem(isa.OpStq, rB, slot, rBase)
-		d.emitCond(b, st, w, rB, rC)
-		b.Trap()
-		b.Br("done")
+
+	case WatchExpr:
+		// Value = sum of the terms.
+		b.Li(rB, 0)
+		for _, a := range w.Terms {
+			b.Li32(rA, int64(a))
+			b.Mem(isa.OpLdq, rA, 0, rA)
+			b.Op3(isa.OpAddq, rB, rA, rB)
+		}
 
 	case WatchRange:
 		nQuads := int64((w.Length + 7) / 8)
@@ -190,8 +198,8 @@ func (d *Debugger) emitEval(b *asm.Builder, st *diseState, w *Watchpoint, i int)
 			b.OpI(isa.OpSll, rD, 64-8*rem, rD)
 			b.CondBr(isa.OpBne, rD, chg)
 		}
-		b.Br("done") // unchanged
-		// Changed: refresh the copy, check the predicate, trap.
+		b.Br(exit) // unchanged
+		// Changed: refresh the copy.
 		b.Label(chg)
 		b.Li32(rA, int64(w.Addr))
 		b.Li32(rB, int64(st.dataBase)+slot)
@@ -207,40 +215,22 @@ func (d *Debugger) emitEval(b *asm.Builder, st *diseState, w *Watchpoint, i int)
 			// The predicate applies to the region's first quad.
 			b.Li32(rA, int64(w.Addr))
 			b.Mem(isa.OpLdq, rB, 0, rA)
-			d.emitCond(b, st, w, rB, rC)
 		}
-		b.Trap()
-		b.Br("done")
-
-	case WatchExpr:
-		// Value = sum of the terms.
-		b.Li(rB, 0)
-		for _, a := range w.Terms {
-			b.Li32(rA, int64(a))
-			b.Mem(isa.OpLdq, rA, 0, rA)
-			b.Op3(isa.OpAddq, rB, rA, rB)
-		}
-		b.Mem(isa.OpLdq, rC, slot, rBase)
+	}
+	if w.Kind != WatchRange {
+		b.Mem(isa.OpLdq, rC, slot, rBase) // rC = previous value
 		b.Op3(isa.OpCmpeq, rB, rC, rC)
-		b.CondBr(isa.OpBne, rC, "done")
+		b.CondBr(isa.OpBne, rC, exit) // silent: no trap
 		b.Mem(isa.OpStq, rB, slot, rBase)
-		d.emitCond(b, st, w, rB, rC)
-		b.Trap()
-		b.Br("done")
 	}
-}
-
-// emitCond emits the inline predicate test: branch to done (no trap) when
-// the condition fails, consuming tmp. rVal holds the expression value. The
-// comparison constant is a full 64-bit value, kept in the debugger data
-// region (§4.3: "auxiliary information in the debugger's static data
-// area").
-func (d *Debugger) emitCond(b *asm.Builder, st *diseState, w *Watchpoint, rVal, rTmp isa.Reg) {
-	if w.Cond == nil {
-		return
+	// rB holds the changed value.
+	if w.Cond != nil {
+		b.Mem(isa.OpLdq, rC, int64(st.condSlot[w]), rBase)
+		skipUnlessCond(b, w.Cond.Op, rB, rC, exit)
 	}
-	b.Mem(isa.OpLdq, rTmp, int64(st.condSlot[w]), isa.R20)
-	skipUnlessCond(b, w.Cond.Op, rVal, rTmp, "done")
+	d.traps[b.PC()] = w
+	b.Trap()
+	b.Br(exit)
 }
 
 // skipUnlessCond emits the predicate test of generated code: compare rVal
@@ -263,25 +253,20 @@ func skipUnlessCond(b *asm.Builder, op CondOp, rVal, rK isa.Reg, skip string) {
 	}
 }
 
-// diseTrapHook classifies traps raised by generated code. Every trap the
-// generated code raises is, by construction, a user transition: address
-// matching, silent-store pruning, and predicate evaluation all happened
-// inside the application before trapping (§4). It returns 0 cycles —
-// user transitions are masked by user interaction (§5).
-func (d *Debugger) diseTrapHook(ev *pipeline.TrapEvent) uint64 {
-	st := d.dise
+// trapHook classifies traps under the DISE and binary-rewriting back
+// ends. Every trap the generated code raises is, by construction, a user
+// transition: address matching, silent-store pruning, and predicate
+// evaluation all happened inside the application before trapping (§4).
+// It returns 0 cycles — user transitions are masked by user interaction
+// (§5).
+func (d *Debugger) trapHook(ev *pipeline.TrapEvent) uint64 {
+	w, watch := d.traps[ev.PC]
 	switch {
-	case st.errBase != 0 && ev.PC >= st.errBase && ev.PC < st.errEnd:
+	case watch:
+		d.user(UserEvent{PC: ev.PC, Watchpoint: w, Value: d.evalExpr(w)})
+	case d.dise != nil && ev.PC >= d.dise.errBase && ev.PC < d.dise.errEnd:
 		d.stats.ProtViolations++
 		d.user(UserEvent{PC: ev.PC})
-	case st.handlerBase != 0 && ev.PC >= st.handlerBase && ev.PC < st.handlerEnd:
-		// dr1 still holds the store address the sequence computed.
-		w := d.wpForAddr(d.m.Engine.Regs[drT1] &^ 7)
-		var v uint64
-		if w != nil {
-			v = d.evalExpr(w)
-		}
-		d.user(UserEvent{PC: ev.PC, Watchpoint: w, Value: v})
 	case ev.InDise && ev.Code == breakTrap:
 		d.user(UserEvent{PC: ev.PC, Breakpoint: d.bpAt(ev.PC)})
 	case ev.InDise && len(d.watchpoints) > 0:
@@ -297,21 +282,6 @@ func (d *Debugger) diseTrapHook(ev *pipeline.TrapEvent) uint64 {
 		d.user(UserEvent{PC: ev.PC})
 	}
 	return 0
-}
-
-// wpForAddr finds the watchpoint whose watched quads include addr.
-func (d *Debugger) wpForAddr(addr uint64) *Watchpoint {
-	for _, w := range d.watchpoints {
-		for _, r := range d.watchedRanges(w) {
-			if rangesOverlap(addr, addr+1, r[0]&^7, (r[1]+7)&^7) {
-				return w
-			}
-		}
-	}
-	if len(d.watchpoints) == 1 {
-		return d.watchpoints[0]
-	}
-	return nil
 }
 
 func (d *Debugger) bpAt(pc uint64) *Breakpoint {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/debug"
-	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
@@ -144,15 +143,7 @@ var fig5 = &experiment{
 	tail: func(k *kernel) []string {
 		text := k.w.Program.Text
 		origKB := float64(len(text)) * 4 / 1024
-		// Rewriting inflates the static image by ~9 instructions per
-		// store; recompute for the report.
-		nStores := 0
-		for _, word := range text {
-			if isa.Decode(word).Op.IsStore() {
-				nStores++
-			}
-		}
-		rwKB := origKB + float64(nStores*9)*4/1024
+		rwKB := origKB + float64(debug.RewriteAddedInsts(text))*4/1024
 		return []string{fmt.Sprintf("%.1f", origKB), fmt.Sprintf("%.1f", rwKB)}
 	},
 }

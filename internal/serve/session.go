@@ -564,7 +564,11 @@ func (s *Session) resumeLocked() {
 	if err := s.srv.enqueue(s); err != nil {
 		// Draining or overloaded: park idle with an EventShed; Continue
 		// resumes later.
-		s.pauseShedLocked()
+		note := "shed"
+		if errors.Is(err, ErrDraining) {
+			note = "drain"
+		}
+		s.pauseShedLocked(note)
 	}
 }
 
@@ -637,17 +641,18 @@ func (s *Session) finalizeLocked() {
 func (s *Session) pauseShed() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pauseShedLocked()
+	s.pauseShedLocked("drain")
 }
 
-// pauseShedLocked is pauseShed with s.mu held. It also pauses a
-// backpressure-parked session that could not be re-enqueued; no worker
-// owns that one's machine.
-func (s *Session) pauseShedLocked() {
+// pauseShedLocked is pauseShed with s.mu held; note is the trace park's
+// reason. It also pauses a backpressure-parked session that could not be
+// re-enqueued, noted "drain" or "shed" by the error; no worker owns that
+// one's machine.
+func (s *Session) pauseShedLocked(note string) {
 	if s.state == StateRunning {
 		s.state = StateIdle
 		s.appendEventLocked(Event{Kind: EventShed, PC: s.m.Core.PC()})
-		s.trace.Append(obs.TraceEvent{Kind: TracePark, PC: s.m.Core.PC(), Note: "shed"})
+		s.trace.Append(obs.TraceEvent{Kind: TracePark, PC: s.m.Core.PC(), Note: note})
 	}
 	if s.closeReq {
 		s.finalizeLocked()

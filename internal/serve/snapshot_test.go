@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/debug"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -500,12 +502,39 @@ func TestDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A session a backpressure subscriber holds parked, released while
+	// the drain runs: its resume is refused for the drain.
+	held, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Watch(&debug.Watchpoint{
+		Name: "v", Kind: debug.WatchScalar, Addr: mustSym(t, held, "v"), Size: 8,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sub := held.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
+	driveUntilParked(t, srv, held)
 	if err := runner.Continue(0); err != nil { // never halts on its own
 		t.Fatal(err)
 	}
 
-	if !srv.Drain(5 * time.Second) {
+	drained := make(chan bool)
+	go func() { drained <- srv.Drain(5 * time.Second) }()
+	for draining := false; !draining; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		draining = srv.draining
+		srv.mu.Unlock()
+	}
+	sub.Cancel()
+	if !<-drained {
 		t.Fatal("drain did not quiesce")
+	}
+	if st := held.State(); st != StateIdle {
+		t.Errorf("backpressure-parked session state after release = %v, want idle", st)
+	}
+	if !slices.ContainsFunc(held.Trace(), func(ev obs.TraceEvent) bool { return ev.Kind == TracePark && ev.Note == "drain" }) {
+		t.Errorf("released session's trace has no park noted drain: %+v", held.Trace())
 	}
 	if st := runner.State(); st != StateIdle {
 		t.Errorf("running session state after drain = %v, want idle (parked)", st)
@@ -518,6 +547,9 @@ func TestDrain(t *testing.T) {
 	}
 	if !foundShed {
 		t.Error("parked session has no shed event")
+	}
+	if !slices.ContainsFunc(runner.Trace(), func(ev obs.TraceEvent) bool { return ev.Kind == TracePark && ev.Note == "drain" }) {
+		t.Errorf("trace has no park noted drain: %+v", runner.Trace())
 	}
 	if err := runner.Continue(0); err != ErrDraining {
 		t.Errorf("Continue while draining = %v, want ErrDraining", err)
