@@ -137,7 +137,7 @@ func (d *Debugger) installDise() error {
 	// positives (it always returns 0 cycles and exists only for the
 	// experiment reports).
 	if st.bloomSet != nil {
-		d.m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
+		d.m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
 			// The application's own store executes as T.INST inside the
 			// expansion (DisePC > 0); stores with DisePC 0 and InDise set
 			// come from the generated function and are not probed.

@@ -123,11 +123,11 @@ func (d *Debugger) installVirtualMemory() error {
 		}
 	}
 	d.protectAll(d.watchpoints)
-	d.m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
+	d.m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
 		if !d.m.Core.Prot.WriteFaults(ev.Addr, ev.Size) {
 			return 0
 		}
-		return d.inspect(ev.PC, ev, nil)
+		return d.inspect(ev.PC, &ev, nil)
 	}
 	d.installStops(map[uint64]bool{})
 	return nil
@@ -176,14 +176,14 @@ func (d *Debugger) installHardwareReg() error {
 		}
 	}
 	d.protectAll(overflow)
-	d.m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
+	d.m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
 		for _, q := range regs {
 			if rangesOverlap(ev.Addr, ev.Addr+uint64(ev.Size), q, q+8) {
-				return d.inspect(ev.PC, ev, nil)
+				return d.inspect(ev.PC, &ev, nil)
 			}
 		}
 		if len(overflow) > 0 && d.m.Core.Prot.WriteFaults(ev.Addr, ev.Size) {
-			return d.inspect(ev.PC, ev, nil)
+			return d.inspect(ev.PC, &ev, nil)
 		}
 		return 0
 	}

@@ -259,7 +259,7 @@ func skipUnlessCond(b *asm.Builder, op CondOp, rVal, rK isa.Reg, skip string) {
 // evaluation all happened inside the application before trapping (§4).
 // It returns 0 cycles — user transitions are masked by user interaction
 // (§5).
-func (d *Debugger) trapHook(ev *pipeline.TrapEvent) uint64 {
+func (d *Debugger) trapHook(ev pipeline.TrapEvent) uint64 {
 	w, watch := d.traps[ev.PC]
 	switch {
 	case watch:

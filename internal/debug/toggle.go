@@ -108,7 +108,7 @@ func (d *Debugger) installScopeHooks(st *diseState) error {
 		d.m.Engine.Remove(p)
 	}
 	prev := d.m.Core.Hooks.OnTrap
-	d.m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 {
+	d.m.Core.Hooks.OnTrap = func(ev pipeline.TrapEvent) uint64 {
 		switch ev.PC {
 		case d.scopeEntry:
 			if ev.InDise {

@@ -80,7 +80,7 @@ func (k *kernel) runBaseline() {
 	}
 	m := machine.NewDefault()
 	m.Load(k.w.Program)
-	m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
+	m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
 		for i, s := range spans {
 			if ev.Addr >= s.lo && ev.Addr < s.lo+s.n {
 				k.base.writes[i]++

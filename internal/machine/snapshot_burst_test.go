@@ -56,7 +56,7 @@ func TestSnapshotMidBurstRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 0
-		m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
+		m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
 			if ev.InDise && ev.DisePC == 2 {
 				if n++; n == stopAtNth {
 					m.Core.RequestStop()

@@ -160,7 +160,7 @@ func TestTimingDifferentialUnderTrapStalls(t *testing.T) {
 	cfg := DefaultConfig()
 	stallHooks := func(m *Machine) {
 		var stores uint64
-		m.Core.Hooks.OnStore = func(*pipeline.StoreEvent) uint64 {
+		m.Core.Hooks.OnStore = func(pipeline.StoreEvent) uint64 {
 			if stores++; stores%64 == 0 {
 				return 5000 // long debugger-transition stall
 			}

@@ -152,10 +152,15 @@ func (b *booking) reset() {
 // structures whose occupancy limits dispatch (ROB, reservation stations,
 // load/store queue): entry i of a size-N structure is free once the
 // (i-N)th occupant released it.
+//
+// The ring keeps no fill count. A new or reset ring is zero-filled, and
+// every release pushed is at least 1 (a commit or issue cycle), so a slot
+// still holding 0 was never written: the ring is full exactly when the
+// slot at pos is nonzero. A release of 0 never binds the core, whose
+// every arrival is at least 1, so oldest needs no fill test either.
 type ring struct {
 	buf []uint64
 	pos int // next write index; the oldest entry's index once full
-	n   int
 }
 
 func newRing(size int) *ring {
@@ -171,22 +176,15 @@ func (r *ring) push(release uint64) {
 	if r.pos++; r.pos == len(r.buf) {
 		r.pos = 0
 	}
-	if r.n < len(r.buf) {
-		r.n++
-	}
 }
 
-// oldest returns the oldest release time once the structure is full; a
-// new occupant can enter the cycle after it.
-func (r *ring) oldest() (uint64, bool) {
-	if r.n < len(r.buf) {
-		return 0, false
-	}
-	return r.buf[r.pos], true
-}
+// oldest returns the release time in the slot the next push overwrites:
+// the oldest occupant's once the structure is full, a new occupant
+// entering the cycle after it, and 0 while the structure fills.
+func (r *ring) oldest() uint64 { return r.buf[r.pos] }
 
 // reset returns the ring to its post-newRing state.
 func (r *ring) reset() {
 	clear(r.buf)
-	r.pos, r.n = 0, 0
+	r.pos = 0
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -259,26 +261,59 @@ func TestBookingSkipsFullRun(t *testing.T) {
 	}
 }
 
+// headTailRing is the occupancy ring as the snapshot encoding describes
+// it: explicit head, tail and fill. A push fills the tail slot until the
+// ring is full, then recycles the head slot.
+type headTailRing struct {
+	buf              []uint64
+	head, tail, fill int
+}
+
+func (m *headTailRing) push(v uint64) {
+	if m.fill < len(m.buf) {
+		m.buf[m.tail] = v
+		m.tail = (m.tail + 1) % len(m.buf)
+		m.fill++
+		return
+	}
+	m.buf[m.head] = v
+	m.head = (m.head + 1) % len(m.buf)
+}
+
 // TestRingWrapNonPowerOfTwo exercises ring push/oldest against a plain
-// slice FIFO at sizes with no power-of-two structure, where a masked wrap
-// would corrupt indices.
+// slice FIFO at every size from 1 to 13, most with no power-of-two
+// structure, where a masked wrap would corrupt indices. At every fill
+// level oldest() must read 0 while the ring fills (the zero-filled slot
+// the next push takes, which never binds a dispatch) and the FIFO head
+// once it is full, and appendRing must encode the slots, head, tail and
+// fill a head/tail/fill model of the ring holds.
 func TestRingWrapNonPowerOfTwo(t *testing.T) {
-	for _, size := range []int{1, 3, 5, 7, 13} {
+	for size := 1; size <= 13; size++ {
 		r := newRing(size)
+		model := headTailRing{buf: make([]uint64, size)}
 		var fifo []uint64
 		rng := rand.New(rand.NewSource(int64(size)))
-		v := uint64(0)
+		v := uint64(1) // every release the core pushes is at least 1
 		for i := 0; i < 10*size+17; i++ {
-			v += uint64(rng.Intn(9))
-
-			wantOld, wantFull := uint64(0), false
+			want := uint64(0)
 			if len(fifo) == size {
-				wantOld, wantFull = fifo[0], true
+				want = fifo[0]
 			}
-			gotOld, gotFull := r.oldest()
-			if gotOld != wantOld || gotFull != wantFull {
-				t.Fatalf("size=%d step=%d oldest() = (%d,%v), want (%d,%v)",
-					size, i, gotOld, gotFull, wantOld, wantFull)
+			if got := r.oldest(); got != want {
+				t.Fatalf("size=%d step=%d fill=%d: oldest() = %d, want %d", size, i, len(fifo), got, want)
+			}
+
+			var enc []byte
+			enc = binary.LittleEndian.AppendUint64(enc, uint64(size))
+			for _, c := range model.buf {
+				enc = binary.LittleEndian.AppendUint64(enc, c)
+			}
+			for _, x := range []int{model.head, model.tail, model.fill} {
+				enc = binary.LittleEndian.AppendUint64(enc, uint64(x))
+			}
+			if got := appendRing(nil, r); !bytes.Equal(got, enc) {
+				t.Fatalf("size=%d step=%d: appendRing = %v, model (head %d, tail %d, fill %d) encodes %v",
+					size, i, got, model.head, model.tail, model.fill, enc)
 			}
 
 			if len(fifo) == size {
@@ -286,6 +321,8 @@ func TestRingWrapNonPowerOfTwo(t *testing.T) {
 			}
 			fifo = append(fifo, v)
 			r.push(v)
+			model.push(v)
+			v += uint64(rng.Intn(9))
 		}
 	}
 }

@@ -10,7 +10,10 @@
 // issue, completion, and commit cycles subject to bandwidth, dependence,
 // occupancy, and port constraints. Control-flow and DISE-induced pipeline
 // flushes stall fetch until the redirecting instruction resolves, which is
-// how the paper's flush costs for DISE branches and calls arise.
+// how the paper's flush costs for DISE branches and calls arise. Each uop
+// is timed in one pass (Core.time, after exec), fetch through commit, on
+// tables the core holds by value; debugger hooks receive their events by
+// value, so a hooked step allocates nothing.
 //
 // Load/store-queue model: every store enters a store queue at dispatch
 // and stays live until its commit cycle, when it drains to the D-cache. A
@@ -29,7 +32,8 @@
 // reservation would overwrite a live entry so it never aliases, and book
 // by probing upward from the earliest cycle (see booking.go). The
 // ROB/RS/LSQ occupancy rings admit a uop the cycle after their oldest
-// occupant releases. The store queue keeps an occupancy count, a
+// occupant releases; they start zero-filled and keep no fill count, as a
+// 0 release never binds. The store queue keeps an occupancy count, a
 // next-drain edge (storeQMaxCommit), and address bounds that answer most
 // searches without a scan, and the fetch path keeps line- and
 // page-granular windows (lastFetchLine, the predecoder's fetch window).
@@ -112,15 +116,17 @@ type TrapEvent struct {
 // Hooks connects the core to the debugger. Nil members are skipped, so an
 // undebugged run pays nothing. Each hook returns the stall in cycles to
 // charge at the instruction's commit: 0 for free events (user transitions)
-// and the debugger-transition cost for spurious ones.
+// and the debugger-transition cost for spurious ones. Events pass by
+// value: a hook that keeps one keeps its own copy, and the step that
+// raises it allocates nothing.
 type Hooks struct {
 	// OnStore runs for every store, just after memory is written.
-	OnStore func(*StoreEvent) uint64
+	OnStore func(StoreEvent) uint64
 	// OnInst runs for every application instruction (DISEPC 0, outside
 	// DISE functions); the single-stepping back end uses it.
 	OnInst func(pc uint64) uint64
 	// OnTrap runs for executed trap instructions.
-	OnTrap func(*TrapEvent) uint64
+	OnTrap func(TrapEvent) uint64
 }
 
 // Stats aggregates a run.

@@ -21,6 +21,11 @@ import (
 // tables) has its own reset, snapshot and restore code. So does the
 // in-flight expansion: exp points at the core's own expBuf, so it never
 // rides in a copied value.
+//
+// The tables every uop's timing touches (the port tables, the occupancy
+// rings, the predecoder and the L1I geometry) are held by value, so the
+// single timing pass reaches them at fixed offsets from the core rather
+// than through a pointer each.
 type Core struct {
 	cfg    Config
 	Mem    *mem.Memory
@@ -44,13 +49,8 @@ type Core struct {
 	// against.
 	fetchRef, dispatchRef, commitRef *booking
 
-	aluBook  *booking
-	mulBook  *booking
-	loadBook *booking
-
-	robRing *ring
-	rsRing  *ring
-	lsqRing *ring
+	aluBook, mulBook, loadBook booking
+	robRing, rsRing, lsqRing   ring
 
 	// linear selects the retained linear-reference timing paths
 	// (Config.LinearTiming): fetch, dispatch, and commit booked on the
@@ -62,24 +62,26 @@ type Core struct {
 	// liveness generation, occupancy and bounds.
 	storeQ []storeRec
 
-	// Per-side L1 hit latencies, captured at construction: the fetch and
-	// load hot paths subtract/charge these every instruction, and reading
-	// them through Hier.Config() would copy the whole HierarchyConfig
-	// struct each time.
+	// Per-side L1 hit latencies and the L1I line mask, captured at
+	// construction: the fetch and load hot paths subtract/charge these
+	// every instruction, and reading them through Hier.Config() would copy
+	// the whole HierarchyConfig struct each time.
 	l1iHitLat uint64
+	l1iMask   uint64
 	l1dHitLat uint64
 
 	// pred is the predecoded-text cache serving all instruction fetches;
 	// it invalidates through the memory write hook.
-	pred *predecoder
+	pred predecoder
 
 	run
 }
 
 // run is the core's plain-value state: everything a core carries from
-// one step to the next that owns no memory. A State embeds it, so a field
-// added here is reset, captured and restored with no further code; one
-// that is encoded also needs its line in State.AppendBinary.
+// one step to the next that owns no memory (the timing pass's tables,
+// which do, are Core's value fields). A State embeds it, so a field added
+// here is reset, captured and restored with no further code; one that is
+// encoded also needs its line in State.AppendBinary.
 type run struct {
 	// --- front-end / functional state ---
 	pc         uint64
@@ -169,16 +171,17 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, bp *bpred.Predictor, 
 		BP:        bp,
 		Engine:    eng,
 		linear:    cfg.LinearTiming,
-		aluBook:   newBooking(cfg.IntALUs),
-		mulBook:   newBooking(cfg.IntMuls),
-		loadBook:  newBooking(cfg.LoadPorts),
-		robRing:   newRing(cfg.ROBSize),
-		rsRing:    newRing(cfg.RSSize),
-		lsqRing:   newRing(cfg.LSQSize),
+		aluBook:   *newBooking(cfg.IntALUs),
+		mulBook:   *newBooking(cfg.IntMuls),
+		loadBook:  *newBooking(cfg.LoadPorts),
+		robRing:   *newRing(cfg.ROBSize),
+		rsRing:    *newRing(cfg.RSSize),
+		lsqRing:   *newRing(cfg.LSQSize),
 		storeQ:    make([]storeRec, sqSize),
 		l1iHitLat: uint64(hcfg.L1I.HitLatency),
+		l1iMask:   ^(uint64(hcfg.L1I.LineBytes) - 1),
 		l1dHitLat: uint64(hcfg.L1D.HitLatency),
-		pred:      newPredecoder(m, predecodePages),
+		pred:      *newPredecoder(m, predecodePages),
 	}
 	c.run = initialRun(cfg)
 	if c.linear {
@@ -289,9 +292,9 @@ func (c *Core) setReadyAt(r isa.Reg, sp isa.RegSpace, t uint64) {
 }
 
 // Run executes until halt, the application-instruction budget, or the uop
-// safety cap is exhausted. It returns an error only for malformed
-// situations (e.g. executing unmapped garbage forever is cut off by
-// MaxUops).
+// safety cap is exhausted, one step per uop. It returns an error only for
+// malformed situations (e.g. executing unmapped garbage forever is cut
+// off by MaxUops).
 func (c *Core) Run(maxAppInsts uint64) error {
 	var uops uint64
 	for !c.halted {
@@ -316,10 +319,11 @@ func (c *Core) Run(maxAppInsts uint64) error {
 // calling Run again resumes from the same architectural state.
 func (c *Core) RequestStop() { c.stopReq = true }
 
-// step fetches, functionally executes, and times exactly one uop. The
-// uop arrives pre-resolved — from the predecoded page or the slot's DISE
-// expansion memo — so nothing here re-derives per-instruction facts;
-// exec and time read fields.
+// step fetches, functionally executes, and times exactly one uop, in
+// one pass each: the uop comes pre-resolved from the predecoded page or
+// the slot's DISE expansion memo, so nothing here re-derives
+// per-instruction facts; exec runs it, and time books it from fetch
+// through commit and advances the front end.
 func (c *Core) step() {
 	pc, dpc := c.pc, c.dpc
 	var u *isa.Uop
@@ -348,74 +352,31 @@ func (c *Core) step() {
 		u = &c.exp.Uops[dpc-1]
 	}
 
-	// --- timing: fetch ---
-	fetchAt := c.fetchAt(pc, dpc, uint64(expExtra))
-
-	// --- functional execution + control flow ---
 	var ev execResult
 	c.exec(u, pc, dpc, inDise, &ev)
-
-	// --- timing + front-end advance, fused ---
-	c.time(u, &ev, fetchAt, inDise, inFunc, pc, dpc)
+	c.time(u, &ev, uint64(expExtra), inDise, inFunc, pc, dpc)
 }
 
-// fetchAt computes the fetch cycle for the uop at (pc, dpc), charging
-// instruction-cache latency once per line and honoring fetch bandwidth.
-func (c *Core) fetchAt(pc uint64, dpc int, expExtra uint64) uint64 {
-	earliest := c.fetchCursor
-	if earliest < c.lastFetch {
-		earliest = c.lastFetch
-	}
-	if c.cfg.MTDiseCalls && c.inDiseFunc && c.mtCursor > earliest {
-		// Function-thread fetch cannot begin before the call resolved.
-		earliest = c.mtCursor
-	}
-	// Replacement-sequence instructions come from the replacement table,
-	// not the I-cache; raw instructions probe the I-cache per line.
-	if dpc <= 1 {
-		line := c.Hier.L1I.LineBase(pc)
-		if line != c.lastFetchLine {
-			lat := c.Hier.FetchLatency(pc, earliest)
-			if lat > c.l1iHitLat {
-				earliest += lat - c.l1iHitLat
-			}
-			c.lastFetchLine = line
-		}
-	}
-	var at uint64
-	if c.linear {
-		// Requests never go below earliest again, so it is the floor.
-		at = c.fetchRef.book(earliest, earliest)
-	} else {
-		at = c.fetchBook.book(earliest)
-	}
-	c.lastFetch = at
-	c.fetchCursor = at
-	return at + expExtra
-}
-
-// execResult carries the functional outcome a uop's timing needs.
+// execResult carries what exec decided that the uop's timing needs.
+// Whether the uop loads, stores or multiplies, and its access size, time
+// reads from the uop itself (Flags, MemSize).
 type execResult struct {
-	// memory
-	isLoad, isStore bool
-	addr            uint64
-	size            int
-
-	// control
-	redirect     bool // conventional taken control flow
-	mispredict   bool
-	diseFlush    bool // d-branch taken, d_call, d_ccall taken, d_ret
-	mtCall       bool // flush suppressed by the multithreading optimization
-	nextPC       uint64
-	nextDPC      int
-	endsSequence bool
-
-	// trap
-	trapStall uint64
-	trapped   bool
-
-	halted bool
+	flags     uint8  // ev* bits
+	addr      uint64 // effective address of a load or store
+	nextPC    uint64 // redirect target
+	nextDPC   int
+	trapStall uint64 // debugger-transition stall charged at commit
 }
+
+// execResult flag bits.
+const (
+	evRedirect   uint8 = 1 << iota // conventional taken control flow
+	evMispredict                   // the predictor missed: fetch waits for resolution
+	evDiseFlush                    // d-branch taken, d_call, d_ccall taken, d_ret
+	evMTCall                       // flush suppressed by the multithreading optimization
+	evTrapped                      // a debugger hook took the uop
+	evHalted
+)
 
 // exec functionally executes the uop, updating architectural state,
 // calling debugger hooks, and deciding control flow. The result is
@@ -426,7 +387,7 @@ func (c *Core) exec(u *isa.Uop, pc uint64, dpc int, inDise bool, ev *execResult)
 	if c.Hooks.OnInst != nil && dpc == 0 && !c.inDiseFunc {
 		ev.trapStall += c.Hooks.OnInst(pc)
 		if ev.trapStall > 0 {
-			ev.trapped = true
+			ev.flags |= evTrapped
 		}
 	}
 
@@ -436,7 +397,7 @@ func (c *Core) exec(u *isa.Uop, pc uint64, dpc int, inDise bool, ev *execResult)
 		// includes unmatched codewords
 
 	case isa.ClassHalt:
-		ev.halted = true
+		ev.flags |= evHalted
 
 	case isa.ClassIntALU, isa.ClassIntMul:
 		c.execALU(inst)
@@ -444,11 +405,9 @@ func (c *Core) exec(u *isa.Uop, pc uint64, dpc int, inDise bool, ev *execResult)
 	case isa.ClassLoad:
 		base := c.readReg(inst.RB, inst.RBSp)
 		addr := isa.EffAddr(base, inst.Imm)
-		size := int(u.MemSize)
-		v := isa.SignExtendLoad(inst.Op, c.Mem.Read(addr, size))
+		v := isa.SignExtendLoad(inst.Op, c.Mem.Read(addr, int(u.MemSize)))
 		c.writeReg(inst.RA, inst.RASp, v)
-		ev.isLoad = true
-		ev.addr, ev.size = addr, size
+		ev.addr = addr
 		if !inDise {
 			c.stats.Loads++
 		}
@@ -458,12 +417,11 @@ func (c *Core) exec(u *isa.Uop, pc uint64, dpc int, inDise bool, ev *execResult)
 		addr := isa.EffAddr(base, inst.Imm)
 		size := int(u.MemSize)
 		c.Mem.Write(addr, size, isa.StoreValue(inst.Op, c.readReg(inst.RA, inst.RASp)))
-		ev.isStore = true
-		ev.addr, ev.size = addr, size
+		ev.addr = addr
 		if c.Hooks.OnStore != nil {
-			if stall := c.Hooks.OnStore(&StoreEvent{PC: pc, DisePC: dpc, Addr: addr, Size: size, InDise: inDise}); stall > 0 {
+			if stall := c.Hooks.OnStore(StoreEvent{PC: pc, DisePC: dpc, Addr: addr, Size: size, InDise: inDise}); stall > 0 {
 				ev.trapStall += stall
-				ev.trapped = true
+				ev.flags |= evTrapped
 			}
 		}
 		if !inDise {
@@ -475,11 +433,11 @@ func (c *Core) exec(u *isa.Uop, pc uint64, dpc int, inDise bool, ev *execResult)
 		// UpdateCond recomputes the pre-update prediction internally, so a
 		// separate PredictCond lookup would double the table accesses.
 		if c.BP.UpdateCond(pc, taken) {
-			ev.mispredict = true
+			ev.flags |= evMispredict
 			c.stats.BranchMispredicts++
 		}
 		if taken {
-			ev.redirect = true
+			ev.flags |= evRedirect
 			ev.nextPC = isa.BranchTarget(pc, inst.Imm)
 		}
 
@@ -519,11 +477,11 @@ func (c *Core) execJump(inst *isa.Inst, pc uint64, ev *execResult) {
 	ret := pc + 4
 	switch inst.Op {
 	case isa.OpBr:
-		ev.redirect = true
+		ev.flags |= evRedirect
 		ev.nextPC = isa.BranchTarget(pc, inst.Imm)
 		c.writeReg(inst.RA, inst.RASp, ret)
 	case isa.OpBsr:
-		ev.redirect = true
+		ev.flags |= evRedirect
 		ev.nextPC = isa.BranchTarget(pc, inst.Imm)
 		c.writeReg(inst.RA, inst.RASp, ret)
 		c.BP.PushRAS(ret)
@@ -531,11 +489,11 @@ func (c *Core) execJump(inst *isa.Inst, pc uint64, ev *execResult) {
 		target := c.readReg(inst.RB, inst.RBSp) &^ 3
 		predicted, ok := c.BP.PredictTarget(pc)
 		if !ok || predicted != target {
-			ev.mispredict = true
+			ev.flags |= evMispredict
 			c.stats.BranchMispredicts++
 		}
 		c.BP.UpdateTarget(pc, target)
-		ev.redirect = true
+		ev.flags |= evRedirect
 		ev.nextPC = target
 		c.writeReg(inst.RA, inst.RASp, ret)
 		if inst.Op == isa.OpJsr {
@@ -545,10 +503,10 @@ func (c *Core) execJump(inst *isa.Inst, pc uint64, ev *execResult) {
 		target := c.readReg(inst.RB, inst.RBSp) &^ 3
 		predicted, ok := c.BP.PopRAS()
 		if !ok || predicted != target {
-			ev.mispredict = true
+			ev.flags |= evMispredict
 			c.stats.BranchMispredicts++
 		}
-		ev.redirect = true
+		ev.flags |= evRedirect
 		ev.nextPC = target
 	}
 }
@@ -558,13 +516,11 @@ func (c *Core) execTrap(inst *isa.Inst, pc uint64, dpc int, inDise bool, ev *exe
 		return // condition false: no trap, no flush — the whole point (§4.2)
 	}
 	if c.Hooks.OnTrap != nil {
-		tev := TrapEvent{PC: pc, DisePC: dpc, Op: inst.Op, Code: inst.Imm, InDise: inDise}
-		stall := c.Hooks.OnTrap(&tev)
-		ev.trapStall += stall
-		ev.trapped = true
+		ev.trapStall += c.Hooks.OnTrap(TrapEvent{PC: pc, DisePC: dpc, Op: inst.Op, Code: inst.Imm, InDise: inDise})
+		ev.flags |= evTrapped
 	} else {
 		// An unhandled trap halts: it would otherwise kill the process.
-		ev.halted = true
+		ev.flags |= evHalted
 	}
 }
 
@@ -572,10 +528,9 @@ func (c *Core) execDise(inst *isa.Inst, pc uint64, dpc int, ev *execResult) {
 	switch inst.Op {
 	case isa.OpDbeq, isa.OpDbne:
 		if isa.BranchTaken(inst.Op, c.readReg(inst.RA, inst.RASp)) {
-			ev.diseFlush = true
+			ev.flags |= evDiseFlush | evRedirect
 			ev.nextDPC = dise.DBranchTarget(dpc, inst.Imm)
 			ev.nextPC = pc
-			ev.redirect = true
 			c.stats.DiseBranchFlushes++
 		}
 	case isa.OpDcall, isa.OpDccall:
@@ -585,55 +540,72 @@ func (c *Core) execDise(inst *isa.Inst, pc uint64, dpc int, ev *execResult) {
 		c.Engine.DLinkPC, c.Engine.DLinkDPC = pc, dpc+1
 		c.Engine.Active = false
 		c.inDiseFunc = true
-		ev.redirect = true
 		ev.nextPC = c.Engine.Regs[inst.RB%isa.NumDiseRegs] &^ 3
 		ev.nextDPC = 0
-		if c.cfg.MTDiseCalls {
-			ev.mtCall = true
-		} else {
-			ev.diseFlush = true
-			c.stats.DiseCallFlushes++
-		}
+		ev.flags |= evRedirect | c.callFlush()
 	case isa.OpDret:
 		c.Engine.Active = true
 		c.inDiseFunc = false
-		ev.redirect = true
 		ev.nextPC, ev.nextDPC = c.Engine.DLinkPC, c.Engine.DLinkDPC
-		if c.cfg.MTDiseCalls {
-			ev.mtCall = true
-		} else {
-			ev.diseFlush = true
-			c.stats.DiseCallFlushes++
-		}
+		ev.flags |= evRedirect | c.callFlush()
 	}
 }
 
-// time runs the uop through the timing model, updates the front-end
-// cursors for flushes and stalls, and advances the functional front-end
-// cursor to the next uop — the dispatch tail of step, fused so the
-// booking-table writes, ring releases, and the redirect handling all
-// happen in one pass per uop instead of two calls with a second
-// redirect dispatch. inFunc is whether the uop was fetched inside a
-// DISE-called function (captured before exec); pc/dpc are the fetch
-// coordinates captured at the top of step.
-func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc bool, pc uint64, dpc int) {
-	arrival := fetchAt + uint64(c.cfg.FrontEndDepth)
+// callFlush returns how a DISE call or return redirects fetch: through a
+// pipeline flush, counted, or on the spare thread context under the
+// multithreading optimization.
+func (c *Core) callFlush() uint8 {
+	if c.cfg.MTDiseCalls {
+		return evMTCall
+	}
+	c.stats.DiseCallFlushes++
+	return evDiseFlush
+}
+
+// time books the uop through the timing model in one pass, fetch
+// through commit, updates the front-end cursors for flushes and stalls,
+// and advances the functional front-end cursor to the next uop. It runs
+// after exec, which is exact: exec never touches the cache hierarchy, so
+// the I-side and D-side accesses keep their order, and the one fetch
+// input exec can change, inDiseFunc, was captured before it as inFunc.
+// expExtra is the replacement-table refill wait of an expansion starting
+// at this uop; pc/dpc are the fetch coordinates captured at the top of
+// step.
+func (c *Core) time(u *isa.Uop, ev *execResult, expExtra uint64, inDise, inFunc bool, pc uint64, dpc int) {
+	// Fetch: instruction-cache latency once per line, fetch bandwidth.
+	earliest := max(c.fetchCursor, c.lastFetch)
+	if c.cfg.MTDiseCalls && inFunc && c.mtCursor > earliest {
+		// Function-thread fetch cannot begin before the call resolved.
+		earliest = c.mtCursor
+	}
+	// Replacement-sequence instructions come from the replacement table,
+	// not the I-cache; raw instructions probe the I-cache per line.
+	if dpc <= 1 {
+		if line := pc & c.l1iMask; line != c.lastFetchLine {
+			if lat := c.Hier.FetchLatency(pc, earliest); lat > c.l1iHitLat {
+				earliest += lat - c.l1iHitLat
+			}
+			c.lastFetchLine = line
+		}
+	}
+	var at uint64
+	if c.linear {
+		// Requests never go below earliest again, so it is the floor.
+		at = c.fetchRef.book(earliest, earliest)
+	} else {
+		at = c.fetchBook.book(earliest)
+	}
+	c.lastFetch = at
+	c.fetchCursor = at
+	fetchAt := at + expExtra
 
 	// Structure occupancy: ROB, RS, and (for memory ops) LSQ. A full
 	// structure admits the uop the cycle after its oldest occupant
-	// releases.
-	earliest := arrival
-	isMem := ev.isLoad || ev.isStore
-	if t, full := c.robRing.oldest(); full && t+1 > earliest {
-		earliest = t + 1
-	}
-	if t, full := c.rsRing.oldest(); full && t+1 > earliest {
-		earliest = t + 1
-	}
+	// releases; a filling one reads 0, which never binds (arrival >= 1).
+	earliest = max(fetchAt+uint64(c.cfg.FrontEndDepth), c.robRing.oldest()+1, c.rsRing.oldest()+1)
+	isMem := u.Flags&(isa.UopLoad|isa.UopStore) != 0
 	if isMem {
-		if t, full := c.lsqRing.oldest(); full && t+1 > earliest {
-			earliest = t + 1
-		}
+		earliest = max(earliest, c.lsqRing.oldest()+1)
 	}
 	if earliest < c.lastDispatch {
 		earliest = c.lastDispatch
@@ -663,8 +635,8 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 	// Issue: function unit and port booking; completion latency.
 	var issueAt, doneAt uint64
 	switch {
-	case ev.isLoad:
-		fwd, ready, fwdCommit := c.searchStoreQ(ev.addr, ev.size, issueEarliest)
+	case u.Flags&isa.UopLoad != 0:
+		fwd, ready, fwdCommit := c.searchStoreQ(ev.addr, int(u.MemSize), issueEarliest)
 		if ready+1 > issueEarliest {
 			// Forwarded data arrives at ready; a partial overlap cannot
 			// forward and instead holds the load until the store drains.
@@ -682,7 +654,7 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 			// load reads the D-cache like any other access.
 			doneAt = issueAt + c.Hier.DataLatency(ev.addr, false, issueAt)
 		}
-	case ev.isStore:
+	case u.Flags&isa.UopStore != 0:
 		issueAt = c.aluBook.book(issueEarliest, floor) // address generation
 		doneAt = issueAt + 1
 	case u.Flags&isa.UopMul != 0:
@@ -723,8 +695,8 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 	if isMem {
 		c.lsqRing.push(commitAt)
 	}
-	if ev.isStore {
-		c.pushStoreQ(ev.addr, ev.size, doneAt, commitAt)
+	if u.Flags&isa.UopStore != 0 {
+		c.pushStoreQ(ev.addr, int(u.MemSize), doneAt, commitAt)
 		// The store drains to the data cache after commit.
 		c.Hier.DataLatency(ev.addr, true, commitAt)
 	}
@@ -741,30 +713,28 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 
 	// Front-end redirects.
 	switch {
-	case ev.trapped && ev.trapStall > 0:
+	case ev.trapStall > 0:
 		// Costly debugger transition: pipeline flush plus stall; fetch
 		// restarts after the stall (paper §5 methodology).
 		c.fetchCursor = commitAt + ev.trapStall
 		c.stats.TrapStallCycles += ev.trapStall
 		c.stats.Traps++
-	case ev.mispredict:
+	case ev.flags&(evMispredict|evDiseFlush) != 0:
 		c.fetchCursor = doneAt + 1
-	case ev.diseFlush:
-		c.fetchCursor = doneAt + 1
-	case ev.mtCall:
+	case ev.flags&evMTCall != 0:
 		// Function thread fetches from its own context: no main-thread
 		// flush. Its uops start no earlier than the call's completion.
 		if doneAt+1 > c.mtCursor {
 			c.mtCursor = doneAt + 1
 		}
-	case ev.redirect:
+	case ev.flags&evRedirect != 0:
 		// Correctly predicted taken control flow: the fetch group ends.
 		c.fetchCursor = fetchAt + 1
 	}
-	if ev.trapped && ev.trapStall == 0 {
+	if ev.flags&evTrapped != 0 && ev.trapStall == 0 {
 		c.stats.FreeTraps++
 	}
-	if ev.halted {
+	if ev.flags&evHalted != 0 {
 		c.halted = true
 		c.stats.Halted = true
 		c.stats.HaltPC = c.pc
@@ -773,7 +743,7 @@ func (c *Core) time(u *isa.Uop, ev *execResult, fetchAt uint64, inDise, inFunc b
 
 	// Advance the functional front-end cursor to the next uop (fused
 	// former advance step).
-	if ev.redirect {
+	if ev.flags&evRedirect != 0 {
 		c.pc, c.dpc = ev.nextPC, ev.nextDPC
 		if c.dpc > 0 {
 			if c.exp == nil {

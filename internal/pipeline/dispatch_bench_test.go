@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/dise"
+	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/pipeline"
 )
 
 // dispatchKernel is a non-halting steady-state loop mixing the dispatch
@@ -80,24 +83,58 @@ loop:
 `
 
 // dispatchVariants are the steady-state loops the dispatch benchmark and
-// the allocation test run.
+// the allocation test run, each with the debugger set-up (nil for none)
+// installed after the kernel loads.
 var dispatchVariants = []struct {
 	name   string
 	kernel string
-	dise   bool
+	setup  func(testing.TB, *machine.Machine)
 }{
-	{"plain", dispatchKernel, false},
-	{"dise", dispatchKernel, true},
-	{"stores", storeKernel, false},
-	{"mul", mulKernel, false},
+	{"plain", dispatchKernel, nil},
+	{"dise", dispatchKernel, installStoreWatch},
+	{"stores", storeKernel, nil},
+	{"mul", mulKernel, nil},
+	{"store-hook", storeKernel, installStoreHook},
+	{"trap-hook", dispatchKernel, installTrapHook},
 }
 
-// dispatchMachine loads a kernel and runs it past the cold-start
-// transient (page resolution, predictor warm-up, cache fills), returning
-// the machine and the cumulative app-instruction target reached. Core.Run
-// budgets are absolute cumulative targets, so steady-state chunks are
-// driven by bumping the target.
-func dispatchMachine(tb testing.TB, kernel string, dise bool) (*machine.Machine, uint64) {
+// installStoreHook hands every store to an OnStore hook, as the
+// single-step, virtual-memory and hardware back ends do; it charges no
+// stall.
+func installStoreHook(_ testing.TB, m *machine.Machine) {
+	var stored uint64
+	m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
+		stored += uint64(ev.Size)
+		return 0
+	}
+}
+
+// installTrapHook replaces every store with itself and a trap, which an
+// OnTrap hook takes as a free transition, as the DISE and rewrite back
+// ends do.
+func installTrapHook(tb testing.TB, m *machine.Machine) {
+	tb.Helper()
+	p := &dise.Production{
+		Name:        "trap-stores",
+		Pattern:     dise.MatchClass(isa.ClassStore),
+		Replacement: []dise.TemplateInst{dise.TInst(), dise.TrapT()},
+	}
+	if err := m.Engine.Install(p); err != nil {
+		tb.Fatal(err)
+	}
+	var traps uint64
+	m.Core.Hooks.OnTrap = func(pipeline.TrapEvent) uint64 {
+		traps++
+		return 0
+	}
+}
+
+// dispatchMachine loads a kernel, installs setup (if any), and runs it
+// past the cold-start transient (page resolution, predictor warm-up,
+// cache fills), returning the machine and the cumulative app-instruction
+// target reached. Core.Run budgets are absolute cumulative targets, so
+// steady-state chunks are driven by bumping the target.
+func dispatchMachine(tb testing.TB, kernel string, setup func(testing.TB, *machine.Machine)) (*machine.Machine, uint64) {
 	tb.Helper()
 	p, err := asm.Assemble(kernel)
 	if err != nil {
@@ -105,8 +142,8 @@ func dispatchMachine(tb testing.TB, kernel string, dise bool) (*machine.Machine,
 	}
 	m := machine.NewDefault()
 	m.Load(p)
-	if dise {
-		installStoreWatch(tb, m)
+	if setup != nil {
+		setup(tb, m)
 	}
 	const warm = 100_000
 	m.MustRun(warm)
@@ -119,14 +156,15 @@ func dispatchMachine(tb testing.TB, kernel string, dise bool) (*machine.Machine,
 // generation costs the macro throughput benchmark includes. The dise
 // variant keeps a store-class watchpoint production installed, so every
 // fetch consults its slot's expansion memo and every fourth-ish
-// instruction expands from it, and mul saturates
-// the multiplier. All must run the hot loop allocation-free
+// instruction expands from it, mul saturates the multiplier, and the
+// hook variants hand every store, or every trap a store's expansion
+// raises, to a debugger hook. All must run the hot loop allocation-free
 // (TestDispatchAllocFree asserts it; -benchmem shows it here).
 func BenchmarkDispatch(b *testing.B) {
 	const chunk = 10_000
 	for _, v := range dispatchVariants {
 		b.Run(v.name, func(b *testing.B) {
-			m, target := dispatchMachine(b, v.kernel, v.dise)
+			m, target := dispatchMachine(b, v.kernel, v.setup)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -140,12 +178,12 @@ func BenchmarkDispatch(b *testing.B) {
 
 // TestDispatchAllocFree pins the hot-loop invariant the dispatch refactor
 // must preserve: once warm, dispatching instructions — plain, through
-// DISE expansion, store-dominated, or multiplier-bound — performs zero
-// heap allocations.
+// DISE expansion, store-dominated, multiplier-bound, or raising a store
+// or trap event to a debugger hook — performs zero heap allocations.
 func TestDispatchAllocFree(t *testing.T) {
 	for _, v := range dispatchVariants {
 		t.Run(v.name, func(t *testing.T) {
-			m, target := dispatchMachine(t, v.kernel, v.dise)
+			m, target := dispatchMachine(t, v.kernel, v.setup)
 			if allocs := testing.AllocsPerRun(50, func() {
 				target += 2_000
 				m.MustRun(target)

@@ -215,8 +215,8 @@ main:
 	m := machine.NewDefault()
 	m.Load(p)
 	var events []pipeline.StoreEvent
-	m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
-		events = append(events, *ev)
+	m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
+		events = append(events, ev)
 		return 0
 	}
 	m.MustRun(0)
@@ -357,7 +357,7 @@ main:
 		t.Fatal(err)
 	}
 	trapped := false
-	m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 { trapped = true; return 0 }
+	m.Core.Hooks.OnTrap = func(ev pipeline.TrapEvent) uint64 { trapped = true; return 0 }
 	st := m.MustRun(0)
 	if trapped {
 		t.Error("trap should have been skipped by the DISE branch")
@@ -397,7 +397,7 @@ main:
 		t.Fatal(err)
 	}
 	traps := 0
-	m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 { traps++; return 0 }
+	m.Core.Hooks.OnTrap = func(ev pipeline.TrapEvent) uint64 { traps++; return 0 }
 	st := m.MustRun(0)
 	if traps != 1 {
 		t.Errorf("traps = %d, want 1", traps)
@@ -436,7 +436,7 @@ main:
 		t.Fatal(err)
 	}
 	traps := 0
-	m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 { traps++; return 0 }
+	m.Core.Hooks.OnTrap = func(ev pipeline.TrapEvent) uint64 { traps++; return 0 }
 	st := m.MustRun(0)
 	if traps != 0 {
 		t.Errorf("traps = %d, want 0", traps)
@@ -646,7 +646,7 @@ func TestIllegalInstructionTraps(t *testing.T) {
 	// Clobber the nop with garbage.
 	m.Mem.Write(p.TextBase, 4, 0xFFFFFFFF)
 	var code int64
-	m.Core.Hooks.OnTrap = func(ev *pipeline.TrapEvent) uint64 {
+	m.Core.Hooks.OnTrap = func(ev pipeline.TrapEvent) uint64 {
 		code = ev.Code
 		return 0
 	}

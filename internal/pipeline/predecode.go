@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"repro/internal/dise"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -22,9 +24,8 @@ const predecodePages = 64
 // first time a fetch on the page consults an engine with productions, and
 // dropped with the page when a store touches it.
 type decodedPage struct {
-	uops    [instsPerPage]isa.Uop
-	memos   *[instsPerPage]dise.Memo
-	lastUse uint64 // LRU stamp, updated on page switches (not per fetch)
+	uops  [instsPerPage]isa.Uop
+	memos *[instsPerPage]dise.Memo
 }
 
 // predecoder is a software code cache, the standard dynamic-binary-
@@ -44,7 +45,12 @@ type predecoder struct {
 	m        *mem.Memory
 	pages    map[uint64]*decodedPage
 	maxPages int
-	clock    uint64 // LRU clock, advanced on every slow-path lookup
+
+	// recent holds the decoded pages' numbers in recency order, most
+	// recently looked up first: a slow-path lookup moves its page to the
+	// front, and the cap evicts the back. The fetch window is always the
+	// front page, so a window hit leaves the order as it is.
+	recent []uint64
 
 	// The fetch window is the most recently used page: straight-line
 	// fetch stays on one page for up to 1024 instructions, and a fetch
@@ -122,7 +128,6 @@ func (d *predecoder) fetchSlow(pc uint64) (*isa.Uop, *decodedPage) {
 		return &d.misal, nil
 	}
 	pn := mem.PageOf(pc)
-	d.clock++
 	pg := d.pages[pn]
 	if pg == nil {
 		if len(d.pages) >= d.maxPages {
@@ -134,6 +139,7 @@ func (d *predecoder) fetchSlow(pc uint64) (*isa.Uop, *decodedPage) {
 			pg.uops[i] = isa.DecodeUop(d.m.ReadInst(base + uint64(i)*4))
 		}
 		d.pages[pn] = pg
+		d.recent = append(d.recent, pn)
 		d.decodes++
 		d.resolves += instsPerPage
 		if d.loPN > d.hiPN {
@@ -149,7 +155,9 @@ func (d *predecoder) fetchSlow(pc uint64) (*isa.Uop, *decodedPage) {
 	} else {
 		d.hits++
 	}
-	pg.lastUse = d.clock
+	i := slices.Index(d.recent, pn)
+	copy(d.recent[1:i+1], d.recent[:i])
+	d.recent[0] = pn
 	d.win, d.winBase = pg, mem.PageBase(pc)
 	return &pg.uops[(pc&(mem.PageSize-1))>>2], pg
 }
@@ -168,36 +176,27 @@ func (d *predecoder) memo(pg *decodedPage, pc uint64) *dise.Memo {
 	return &pg.memos[pc>>2&(instsPerPage-1)]
 }
 
-// evictLRU drops the least-recently-used page. It runs only when a decode
-// would overflow the cap, so a linear scan of the map is fine.
+// evictLRU drops the least-recently-used page, the back of the recency
+// order. It runs only when a decode would overflow the cap.
 func (d *predecoder) evictLRU() {
-	if d.win != nil {
-		// Window hits don't restamp the active page; refresh it so the
-		// scan never victimizes the page fetch is sitting on.
-		d.win.lastUse = d.clock
-	}
-	var victim uint64
-	var vpg *decodedPage
-	for pn, pg := range d.pages {
-		if vpg == nil || pg.lastUse < vpg.lastUse {
-			victim, vpg = pn, pg
-		}
+	last := len(d.recent) - 1
+	victim := d.recent[last]
+	d.recent = d.recent[:last]
+	if d.win == d.pages[victim] {
+		d.win, d.winBase = nil, noWindow
 	}
 	delete(d.pages, victim)
 	d.evictions++
-	if d.win == vpg {
-		d.win, d.winBase = nil, noWindow
-	}
 }
 
-// reset drops every decoded page and rezeroes the clocks, bounds, and
-// counters, returning the predecoder to its post-newPredecoder state
+// reset drops every decoded page and rezeroes the bounds and counters,
+// returning the predecoder to its post-newPredecoder state
 // (newPredecoder ends by calling it). The memory write hook registered at
 // construction keeps pointing here, so a recycled core's text cache
 // invalidates exactly like a fresh one's.
 func (d *predecoder) reset() {
 	d.pages = make(map[uint64]*decodedPage)
-	d.clock = 0
+	d.recent = d.recent[:0]
 	d.win, d.winBase = nil, noWindow
 	d.loPN, d.hiPN = 1, 0
 	d.hits, d.decodes, d.evictions, d.invalidations = 0, 0, 0, 0
@@ -221,6 +220,8 @@ func (d *predecoder) invalidate(loPN, hiPN uint64) {
 	for pn := loPN; pn <= hiPN; pn++ {
 		if _, ok := d.pages[pn]; ok {
 			delete(d.pages, pn)
+			i := slices.Index(d.recent, pn)
+			d.recent = slices.Delete(d.recent, i, i+1)
 			d.invalidations++
 			d.uopInvals += instsPerPage
 		}

@@ -1,6 +1,10 @@
 package pipeline
 
 import (
+	"cmp"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -212,5 +216,121 @@ func TestMemoryWriteGeneration(t *testing.T) {
 	m.Read(0x1000, 8)
 	if calls != 3 {
 		t.Errorf("an empty write or a read fired a hook: %d in all, want 3", calls)
+	}
+}
+
+// stampPages is the predecoder's page cache as it was once modelled:
+// one recency stamp per decoded page from a clock that advances on every
+// aligned fetch, and a scan for the smallest stamp to pick each victim.
+// The predecoder's recency order must evict and keep exactly what it
+// does.
+type stampPages struct {
+	cap       int
+	stamp     map[uint64]uint64
+	clock     uint64
+	evictions uint64
+}
+
+func (r *stampPages) fetch(pc uint64) {
+	if pc&3 != 0 {
+		return // a misaligned fetch never touches the page cache
+	}
+	r.clock++
+	pn := mem.PageOf(pc)
+	if _, ok := r.stamp[pn]; !ok && len(r.stamp) >= r.cap {
+		victim, oldest := uint64(0), ^uint64(0)
+		for p, at := range r.stamp {
+			if at < oldest {
+				victim, oldest = p, at
+			}
+		}
+		delete(r.stamp, victim)
+		r.evictions++
+	}
+	r.stamp[pn] = r.clock
+}
+
+func (r *stampPages) invalidate(lo, hi uint64) {
+	for pn := range r.stamp {
+		if pn >= lo && pn <= hi {
+			delete(r.stamp, pn)
+		}
+	}
+}
+
+func (r *stampPages) clone() *stampPages {
+	c := *r
+	c.stamp = maps.Clone(r.stamp)
+	return &c
+}
+
+// TestPredecoderMatchesStampLRU drives the predecoder and the stamp-LRU
+// reference through the same random streams over six text pages at caps
+// of 2 to 4: fetches, mostly in runs on one page (window hits) and some
+// misaligned, stores that invalidate a page or miss the text, resets, and
+// snapshot restores. After every operation both must hold the same
+// pages, in the same recency order, with the same eviction count; the
+// fetch window must be the most recent page; and every fetch must return
+// the instruction memory holds.
+func TestPredecoderMatchesStampLRU(t *testing.T) {
+	const base, npages = 0x40000, 6
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := mem.New()
+		d := newPredecoder(m, 2+r.Intn(3))
+		ref := &stampPages{cap: d.maxPages, stamp: map[uint64]uint64{}}
+		m.AddWriteHook(d.invalidate)
+		m.AddWriteHook(func(lo, hi uint64) { ref.invalidate(lo, hi) })
+		var saved predState
+		var savedRef *stampPages
+
+		for step := 0; step < 300; step++ {
+			pc := base + uint64(r.Intn(npages))*mem.PageSize + 4*uint64(r.Intn(instsPerPage))
+			switch op := r.Intn(20); {
+			case op < 2:
+				// A store into the text, or one far away.
+				addr := pc
+				if op == 1 {
+					addr = 1 << 30
+				}
+				m.Write(addr, 4, uint64(r.Uint32()))
+			case op == 2 && r.Intn(8) == 0:
+				d.reset()
+				ref = &stampPages{cap: d.maxPages, stamp: map[uint64]uint64{}}
+			case op == 3:
+				saved, savedRef = d.snapshot(), ref.clone()
+			case op == 4 && savedRef != nil:
+				d.restore(&saved)
+				ref = savedRef.clone()
+			default:
+				if op == 5 {
+					pc += 1 + uint64(r.Intn(3)) // misaligned
+				}
+				for n := 1 + r.Intn(4); n > 0; n-- {
+					got, _ := d.fetch(pc)
+					ref.fetch(pc)
+					if want := isa.DecodeUop(m.ReadInst(pc)); *got != want {
+						t.Fatalf("seed %d step %d: fetch(%#x) = %v, memory holds %v", seed, step, pc, got.Inst, want.Inst)
+					}
+					pc += 4
+				}
+			}
+
+			want := slices.SortedFunc(maps.Keys(ref.stamp), func(a, b uint64) int { return cmp.Compare(ref.stamp[b], ref.stamp[a]) })
+			if !slices.Equal(d.recent, want) || len(d.pages) != len(want) {
+				t.Fatalf("seed %d step %d: pages %v (%d mapped), stamp LRU holds %v", seed, step, d.recent, len(d.pages), want)
+			}
+			for _, pn := range want {
+				if d.pages[pn] == nil {
+					t.Fatalf("seed %d step %d: page %#x is in the recency order but not mapped", seed, step, pn)
+				}
+			}
+			if d.evictions != ref.evictions {
+				t.Fatalf("seed %d step %d: %d evictions, stamp LRU %d", seed, step, d.evictions, ref.evictions)
+			}
+			if d.win != nil && d.win != d.pages[d.recent[0]] {
+				t.Fatalf("seed %d step %d: the fetch window is not the most recent page", seed, step)
+			}
+		}
 	}
 }

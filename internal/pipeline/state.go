@@ -19,19 +19,19 @@
 //   - a port table is its ring at its current length, stale entries
 //     included. Restore resizes the ring to the snapshot's length;
 //   - a ROB/RS/LSQ ring is copied raw. Its encoding maps the ring's
-//     single write index to the head/tail pair the encoding has always
-//     carried (appendRing);
+//     single write index to the head/tail pair and fill count the
+//     encoding has always carried (appendRing);
 //   - predState carries the predecoder's fetch window as its page
 //     number.
 //
-// The predecoder is captured as metadata only (which pages, LRU stamps);
-// Restore re-decodes the micro-ops from the restored memory — resolution
-// is a pure function of the instruction word, and the invalidation hook
-// guarantees the restored bytes are what was cached — so the rebuilt uop
-// cache is bit-identical to the donor's. The in-flight expansion likewise
-// serializes only its instructions, of which the derived uop fields are a
-// pure function; Restore shares the snapshot's uops, which are never
-// written after their memo is filled.
+// The predecoder is captured as metadata only (which pages, in recency
+// order); Restore re-decodes the micro-ops from the restored memory —
+// resolution is a pure function of the instruction word, and the
+// invalidation hook guarantees the restored bytes are what was cached —
+// so the rebuilt uop cache is bit-identical to the donor's. The in-flight
+// expansion likewise serializes only its instructions, of which the
+// derived uop fields are a pure function; Restore shares the snapshot's
+// uops, which are never written after their memo is filled.
 package pipeline
 
 import (
@@ -77,7 +77,7 @@ func (b *booking) restore(st *booking) {
 }
 
 func (r *ring) snapshot() ring {
-	return ring{buf: slices.Clone(r.buf), pos: r.pos, n: r.n}
+	return ring{buf: slices.Clone(r.buf), pos: r.pos}
 }
 
 func (r *ring) restore(st *ring) {
@@ -85,18 +85,12 @@ func (r *ring) restore(st *ring) {
 		panic("pipeline: ring restore geometry mismatch")
 	}
 	copy(r.buf, st.buf)
-	r.pos, r.n = st.pos, st.n
-}
-
-type predPageState struct {
-	pn      uint64
-	lastUse uint64
+	r.pos = st.pos
 }
 
 type predState struct {
-	pages      []predPageState // ascending pn
-	clock      uint64
-	winPN      uint64 // the fetch window's page, when winValid
+	pages      []uint64 // decoded pages, most recently looked up first
+	winPN      uint64   // the fetch window's page, when winValid
 	winValid   bool
 	loPN, hiPN uint64
 
@@ -105,8 +99,8 @@ type predState struct {
 }
 
 func (d *predecoder) snapshot() predState {
-	st := predState{
-		clock:         d.clock,
+	return predState{
+		pages:         slices.Clone(d.recent),
 		winPN:         mem.PageOf(d.winBase),
 		winValid:      d.win != nil,
 		loPN:          d.loPN,
@@ -118,22 +112,6 @@ func (d *predecoder) snapshot() predState {
 		resolves:      d.resolves,
 		uopInvals:     d.uopInvals,
 	}
-	st.pages = make([]predPageState, 0, len(d.pages))
-	for pn, pg := range d.pages {
-		st.pages = append(st.pages, predPageState{pn: pn, lastUse: pg.lastUse})
-	}
-	sortPredPages(st.pages)
-	return st
-}
-
-func sortPredPages(ps []predPageState) {
-	// Insertion sort: the page set is tiny (capped at maxPages, default
-	// 64) and nearly sorted for typical text layouts.
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j-1].pn > ps[j].pn; j-- {
-			ps[j-1], ps[j] = ps[j], ps[j-1]
-		}
-	}
 }
 
 // restore rebuilds the decoded pages from the (already restored) memory.
@@ -142,16 +120,15 @@ func sortPredPages(ps []predPageState) {
 // snapshot was taken.
 func (d *predecoder) restore(st *predState) {
 	d.pages = make(map[uint64]*decodedPage, len(st.pages))
-	for _, ps := range st.pages {
+	for _, pn := range st.pages {
 		pg := new(decodedPage)
-		base := ps.pn * mem.PageSize
+		base := pn * mem.PageSize
 		for i := 0; i < instsPerPage; i++ {
 			pg.uops[i] = isa.DecodeUop(d.m.ReadInst(base + uint64(i)*4))
 		}
-		pg.lastUse = ps.lastUse
-		d.pages[ps.pn] = pg
+		d.pages[pn] = pg
 	}
-	d.clock = st.clock
+	d.recent = append(d.recent[:0], st.pages...)
 	if st.winValid {
 		d.win, d.winBase = d.pages[st.winPN], st.winPN*mem.PageSize
 	} else {
@@ -364,15 +341,17 @@ func appendBooking(dst []byte, b *booking) []byte {
 	return dst
 }
 
-// appendRing encodes a ring with the head/tail pair the encoding has
-// always carried in place of the single write index: while filling the
-// head is pinned at 0 and the tail is the write index; once full the
-// tail is 0 (it wrapped exactly when the ring filled) and the head is
-// the write index (the oldest entry, recycled in place).
+// appendRing encodes a ring with the head/tail pair and fill count the
+// encoding has always carried in place of the single write index. The
+// ring is full exactly when its write slot is nonzero (see ring). While
+// filling the head is pinned at 0 and the tail and fill are the write
+// index; once full the tail is 0 (it wrapped exactly when the ring
+// filled), the head is the write index (the oldest entry, recycled in
+// place) and the fill is the size.
 func appendRing(dst []byte, r *ring) []byte {
-	head, tail := 0, r.pos
-	if r.n == len(r.buf) {
-		head, tail = r.pos, 0
+	head, tail, n := 0, r.pos, r.pos
+	if r.oldest() != 0 {
+		head, tail, n = r.pos, 0, len(r.buf)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(r.buf)))
 	for _, c := range r.buf {
@@ -380,17 +359,15 @@ func appendRing(dst []byte, r *ring) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(head)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(tail)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(r.n)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(n)))
 	return dst
 }
 
 func appendPred(dst []byte, p *predState) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(p.pages)))
-	for _, pg := range p.pages {
-		dst = binary.LittleEndian.AppendUint64(dst, pg.pn)
-		dst = binary.LittleEndian.AppendUint64(dst, pg.lastUse)
+	for _, pn := range p.pages {
+		dst = binary.LittleEndian.AppendUint64(dst, pn)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, p.clock)
 	dst = binary.LittleEndian.AppendUint64(dst, p.winPN)
 	dst = appendFlag(dst, p.winValid)
 	dst = binary.LittleEndian.AppendUint64(dst, p.loPN)

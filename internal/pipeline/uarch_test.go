@@ -189,7 +189,7 @@ main:
 	run := func(stall uint64) uint64 {
 		m := machine.NewDefault()
 		m.Load(p)
-		m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 { return stall }
+		m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 { return stall }
 		return m.MustRun(0).Cycles
 	}
 	c0 := run(0)

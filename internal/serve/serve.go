@@ -484,7 +484,8 @@ func (srv *Server) noteRecovery() { srv.met.recoveries.Inc() }
 // Drain initiates a graceful shutdown: new sessions and resumes are
 // rejected with ErrDraining, in-flight quanta finish, and running
 // sessions park idle at their next quantum boundary instead of
-// requeueing. Once quiescent — or when the timeout expires — every idle
+// requeueing; a session a backpressure subscriber holds parked is shed
+// idle at once. Once quiescent — or when the timeout expires — every idle
 // session that still owns a machine is checkpointed, preserving its
 // progress for a restart. Drain reports whether the server went fully
 // quiescent in time; call Close afterwards to release sessions and stop
@@ -521,6 +522,7 @@ func (srv *Server) Drain(timeout time.Duration) bool {
 	srv.mu.Unlock()
 
 	for _, s := range open {
+		s.shedParked()
 		if remaining := time.Until(deadline); drained && remaining > 0 {
 			// The worker that ran the session's last quantum parks it just
 			// after releasing its runnable slot; settle that handoff so the

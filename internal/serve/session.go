@@ -644,10 +644,23 @@ func (s *Session) pauseShed() {
 	s.pauseShedLocked("drain")
 }
 
+// shedParked sheds a backpressure-parked session for a drain, as
+// resumeLocked sheds one whose resume a drain refuses: the session goes
+// idle with an EventShed and a park noted "drain", so Drain neither waits
+// on it (no worker will park it) nor leaves it without a checkpoint.
+func (s *Session) shedParked() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bpParked {
+		s.bpParked = false
+		s.pauseShedLocked("drain")
+	}
+}
+
 // pauseShedLocked is pauseShed with s.mu held; note is the trace park's
-// reason. It also pauses a backpressure-parked session that could not be
-// re-enqueued, noted "drain" or "shed" by the error; no worker owns that
-// one's machine.
+// reason. It also pauses a backpressure-parked session that a drain sheds
+// or that could not be re-enqueued, noted "drain" or "shed" by the error;
+// no worker owns that one's machine.
 func (s *Session) pauseShedLocked(note string) {
 	if s.state == StateRunning {
 		s.state = StateIdle

@@ -503,7 +503,7 @@ func TestDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A session a backpressure subscriber holds parked, released while
-	// the drain runs: its resume is refused for the drain.
+	// the drain runs: the drain sheds it, or refuses its resume.
 	held, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
 	if err != nil {
 		t.Fatal(err)
@@ -563,6 +563,49 @@ func TestDrain(t *testing.T) {
 	}
 	if err := idler.Rewind(); err != nil {
 		t.Errorf("idle session rewind: %v", err)
+	}
+}
+
+// TestDrainShedsHeldSession holds a backpressure subscriber through a
+// whole drain. The session it parked has no worker to park it, so Drain
+// must shed it at once, as it sheds a refused resume, rather than wait out
+// its timeout on it, and must checkpoint it: with periodic checkpoints
+// off, Drain's is the only one Rewind can restore.
+func TestDrainShedsHeldSession(t *testing.T) {
+	srv := New(Config{Quantum: 1000})
+	defer srv.Close()
+
+	held, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Watch(&debug.Watchpoint{
+		Name: "v", Kind: debug.WatchScalar, Addr: mustSym(t, held, "v"), Size: 8,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sub := held.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
+	defer sub.Cancel()
+	driveUntilParked(t, srv, held)
+
+	start := time.Now()
+	if !srv.Drain(5 * time.Second) {
+		t.Fatal("drain did not quiesce")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Drain took %v with a backpressure-parked session held, want well under 1s", took)
+	}
+	if st := held.State(); st != StateIdle {
+		t.Errorf("held session state after drain = %v, want idle", st)
+	}
+	if !slices.ContainsFunc(held.Trace(), func(ev obs.TraceEvent) bool { return ev.Kind == TracePark && ev.Note == "drain" }) {
+		t.Errorf("held session's trace has no park noted drain: %+v", held.Trace())
+	}
+	if !slices.ContainsFunc(held.Events(), func(ev Event) bool { return ev.Kind == EventShed }) {
+		t.Error("held session has no shed event")
+	}
+	if err := held.Rewind(); err != nil {
+		t.Errorf("held session rewind: %v", err)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestWriteFrequencies(t *testing.T) {
 			// shadow was silent.
 			hot := m.ReadQuad(w.WP.Hot)
 			in := func(addr, lo uint64, n uint64) bool { return addr >= lo && addr < lo+n }
-			m.Core.Hooks.OnStore = func(ev *pipeline.StoreEvent) uint64 {
+			m.Core.Hooks.OnStore = func(ev pipeline.StoreEvent) uint64 {
 				stores++
 				switch {
 				case in(ev.Addr, w.WP.Hot, 8):
