@@ -155,53 +155,6 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPatternGating measures the §4.2 pattern-specificity
-// optimization: a second, more specific production passes stack-pointer
-// stores through unexpanded.
-func BenchmarkAblationPatternGating(b *testing.B) {
-	prog, err := Assemble(`
-.data
-v: .quad 0
-.text
-main:
-    la  r1, v
-    li  r10, 2000
-loop:
-    stq r10, -8(sp)   ; stack traffic
-    stq r10, -16(sp)
-    stq r10, 0(r1)    ; heap store (watched variable's page)
-    subq r10, #1, r10
-    bne r10, loop
-    halt
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(gate bool) uint64 {
-		opts := DefaultOptions(BackendDise)
-		opts.StackGating = gate
-		s, err := NewSessionWith(prog, opts, DefaultMachineConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.WatchScalar("v", prog.MustSymbol("v"), 8); err != nil {
-			b.Fatal(err)
-		}
-		st, err := s.Run(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st.Cycles
-	}
-	for i := 0; i < b.N; i++ {
-		plain := run(false)
-		gated := run(true)
-		if i == b.N-1 {
-			b.ReportMetric(float64(plain)/float64(gated), "gating-speedup")
-		}
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw simulation speed (simulated
 // instructions per wall-clock second) on the gcc kernel.
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -43,11 +43,10 @@ type cli struct {
 	out     io.Writer
 	prog    *asm.Program
 	backend dise.Backend
-	machine string // machine preset name
-	session *dise.Session
+	machine string        // machine preset name
+	session *dise.Session // set once a run's Install succeeds
 	watches []*dise.Watchpoint
 	breaks  []*dise.Breakpoint
-	started bool
 }
 
 func main() {
@@ -103,7 +102,7 @@ func (c *cli) command(line string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("backend dise|vm|hw|step|rewrite")
 		}
-		if c.started {
+		if c.session != nil {
 			return fmt.Errorf("cannot change backend after run")
 		}
 		b, ok := dise.ParseBackend(fields[1])
@@ -117,7 +116,7 @@ func (c *cli) command(line string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("machine %s", strings.Join(dise.MachinePresets(), "|"))
 		}
-		if c.started {
+		if c.session != nil {
 			return fmt.Errorf("cannot change machine after run")
 		}
 		if _, ok := dise.MachinePresetConfig(fields[1]); !ok {
@@ -132,12 +131,12 @@ func (c *cli) command(line string) error {
 	case "break", "b":
 		return c.breakCmd(fields[1:])
 	case "run", "r":
-		if c.started {
+		if c.session != nil {
 			return fmt.Errorf("already running; use continue")
 		}
 		return c.run()
 	case "continue", "c":
-		if !c.started {
+		if c.session == nil {
 			return fmt.Errorf("not running; use run")
 		}
 		return c.resume()
@@ -196,7 +195,7 @@ func parseCond(fields []string) (*dise.Condition, error) {
 }
 
 func (c *cli) watch(args []string) error {
-	if c.started {
+	if c.session != nil {
 		return fmt.Errorf("set watchpoints before run")
 	}
 	if len(args) == 0 {
@@ -257,7 +256,7 @@ func (c *cli) watch(args []string) error {
 }
 
 func (c *cli) breakCmd(args []string) error {
-	if c.started {
+	if c.session != nil {
 		return fmt.Errorf("set breakpoints before run")
 	}
 	if len(args) == 0 {
@@ -317,8 +316,12 @@ func (c *cli) run() error {
 			return err
 		}
 	}
+	// A refused Install keeps no session, so the back end can change and
+	// the program run again.
+	if err := s.Install(); err != nil {
+		return err
+	}
 	c.session = s
-	c.started = true
 	if _, err := s.Run(0); err != nil {
 		return err
 	}

@@ -149,3 +149,26 @@ func TestCommandErrors(t *testing.T) {
 		t.Errorf("errors reported = %d, want 5\n%s", got, out)
 	}
 }
+
+// TestRunAfterRefusedInstall: a run whose Install the back end refuses
+// (the hardware back end cannot watch through a pointer) keeps no
+// session, so the back end can change and the program run again.
+func TestRunAfterRefusedInstall(t *testing.T) {
+	out := drive(t,
+		"backend hw",
+		"watch *v",
+		"run",
+		"backend dise",
+		"run",
+		"quit",
+	)
+	if !strings.Contains(out, "error: debug: hardware backend cannot watch indirect expression") {
+		t.Errorf("hardware Install not refused:\n%s", out)
+	}
+	if got := strings.Count(out, "error:"); got != 1 {
+		t.Errorf("errors reported = %d, want 1 (the refused Install)\n%s", got, out)
+	}
+	if !strings.Contains(out, "backend: dise") || !strings.Contains(out, "program exited: ") {
+		t.Errorf("no run to exit on the second back end:\n%s", out)
+	}
+}

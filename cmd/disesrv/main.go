@@ -14,10 +14,10 @@
 // that do not bring their own (clients pick per-session presets with the
 // create op's "machine" field). -queue-depth bounds how many sessions may
 // be runnable at once; a continue or step beyond it fails with the wire
-// code "overloaded", and the client may retry. -push-buffer
-// is the default queue depth of a subscribe op's subscription: how far an
-// ordinary subscriber may fall behind before it is disconnected, or a
-// backpressure one before its session waits for it.
+// code "overloaded", and the client may retry. -push-buffer is the
+// default queue depth of a subscribe op's subscription: how far a
+// subscriber may fall behind before it is disconnected as a slow
+// consumer. Its session never waits for it.
 //
 // -checkpoint-every N checkpoints each session every N quanta, enabling
 // crash recovery (a panicked quantum rebuilds the session from its last

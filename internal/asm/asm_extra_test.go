@@ -65,6 +65,28 @@ f2: nop
 	}
 }
 
+// TestTakesTextAddress: a program takes a text address when an la or a
+// .quad names a text label, and not through a data label or a branch.
+func TestTakesTextAddress(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      bool
+	}{
+		{"la data", ".data\nv: .quad 0\n.text\nmain: la r1, v\n    br main", false},
+		{"quad data", ".data\nv: .quad 0\np: .quad v\n.text\nmain: bsr ra, f\n    halt\nf: ret (ra)", false},
+		{"la text", ".text\nmain: la r4, f\n    jmp (r4)\nf: halt", true},
+		{"quad text", ".data\ntable: .quad f\n.text\nmain: halt\nf: halt", true},
+	} {
+		p, err := Assemble(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.TakesTextAddress != c.want {
+			t.Errorf("%s: TakesTextAddress = %v, want %v", c.name, p.TakesTextAddress, c.want)
+		}
+	}
+}
+
 func TestDiseInstructionSyntax(t *testing.T) {
 	p, err := Assemble(`
 main:

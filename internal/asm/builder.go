@@ -3,6 +3,7 @@ package asm
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -24,6 +25,8 @@ type Builder struct {
 	dataFixups []dataFixup // label-valued quads patched at Finish
 
 	nextStmt bool
+
+	textLabels map[string]bool // the labels Label defined, a subset of labels
 }
 
 type dataFixup struct {
@@ -44,9 +47,10 @@ func New() *Builder {
 // NewAt returns a Builder with explicit text and data base addresses.
 func NewAt(textBase, dataBase uint64) *Builder {
 	return &Builder{
-		textBase: textBase,
-		dataBase: dataBase,
-		labels:   make(map[string]uint64),
+		textBase:   textBase,
+		dataBase:   dataBase,
+		labels:     make(map[string]uint64),
+		textLabels: make(map[string]bool),
 	}
 }
 
@@ -67,6 +71,7 @@ func (b *Builder) Label(name string) {
 		return
 	}
 	b.labels[name] = b.PC()
+	b.textLabels[name] = true
 }
 
 // Entry marks the label execution starts at; defaults to the text base.
@@ -270,12 +275,16 @@ func (b *Builder) Finish() (*Program, error) {
 		return nil, b.errs[0]
 	}
 	text := make([]uint32, len(b.insts))
+	takesText := false
 	for idx, p := range b.insts {
 		inst := p.inst
 		if p.label != "" {
 			if err := b.resolve(&inst, p.label, idx); err != nil {
 				return nil, err
 			}
+			// An la's lda names its label's address; a branch's label is
+			// PC-relative.
+			takesText = takesText || strings.HasPrefix(p.label, "lo:") && b.textLabels[p.label[3:]]
 		}
 		w, err := isa.Encode(inst)
 		if err != nil {
@@ -296,6 +305,7 @@ func (b *Builder) Finish() (*Program, error) {
 			return nil, fmt.Errorf("asm: undefined label %q in data", fx.label)
 		}
 		binary.LittleEndian.PutUint64(data[fx.off:], a)
+		takesText = takesText || b.textLabels[fx.label]
 	}
 	entry := b.textBase
 	if b.entry != "" {
@@ -310,13 +320,14 @@ func (b *Builder) Finish() (*Program, error) {
 		symbols[k] = v
 	}
 	return &Program{
-		TextBase:   b.textBase,
-		Text:       text,
-		DataBase:   b.dataBase,
-		Data:       data,
-		Entry:      entry,
-		Symbols:    symbols,
-		Statements: append([]uint64(nil), b.stmts...),
+		TextBase:         b.textBase,
+		Text:             text,
+		DataBase:         b.dataBase,
+		Data:             data,
+		Entry:            entry,
+		Symbols:          symbols,
+		Statements:       append([]uint64(nil), b.stmts...),
+		TakesTextAddress: takesText,
 	}, nil
 }
 

@@ -39,6 +39,12 @@ type Program struct {
 	// ascending order. The single-stepping debugger back end steps
 	// statement-to-statement, as real debuggers do (paper §2).
 	Statements []uint64
+
+	// TakesTextAddress reports that an la or a .quad names a text label,
+	// so the program holds a code address as data: binary rewriting,
+	// which moves code, would leave that address naming another
+	// instruction.
+	TakesTextAddress bool
 }
 
 // Symbol returns the address of a label, or an error naming it.

@@ -19,7 +19,7 @@ import (
 // watchpoints, which then may share a quad or the same bytes.
 type agreeCase struct {
 	iters   uint8 // loop iterations, 1..16
-	dise    uint8 // DISE options, see options
+	dise    uint8 // DISE options, see options; bit 64 adds a jump, see program
 	stores  []agreeStore
 	watches []agreeWatch
 	breaks  []agreeBreak
@@ -92,6 +92,8 @@ func decodeAgree(in []byte) agreeCase {
 var storeOps = [4]string{"stb", "stw", "stl", "stq"}
 
 // program assembles the loop, with a statement at every instruction.
+// With bit 64 of c.dise set, the loop jumps through a text label after
+// its stores, so the program takes a text address.
 func (c agreeCase) program() (*asm.Program, error) {
 	var sb strings.Builder
 	sb.WriteString(".data\n.align 8\narea: .space 128\nptr: .quad 0\n.text\nmain:\n")
@@ -116,6 +118,11 @@ func (c agreeCase) program() (*asm.Program, error) {
 	}
 	for j, s := range c.stores {
 		inst("%s r%d, 0(r%d)", storeOps[s.size], 20+j, 16+j)
+	}
+	if c.dise&64 != 0 {
+		inst("la r5, next")
+		inst("jmp (r5)")
+		sb.WriteString("next:\n")
 	}
 	inst("subq r10, #1, r10")
 	inst("bne r10, loop")
@@ -148,9 +155,9 @@ func (w agreeWatch) watchpoint(m *machine.Machine, i int) *debug.Watchpoint {
 }
 
 // options applies the case's DISE options: the variant, the
-// multi-watchpoint strategy, conditional trap/call support, protection
-// and codeword breakpoints. The match-address-value variant is used only
-// when every store is a quad store, the same-size stores it assumes.
+// multi-watchpoint strategy, conditional trap/call support and
+// protection. The match-address-value variant is used only when every
+// store is a quad store, the same-size stores it assumes.
 func (c agreeCase) options(b debug.Backend) debug.Options {
 	opts := debug.DefaultOptions(b)
 	if b != debug.BackendDise {
@@ -163,7 +170,6 @@ func (c agreeCase) options(b debug.Backend) debug.Options {
 	opts.Multi = debug.MultiStrategy(c.dise / 3 % 3)
 	opts.CondSupport = c.dise&16 == 0
 	opts.Protect = c.dise&32 != 0
-	opts.BreakWithCodewords = c.dise&64 != 0
 	return opts
 }
 
@@ -206,6 +212,9 @@ func (c agreeCase) run(t *testing.T, m *machine.Machine, p *asm.Program, b debug
 	if d.Install() != nil {
 		return r, false
 	}
+	if b == debug.BackendBinaryRewrite && c.dise&64 != 0 {
+		t.Fatalf("%v accepted a loop that jumps through a text label", b)
+	}
 	if _, err := m.Run(20_000); err != nil {
 		t.Fatalf("%v: %v", b, err)
 	}
@@ -228,6 +237,7 @@ func FuzzBackendsAgree(f *testing.F) {
 		quad                           = 3 // agreeStore size: stq
 		eq, ne                         = 1 | 0<<1, 1 | 1<<1
 		evalExpr, matchValue           = 1, 2 // agreeCase.dise: the inline variants
+		textJump                       = 64
 	)
 	cond := func(op, v uint8) uint8 { return op | v<<3 }
 	// Instruction indices: the set-up takes 3+n instructions for n
@@ -288,6 +298,11 @@ func FuzzBackendsAgree(f *testing.F) {
 		// failed predicate ended dise's check before the second's block.
 		{iters: 3, stores: []agreeStore{{quad, 0, 0, 127}},
 			watches: []agreeWatch{{slot: scalar0, shape: 3, cond: cond(eq, 2)}, {slot: scalar0, shape: 3}}},
+		// A jump through a text label after the store: binary rewriting
+		// moved the code the label named, so the jump landed inside the
+		// rewritten store's check and the loop did not halt.
+		{iters: 3, dise: textJump, stores: []agreeStore{{quad, 0, 0, 127}},
+			watches: []agreeWatch{{slot: scalar0, shape: 3}}},
 	} {
 		f.Add(c.encode())
 	}
@@ -374,6 +389,76 @@ func TestSharedQuadWatchpoints(t *testing.T) {
 			m.MustRun(0)
 			if !slices.Equal(got, c.want) {
 				t.Errorf("%s on %v/%v: user transitions %v, want %v", c.name, opts.Backend, opts.Multi, got, c.want)
+			}
+		}
+	}
+}
+
+// TestTextAddressPrograms runs two programs that take a text label's
+// address, with a statement at every instruction, on every back end: one
+// jumps through the address, the other stores a new instruction through
+// it into its own watched store. Binary rewriting moves code, so the
+// address would name another instruction after it; each back end must
+// refuse the program at Install, or report single-step's values and
+// halt with the program's own result.
+func TestTextAddressPrograms(t *testing.T) {
+	for _, c := range []struct{ name, body string }{
+		{"jump", `
+    la r4, target
+    jmp (r4)
+target:
+    li r2, 9
+    stq r2, 0(r1)
+    halt`},
+		{"self-modifying", `
+    li r3, 9
+    la r5, loop
+    la r6, model
+    ldl r7, 0(r6)
+    li r10, 2
+loop:
+    stq r2, 0(r1)
+    stl r7, 0(r5)
+    subq r10, #1, r10
+    bne r10, loop
+    halt
+model:
+    stq r3, 0(r1)`},
+	} {
+		src := ".data\n.align 8\nv: .quad 0\n.text\nmain:\n    la r1, v\n    li r2, 5\n    stq r2, 0(r1)\n" + c.body
+		// A statement at every instruction.
+		src = strings.ReplaceAll(src, "\n    ", "\n.stmt\n    ")
+		var want []uint64
+		for _, b := range []debug.Backend{debug.BackendSingleStep, debug.BackendVirtualMemory,
+			debug.BackendHardwareReg, debug.BackendDise, debug.BackendBinaryRewrite} {
+			m := loadProg(t, src)
+			if !m.Program.TakesTextAddress {
+				t.Fatalf("%s: the program takes no text address", c.name)
+			}
+			d := debug.New(m, debug.DefaultOptions(b))
+			v := m.Program.MustSymbol("v")
+			if err := d.Watch(&debug.Watchpoint{Name: "v", Kind: debug.WatchScalar, Addr: v, Size: 8}); err != nil {
+				t.Fatal(err)
+			}
+			var got []uint64
+			d.OnUser = func(ev debug.UserEvent) { got = append(got, ev.Value) }
+			if err := d.Install(); err != nil {
+				t.Logf("%s on %v: Install refused: %v", c.name, b, err)
+				continue
+			}
+			if _, err := m.Run(100_000); err != nil {
+				t.Fatalf("%s on %v: %v", c.name, b, err)
+			}
+			switch {
+			case b == debug.BackendSingleStep:
+				if want = got; !slices.Equal(want, []uint64{5, 9}) {
+					t.Fatalf("%s: single-step reported %v, want [5 9]", c.name, want)
+				}
+			case !slices.Equal(got, want):
+				t.Errorf("%s on %v: reported %v, single-step %v", c.name, b, got, want)
+			}
+			if !m.Core.Halted() || m.ReadQuad(v) != 9 {
+				t.Errorf("%s on %v: halted %v with v = %d, want halted with 9", c.name, b, m.Core.Halted(), m.ReadQuad(v))
 			}
 		}
 	}

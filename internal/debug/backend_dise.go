@@ -76,9 +76,6 @@ type diseState struct {
 	errBase     uint64
 	errEnd      uint64
 	prods       []*dise.Production
-	// watch holds the store-watch productions among prods, the ones
-	// Disable, Enable and the scope hooks toggle.
-	watch []*dise.Production
 }
 
 // installDise implements the paper's proposal (§4): generate productions
@@ -125,13 +122,6 @@ func (d *Debugger) installDise() error {
 
 	// 4. Classify traps raised by the generated code.
 	d.m.Core.Hooks.OnTrap = d.trapHook
-
-	// 4b. Scope gating: watch productions toggle at function entry/exit.
-	if d.scoped {
-		if err := d.installScopeHooks(st); err != nil {
-			return err
-		}
-	}
 
 	// 5. Bloom strategies: a statistics-only store hook counts false
 	// positives (it always returns 0 cycles and exists only for the
@@ -356,15 +346,16 @@ func (d *Debugger) seedDiseRegs(st *diseState) {
 
 // --- production generation -------------------------------------------------
 
-// buildProductions generates the store-watch production plus breakpoint
-// productions.
+// buildProductions generates the store-watch productions plus breakpoint
+// productions, in that order.
 func (d *Debugger) buildProductions(st *diseState) error {
+	var seq []dise.TemplateInst
 	if len(d.watchpoints) > 0 {
-		seq, err := d.storeSequence(st, true)
-		if err != nil {
+		var err error
+		if seq, err = d.storeSequence(st, true); err != nil {
 			return err
 		}
-		st.watch = append(st.watch, &dise.Production{
+		st.prods = append(st.prods, &dise.Production{
 			Name:        "watch-stores",
 			Pattern:     dise.MatchClass(isa.ClassStore),
 			Replacement: seq,
@@ -375,80 +366,25 @@ func (d *Debugger) buildProductions(st *diseState) error {
 		// the data sizes)" distinction.
 		if d.quadAlignedWatches() {
 			if seqQ, err := d.storeSequence(st, false); err == nil && len(seqQ) < len(seq) {
-				st.watch = append(st.watch, &dise.Production{
+				st.prods = append(st.prods, &dise.Production{
 					Name:        "watch-stores-quad",
 					Pattern:     dise.MatchOp(isa.OpStq),
 					Replacement: seqQ,
 				})
 			}
 		}
-		if d.opts.StackGating {
-			// More specific pattern: stores through the stack pointer
-			// expand to themselves, skipping the check (§4.2 "Pattern
-			// matching optimizations"). Only valid when nothing watched
-			// lives on the stack; the caller opted in.
-			st.watch = append(st.watch, &dise.Production{
-				Name:        "skip-stack-stores",
-				Pattern:     dise.MatchClass(isa.ClassStore).WithRB(isa.SP),
-				Replacement: []dise.TemplateInst{dise.TInst()},
-			})
-		}
-		st.prods = append(st.prods, st.watch...)
 	}
-	for i, b := range d.breakpoints {
-		codeword := d.opts.BreakWithCodewords && b.Cond == nil
-		var p *dise.Production
-		if codeword {
-			var err error
-			if p, err = d.breakCodewordProduction(b, int64(i)+1); err != nil {
-				return err
-			}
-		} else {
-			p = d.breakProduction(st, b)
-		}
-		if err := d.foldWatchIntoBreak(st, p, b, codeword); err != nil {
-			return err
+	for _, b := range d.breakpoints {
+		p := d.breakProduction(st, b)
+		// A breakpoint's PC pattern is more specific than the watch-stores
+		// class pattern and overrides it, so on a store it would let that
+		// one store escape watching: its production runs the watch
+		// sequence in place of its closing T.INST.
+		if seq != nil && isa.Decode(uint32(d.m.Mem.Read(b.PC, 4))).Op.IsStore() {
+			p.Replacement = append(p.Replacement[:len(p.Replacement)-1], seq...)
 		}
 		st.prods = append(st.prods, p)
 	}
-	return nil
-}
-
-// foldWatchIntoBreak handles breakpoints set on store instructions while
-// watchpoints are active: the breakpoint's PC pattern is more specific
-// than the watch-stores class pattern and would otherwise override it,
-// letting that one store escape watching. The fix embeds the watch
-// sequence into the breakpoint production. For codeword breakpoints the
-// trigger is the codeword, so the sequence is statically instantiated
-// from the original (patched-out) store instead of using T.* directives.
-func (d *Debugger) foldWatchIntoBreak(st *diseState, p *dise.Production, b *Breakpoint, codeword bool) error {
-	if len(d.watchpoints) == 0 {
-		return nil
-	}
-	last := len(p.Replacement) - 1
-	// A codeword production carries the original instruction literally; a
-	// PC-pattern production's trigger is the original instruction.
-	orig := p.Replacement[last].Inst
-	if !codeword {
-		orig = isa.Decode(uint32(d.m.Mem.Read(b.PC, 4)))
-	}
-	if !orig.Op.IsStore() {
-		return nil
-	}
-	seq, err := d.storeSequence(st, true)
-	if err != nil {
-		return err
-	}
-	if codeword {
-		// Instantiate the templates against the original store statically:
-		// at runtime the trigger would be the codeword, not the store.
-		folded := make([]dise.TemplateInst, len(seq))
-		for i, tm := range seq {
-			folded[i] = dise.Lit(tm.Instantiate(orig))
-		}
-		seq = folded
-	}
-	p.Replacement = append(p.Replacement[:last], seq...)
 	return nil
 }
 

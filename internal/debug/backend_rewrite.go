@@ -55,6 +55,9 @@ func (d *Debugger) installBinaryRewrite() error {
 	if rewrite.UsesRegisters(p, isa.R27, isa.AT) {
 		return fmt.Errorf("debug: cannot scavenge r27/r28: the application uses them (re-compilation would be required, §2)")
 	}
+	if p.TakesTextAddress {
+		return fmt.Errorf("debug: binary-rewrite backend moves code, and the program takes a text label's address")
+	}
 
 	// Debugger data region: save area + previous-value slot. Appending
 	// before the reload is safe — the reload rewrites only the original

@@ -120,7 +120,12 @@ func (s MultiStrategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Options configures a Debugger.
+// Options configures a Debugger. Every option chooses how the same
+// watchpoints and breakpoints are implemented, so it changes what a run
+// costs and which set-ups Install accepts, never the user transitions
+// the run reports (§4–§5). The DISE back end sets breakpoints with PC
+// patterns, the breakpoint-register analogue, which leave the text
+// untouched.
 type Options struct {
 	Backend Backend
 
@@ -129,14 +134,6 @@ type Options struct {
 	Multi       MultiStrategy
 	CondSupport bool // conditional trap/call available (Figure 7 top vs bottom)
 	Protect     bool // §4 protection of embedded debugger data (Figure 9)
-	StackGating bool // pattern-specificity optimization: skip sp-based stores
-
-	// BreakWithCodewords selects §4.1's first breakpoint scheme for
-	// unconditional breakpoints: the breakpoint instruction is statically
-	// replaced by a DISE codeword whose production traps and then executes
-	// the original instruction. The default uses PC patterns (the
-	// breakpoint-register analogue), which leaves the text untouched.
-	BreakWithCodewords bool
 }
 
 // DefaultOptions returns the paper's default configuration for a backend.
@@ -299,9 +296,6 @@ type Debugger struct {
 
 	installed bool
 	dise      *diseState
-
-	scoped                bool
-	scopeEntry, scopeExit uint64
 }
 
 // New creates a debugger for m.

@@ -848,29 +848,52 @@ func TestOnUserCallbackAndStop(t *testing.T) {
 	}
 }
 
-func TestStackGating(t *testing.T) {
+// TestBreakpointOnWatchedStore: a breakpoint set on a store instruction
+// must not shadow the watch-stores production (the PC pattern is more
+// specific and would otherwise win): both the breakpoint and the
+// watchpoint must fire.
+func TestBreakpointOnWatchedStore(t *testing.T) {
 	m := loadProg(t, `
 .data
 v: .quad 0
 .text
 main:
     la  r1, v
-    li  r2, 1
-    stq r2, -8(sp)   ; stack store: gated out, no expansion cost
-    stq r2, 0(r1)    ; heap store: watched, change
+    li  r2, 3
+loop:
+    stq r2, 0(r1)      ; breakpoint AND watched store
+    subq r2, #1, r2
+    bne r2, loop
     halt
 `)
-	opts := debug.DefaultOptions(debug.BackendDise)
-	opts.StackGating = true
-	d, st := watchV(t, m, opts, nil)
-	if d.Stats().User != 1 {
-		t.Errorf("user = %d, want 1", d.Stats().User)
+	d := debug.New(m, debug.DefaultOptions(debug.BackendDise))
+	if err := d.Watch(&debug.Watchpoint{Name: "v", Kind: debug.WatchScalar, Addr: m.Program.MustSymbol("v"), Size: 8}); err != nil {
+		t.Fatal(err)
 	}
-	// Both stores expand (the gate production also "expands" sp stores,
-	// to themselves), but only the heap store pays the check: its
-	// expansion inserts extra uops.
-	if st.DiseUops >= 8 {
-		t.Errorf("dise uops = %d; the stack store should expand to itself only", st.DiseUops)
+	if err := d.Break(&debug.Breakpoint{PC: m.Program.MustSymbol("loop")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Install(); err != nil {
+		t.Fatal(err)
+	}
+	var watchHits, breakHits int
+	d.OnUser = func(ev debug.UserEvent) {
+		switch {
+		case ev.Watchpoint != nil:
+			watchHits++
+		case ev.Breakpoint != nil:
+			breakHits++
+		}
+	}
+	m.MustRun(0)
+	if breakHits != 3 {
+		t.Errorf("breakpoint hits = %d, want 3", breakHits)
+	}
+	if watchHits != 3 {
+		t.Errorf("watchpoint hits = %d, want 3 (store at breakpoint must stay watched)", watchHits)
+	}
+	if got := m.ReadQuad(m.Program.MustSymbol("v")); got != 1 {
+		t.Errorf("v = %d, want 1", got)
 	}
 }
 

@@ -74,8 +74,8 @@ func FuzzWatchInstall(f *testing.F) {
 }
 
 // breakProg's data image spans three whole pages (v on the first, w on
-// the third), so the machine maps them from the program and a codeword
-// patch or a WriteQuad into them copies a page in.
+// the third), so the machine maps them from the program and a WriteQuad
+// into them copies a page in.
 const breakProg = `
 .data
 v:   .quad 0
@@ -99,10 +99,10 @@ loop:
 
 // FuzzBreakInstall feeds break specs as a debug-service client sends them
 // — the PC and an optional condition's address, operator and value — and
-// a back end, with or without codeword breakpoints, through Break,
-// Install and a short run on a recycled machine. The condition's quad is
-// written first. A spec may be rejected with an error; nothing may panic,
-// and the program's Text and Data must be unchanged after every input.
+// a back end through Break, Install and a short run on a recycled
+// machine. The condition's quad is written first. A spec may be rejected
+// with an error; nothing may panic, and the program's Text and Data must
+// be unchanged after every input.
 //
 // The corpus in testdata/fuzz/FuzzBreakInstall holds PC 0, a misaligned
 // PC, the last quad of memory, a PC inside the data image, and a
@@ -113,9 +113,9 @@ func FuzzBreakInstall(f *testing.F) {
 		f.Fatal(err)
 	}
 	text, data := slices.Clone(p.Text), bytes.Clone(p.Data)
-	f.Add(p.MustSymbol("loop"), true, p.MustSymbol("w"), uint8(debug.CondGt), uint64(50), uint8(debug.BackendDise), false)
+	f.Add(p.MustSymbol("loop"), true, p.MustSymbol("w"), uint8(debug.CondGt), uint64(50), uint8(debug.BackendDise))
 	m := machine.NewDefault()
-	f.Fuzz(func(t *testing.T, pc uint64, cond bool, addr uint64, op uint8, value uint64, backend uint8, codewords bool) {
+	f.Fuzz(func(t *testing.T, pc uint64, cond bool, addr uint64, op uint8, value uint64, backend uint8) {
 		m.Reset()
 		m.Load(p)
 		b := &debug.Breakpoint{PC: pc}
@@ -124,9 +124,7 @@ func FuzzBreakInstall(f *testing.F) {
 			b.Cond = &debug.BreakCond{Addr: addr, Op: debug.CondOp(op % 4), Value: value}
 			m.WriteQuad(addr, value)
 		}
-		opts := debug.DefaultOptions(debug.Backend(backend % 5))
-		opts.BreakWithCodewords = codewords
-		d := debug.New(m, opts)
+		d := debug.New(m, debug.DefaultOptions(debug.Backend(backend%5)))
 		if d.Break(b) == nil && d.Install() == nil {
 			// As in FuzzWatchInstall, only a panic or a hang fails.
 			_, _ = m.Run(2_000)

@@ -51,9 +51,10 @@ func FuzzResolve(f *testing.F) {
 // for a request that is not blank; a ping on a second connection must
 // answer; and Close must return.
 //
-// The corpus in testdata/fuzz/FuzzRequest holds ops and fields the
-// protocol no longer has (rerank, create's priority), read addresses
-// that are not addresses, and a watch of an unknown kind.
+// The seeds and the corpus in testdata/fuzz/FuzzRequest hold ops and
+// fields the protocol no longer has (rerank, create's priority,
+// subscribe's backpressure), read addresses that are not addresses, and
+// a watch of an unknown kind.
 func FuzzRequest(f *testing.F) {
 	for _, line := range []string{
 		`{"op":"ping"}`,

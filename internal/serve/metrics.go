@@ -13,7 +13,7 @@ const (
 	TraceEnqueue    = "enqueue"       // admitted to the run queue (user resume)
 	TraceQStart     = "quantum-start" // a worker began a quantum
 	TraceQEnd       = "quantum-end"   // the quantum finished (dur_ns, insts)
-	TracePark       = "park"          // parked off the queue (note: shed|drain|backpressure)
+	TracePark       = "park"          // parked idle by a drain (note: drain)
 	TraceCheckpoint = "checkpoint"    // a checkpoint was captured (dur_ns)
 	TraceFault      = "fault"         // the quantum panicked (note: error)
 	TraceRecovery   = "recovery"      // rebuilt from the checkpoint (quantum: generation)
@@ -43,7 +43,6 @@ type serveMetrics struct {
 	quanta          *obs.Counter
 	shed            *obs.Counter
 	slow            *obs.Counter
-	bpStalls        *obs.Counter
 	evDropped       *obs.Counter
 	faults          *obs.Counter
 	recoveries      *obs.Counter
@@ -70,7 +69,6 @@ func newServeMetrics() *serveMetrics {
 		quanta:          reg.Counter("dise_quanta_total", "", "scheduling quanta completed"),
 		shed:            reg.Counter("dise_shed_total", "", "admissions rejected by load shedding"),
 		slow:            reg.Counter("dise_slow_consumers_total", "", "push subscriptions severed for falling behind"),
-		bpStalls:        reg.Counter("dise_backpressure_stalls_total", "", "quantum boundaries parked for a lagging backpressure subscriber"),
 		evDropped:       reg.Counter("dise_events_dropped_total", "", "pull-queue events discarded at EventBuffer"),
 		faults:          reg.Counter("dise_faults_total", "", "quanta that panicked"),
 		recoveries:      reg.Counter("dise_recoveries_total", "", "sessions rebuilt from a checkpoint"),

@@ -91,8 +91,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	// Quiet counters still expose their families at zero.
 	for _, name := range []string{
-		"dise_shed_total", "dise_faults_total",
-		"dise_recoveries_total", "dise_backpressure_stalls_total",
+		"dise_shed_total", "dise_faults_total", "dise_recoveries_total",
 	} {
 		if _, ok := samples[name]; !ok {
 			t.Errorf("family %s missing from exposition", name)

@@ -42,10 +42,10 @@ import (
 //
 // A connection has one writer goroutine: it writes the responses from a
 // bounded outbox and pushes the frames its subscriptions' queues hold
-// itself, so pushed frames never corrupt request/response framing. An
-// ordinary subscriber that stops reading falls its depth behind and is
+// itself, so pushed frames never corrupt request/response framing. A
+// subscriber that stops reading falls its depth behind and is
 // disconnected (slow consumer), leaving its session intact and
-// attachable; a backpressure subscriber holds its session instead.
+// attachable.
 // Blocking ops (wait) block the connection; clients wanting concurrent
 // sessions open one connection per session, multiplex with seq, or
 // subscribe.
@@ -99,13 +99,8 @@ type Request struct {
 	Budget uint64 `json:"budget,omitempty"`
 	Count  uint64 `json:"count,omitempty"`
 
-	// subscribe: per-subscription queue depth (0 = server default), and
-	// the lossless backpressure mode — instead of severing the connection
-	// when it falls behind, the session pauses at its next quantum
-	// boundary until the subscriber catches up (tracing clients that must
-	// not lose events).
-	Depth        int  `json:"depth,omitempty"`
-	Backpressure bool `json:"backpressure,omitempty"`
+	// subscribe: per-subscription queue depth (0 = server default).
+	Depth int `json:"depth,omitempty"`
 
 	// read: symbol or address of the quad to examine.
 	Addr string `json:"addr,omitempty"`
@@ -382,8 +377,7 @@ func remoteName(rw io.ReadWriter) string {
 
 // ServeConn handles one protocol connection until EOF or a read error.
 // Sessions created on the connection outlive it; close them explicitly
-// or let Server.Close reap them. Subscriptions die with the connection,
-// releasing any session a backpressure subscription had parked.
+// or let Server.Close reap them. Subscriptions die with the connection.
 // With Config.Logger set, connection open and close are logged with the
 // remote address and the number of ops the connection handled.
 func (srv *Server) ServeConn(rw io.ReadWriter) error {
@@ -586,13 +580,8 @@ func (srv *Server) handleErr(c *protoConn, req *Request) (Response, error) {
 		// one registers, so no event is ever teed to both (which would push
 		// duplicate frames) and no stale frame trails this response.
 		c.unsubscribe(s.ID)
-		// Slow consumers lose the connection — unless they asked for
-		// backpressure, in which case their session waits for them.
-		sub := s.subscribe(SubscribeOptions{
-			Depth:        req.Depth,
-			OnDrop:       c.sever,
-			Backpressure: req.Backpressure,
-		}, c.wake)
+		// Slow consumers lose the connection.
+		sub := s.subscribe(SubscribeOptions{Depth: req.Depth, OnDrop: c.sever}, c.wake)
 		c.subs[s.ID] = sub
 		return Response{Session: s.ID, State: s.State().String(), sub: sub}, nil
 	case "unsubscribe":

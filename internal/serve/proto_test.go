@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -405,26 +406,74 @@ func TestProtocolSlowConsumer(t *testing.T) {
 	}
 }
 
-// TestProtocolBackpressureDisconnectWhileParked: severing the connection
-// of a backpressure subscriber that stopped reading releases the session
-// it parked, which runs on to halt.
+// spinTailProg is countdownProg with a long spin tail: ten watched stores
+// (each a user transition), then ~4000 instructions of computation, so
+// quanta expire mid-run after a subscriber has fallen behind.
+const spinTailProg = `
+.data
+.align 8
+v: .quad 0
+.text
+.entry main
+main:
+    la  r1, v
+    li  r2, 10
+loop:
+.stmt
+    stq r2, 0(r1)
+    subq r2, #1, r2
+    bne r2, loop
+    li  r3, 2000
+spin:
+    subq r3, #1, r3
+    bne r3, spin
+    halt
+`
+
+// TestProtocolBackpressureDisconnectWhileParked: a depth-1 subscriber
+// that asks for "backpressure" and stops reading holds neither its
+// session nor a drain. The protocol ignores "backpressure" like any
+// unknown field, so nothing parks the session: the subscriber is
+// disconnected as a slow consumer while the session, driven directly,
+// runs on through expiring quanta to halt, and a drain then returns at
+// once.
 func TestProtocolBackpressureDisconnectWhileParked(t *testing.T) {
-	srv := newTestServer(t, Config{Quantum: 200, PushBuffer: 2})
+	srv := newTestServer(t, Config{Quantum: 200})
 	c := newProtoClient(t, srv)
-	id := c.ok(Request{Op: "create", Program: bpProg}).Session
+	id := c.ok(Request{Op: "create", Program: spinTailProg}).Session
 	c.ok(Request{Op: "watch", Session: id, Sym: "v"})
-	c.ok(Request{Op: "subscribe", Session: id, Backpressure: true})
-	// The subscriber now stops reading; the session is driven directly.
+	if _, err := fmt.Fprintf(c.rw, `{"op":"subscribe","session":%d,"depth":1,"backpressure":true}`+"\n", id); err != nil {
+		t.Fatal(err)
+	}
+	if !c.sc.Scan() || !strings.Contains(c.sc.Text(), `"ok":true`) {
+		t.Fatalf("subscribe answered %q (%v)", c.sc.Text(), c.sc.Err())
+	}
+	// The subscriber now stops reading.
 	s, ok := srv.Attach(id)
 	if !ok {
 		t.Fatalf("no session %d", id)
 	}
-	driveUntilParked(t, srv, s)
-	if err := c.rw.(io.Closer).Close(); err != nil {
-		t.Fatal(err)
+	st := StateIdle
+	for st == StateIdle {
+		if err := s.Continue(0); err != nil {
+			t.Fatal(err)
+		}
+		if st, ok = s.WaitTimeout(5 * time.Second); !ok {
+			t.Fatalf("session still %v 5 s into a continue", st)
+		}
 	}
-	if st, ok := s.WaitTimeout(5 * time.Second); !ok {
-		t.Fatalf("session still %v 5 s after its subscriber disconnected", st)
+	if st != StateHalted {
+		t.Fatalf("session ended %v, want halted (err: %v)", st, s.Err())
+	}
+	if n := srv.Stats().SlowConsumers; n != 1 {
+		t.Errorf("SlowConsumers = %d, want 1", n)
+	}
+	start := time.Now()
+	if !srv.Drain(5 * time.Second) {
+		t.Fatal("drain did not quiesce")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Drain took %v, want well under 1 s", took)
 	}
 }
 

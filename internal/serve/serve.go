@@ -31,7 +31,9 @@
 //
 // The simulated machine is single-threaded by design; the service keeps
 // it that way by construction — a session is on the run queue at most
-// once, and only the worker that dequeued it touches its machine.
+// once, and only the worker that dequeued it touches its machine. A
+// running session is always either queued or on a worker: nothing parks
+// one anywhere else, so Close, Drain and the workers need no other case.
 package serve
 
 import (
@@ -78,12 +80,11 @@ type Config struct {
 	// session is runnable at most once).
 	QueueDepth int
 	// PushBuffer is the default subscription queue depth (a subscribe op
-	// or SubscribeOptions without a depth of its own): an ordinary
-	// subscriber that falls this many events behind is dropped as a slow
-	// consumer, and a backpressure one holds its session. It also sizes
-	// each protocol connection's response outbox (the queue between the
-	// request handler and the per-connection writer goroutine), so very
-	// small values throttle response pipelining (default 128).
+	// or SubscribeOptions without a depth of its own): a subscriber that
+	// falls this many events behind is dropped as a slow consumer. It also
+	// sizes each protocol connection's response outbox (the queue between
+	// the request handler and the per-connection writer goroutine), so
+	// very small values throttle response pipelining (default 128).
 	PushBuffer int
 	// EventBuffer bounds each session's pull-side event queue (the one
 	// wait/events drain). When it fills — a client that only subscribes,
@@ -203,21 +204,18 @@ type SessionConfig struct {
 // read from the same obs instruments /metrics exposes, so the two views
 // cannot disagree.
 type ServerStats struct {
-	SessionsCreated uint64 `json:"sessions_created"`
-	SessionsClosed  uint64 `json:"sessions_closed"`
-	QuantaRun       uint64 `json:"quanta_run"`
-	Shed            uint64 `json:"shed"`           // admissions rejected by load shedding
-	SlowConsumers   uint64 `json:"slow_consumers"` // subscriptions dropped for not keeping up
-	// BackpressureStalls counts quantum boundaries at which a session
-	// parked because a backpressure subscriber had not drained yet.
-	BackpressureStalls uint64    `json:"backpressure_stalls"`
-	EventsDropped      uint64    `json:"events_dropped"` // pull-queue events discarded at EventBuffer
-	Faults             uint64    `json:"faults"`         // quanta that panicked
-	Recoveries         uint64    `json:"recoveries"`     // sessions rebuilt from a checkpoint
-	Runnable           int       `json:"runnable"`       // sessions admitted to run right now
-	QueueLen           int       `json:"queue_len"`      // run-queue length right now
-	PoolConfigs        int       `json:"pool_configs"`   // distinct machine configurations with parked machines
-	Pool               PoolStats `json:"pool"`
+	SessionsCreated uint64    `json:"sessions_created"`
+	SessionsClosed  uint64    `json:"sessions_closed"`
+	QuantaRun       uint64    `json:"quanta_run"`
+	Shed            uint64    `json:"shed"`           // admissions rejected by load shedding
+	SlowConsumers   uint64    `json:"slow_consumers"` // subscriptions dropped for not keeping up
+	EventsDropped   uint64    `json:"events_dropped"` // pull-queue events discarded at EventBuffer
+	Faults          uint64    `json:"faults"`         // quanta that panicked
+	Recoveries      uint64    `json:"recoveries"`     // sessions rebuilt from a checkpoint
+	Runnable        int       `json:"runnable"`       // sessions admitted to run right now
+	QueueLen        int       `json:"queue_len"`      // run-queue length right now
+	PoolConfigs     int       `json:"pool_configs"`   // distinct machine configurations with parked machines
+	Pool            PoolStats `json:"pool"`
 	// PoolByConfig breaks the pool's idle machines down by machine preset
 	// name; configurations clients brought themselves merge under
 	// "custom".
@@ -323,12 +321,11 @@ func (srv *Server) worker() {
 	}
 }
 
-// enqueue admits s to the run queue: a user-initiated resume, or a
-// backpressure-parked session coming back, either rejected with
-// ErrOverloaded once QueueDepth sessions are runnable. Worker requeues of
-// in-flight sessions go through the worker loop and are never rejected;
-// they own a runnable slot already. The caller has already marked the
-// session running; a session is never on the queue twice.
+// enqueue admits s to the run queue on a user-initiated resume, rejected
+// with ErrOverloaded once QueueDepth sessions are runnable. Worker
+// requeues of in-flight sessions go through the worker loop and are never
+// rejected; they own a runnable slot already. The caller has already
+// marked the session running; a session is never on the queue twice.
 func (srv *Server) enqueue(s *Session) error {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
@@ -446,17 +443,16 @@ func (srv *Server) Stats() ServerStats {
 	m := srv.met
 	srv.mu.Lock()
 	st := ServerStats{
-		SessionsCreated:    m.sessionsCreated.Load(),
-		SessionsClosed:     m.sessionsClosed.Load(),
-		QuantaRun:          m.quanta.Load(),
-		Shed:               m.shed.Load(),
-		SlowConsumers:      m.slow.Load(),
-		BackpressureStalls: m.bpStalls.Load(),
-		EventsDropped:      m.evDropped.Load(),
-		Faults:             m.faults.Load(),
-		Recoveries:         m.recoveries.Load(),
-		Runnable:           srv.runnable,
-		QueueLen:           len(srv.runq),
+		SessionsCreated: m.sessionsCreated.Load(),
+		SessionsClosed:  m.sessionsClosed.Load(),
+		QuantaRun:       m.quanta.Load(),
+		Shed:            m.shed.Load(),
+		SlowConsumers:   m.slow.Load(),
+		EventsDropped:   m.evDropped.Load(),
+		Faults:          m.faults.Load(),
+		Recoveries:      m.recoveries.Load(),
+		Runnable:        srv.runnable,
+		QueueLen:        len(srv.runq),
 	}
 	srv.mu.Unlock()
 	st.Pool = srv.pools.Stats()
@@ -464,10 +460,6 @@ func (srv *Server) Stats() ServerStats {
 	st.PoolByConfig = srv.poolIdleByPreset()
 	return st
 }
-
-// noteBackpressureStall counts a session parked at a quantum boundary
-// for a lagging backpressure subscriber.
-func (srv *Server) noteBackpressureStall() { srv.met.bpStalls.Inc() }
 
 // noteSlowConsumer counts a dropped subscription.
 func (srv *Server) noteSlowConsumer() { srv.met.slow.Inc() }
@@ -484,8 +476,7 @@ func (srv *Server) noteRecovery() { srv.met.recoveries.Inc() }
 // Drain initiates a graceful shutdown: new sessions and resumes are
 // rejected with ErrDraining, in-flight quanta finish, and running
 // sessions park idle at their next quantum boundary instead of
-// requeueing; a session a backpressure subscriber holds parked is shed
-// idle at once. Once quiescent — or when the timeout expires — every idle
+// requeueing. Once quiescent — or when the timeout expires — every idle
 // session that still owns a machine is checkpointed, preserving its
 // progress for a restart. Drain reports whether the server went fully
 // quiescent in time; call Close afterwards to release sessions and stop
@@ -522,7 +513,6 @@ func (srv *Server) Drain(timeout time.Duration) bool {
 	srv.mu.Unlock()
 
 	for _, s := range open {
-		s.shedParked()
 		if remaining := time.Until(deadline); drained && remaining > 0 {
 			// The worker that ran the session's last quantum parks it just
 			// after releasing its runnable slot; settle that handoff so the

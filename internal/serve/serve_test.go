@@ -275,209 +275,6 @@ func TestPoolSetConcurrentPerKey(t *testing.T) {
 	}
 }
 
-// bpProg is countdownProg with a long spin tail: ten watched stores
-// (each a user transition), then ~4000 instructions of computation so
-// quanta expire mid-run while a lagging subscriber still holds backlog.
-const bpProg = `
-.data
-.align 8
-v: .quad 0
-.text
-.entry main
-main:
-    la  r1, v
-    li  r2, 10
-loop:
-.stmt
-    stq r2, 0(r1)
-    subq r2, #1, r2
-    bne r2, loop
-    li  r3, 2000
-spin:
-    subq r3, #1, r3
-    bne r3, spin
-    halt
-`
-
-// TestSubscribeBackpressure is the lossless-tracing contract: a
-// backpressure subscriber with a depth-1 buffer that reads nothing while
-// the session runs must never be severed; instead the session parks at a
-// quantum boundary (surfaced in ServerStats.BackpressureStalls) until
-// the subscriber drains, and every event — all ten watch fires in store
-// order, then the halt — is delivered exactly once.
-func TestSubscribeBackpressure(t *testing.T) {
-	srv := newTestServer(t, Config{Quantum: 200})
-	s, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Watch(&debug.Watchpoint{
-		Name: "v", Kind: debug.WatchScalar, Addr: mustSym(t, s, "v"), Size: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub := s.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
-
-	done := make(chan State, 1)
-	go func() {
-		if err := s.Continue(0); err != nil {
-			t.Error(err)
-			done <- StateErrored
-			return
-		}
-		for {
-			st := s.Wait()
-			if st == StateIdle { // watch pause: resume
-				if err := s.Continue(0); err != nil {
-					t.Error(err)
-					done <- StateErrored
-					return
-				}
-				continue
-			}
-			done <- st
-			return
-		}
-	}()
-
-	// The session must park rather than finish: it cannot reach halt while
-	// we sit on ten undelivered events behind a depth-1 buffer.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().BackpressureStalls == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no backpressure stall recorded; session ran away from its lossless subscriber")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := s.State(); st != StateRunning {
-		t.Fatalf("parked session state = %v, want running (held at quantum boundary)", st)
-	}
-
-	// Drain: every watch fire in store order, then the halt.
-	var got []Event
-	for ev := range sub.Events() {
-		got = append(got, ev)
-		if ev.Kind == EventHalt {
-			break
-		}
-	}
-	if st := <-done; st != StateHalted {
-		t.Fatalf("session ended in %v, want halted (err: %v)", st, s.Err())
-	}
-	if len(got) != 11 {
-		t.Fatalf("got %d events, want 11 (10 watch + halt): %+v", len(got), got)
-	}
-	for i := 0; i < 10; i++ {
-		if got[i].Kind != EventWatch || got[i].Value != uint64(10-i) {
-			t.Fatalf("event %d = %+v, want watch of value %d", i, got[i], 10-i)
-		}
-	}
-	if got[10].Kind != EventHalt {
-		t.Fatalf("last event = %+v, want halt", got[10])
-	}
-	if sub.Dropped() {
-		t.Error("backpressure subscription was severed")
-	}
-	if v, err := s.ReadQuad(mustSym(t, s, "v")); err != nil || v != 1 {
-		t.Errorf("v = %d (err %v), want 1", v, err)
-	}
-	if n := srv.Stats().SlowConsumers; n != 0 {
-		t.Errorf("SlowConsumers = %d, want 0 — backpressure must not count as a drop", n)
-	}
-	s.Close()
-	for range sub.Events() {
-		t.Error("subscription still delivering after session close")
-		break
-	}
-}
-
-// TestSubscribeBackpressureCloseWhileParked: Close must tear down a
-// backpressure-parked session directly — no worker owns it — and the
-// wedged subscriber's channel must still close.
-func TestSubscribeBackpressureCloseWhileParked(t *testing.T) {
-	srv := newTestServer(t, Config{Quantum: 200})
-	s, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Watch(&debug.Watchpoint{
-		Name: "v", Kind: debug.WatchScalar, Addr: mustSym(t, s, "v"), Size: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub := s.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
-	driveUntilParked(t, srv, s)
-	s.Close()
-	if st := s.Wait(); st != StateClosed {
-		t.Fatalf("state after close = %v, want closed", st)
-	}
-	// The wedged subscriber is released: its queue drains and ends.
-	drained := make(chan struct{})
-	go func() {
-		for range sub.Events() {
-		}
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription never ended after Close")
-	}
-}
-
-// TestSubscribeBackpressureCancelWhileParked: canceling the backpressure
-// subscription a session is parked on releases the session, which runs
-// on to halt, and the ended subscription still delivers the one event its
-// depth holds.
-func TestSubscribeBackpressureCancelWhileParked(t *testing.T) {
-	srv := newTestServer(t, Config{Quantum: 200})
-	s, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Watch(&debug.Watchpoint{
-		Name: "v", Kind: debug.WatchScalar, Addr: mustSym(t, s, "v"), Size: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub := s.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
-	driveUntilParked(t, srv, s)
-	sub.Cancel()
-	if st, ok := s.WaitTimeout(5 * time.Second); !ok || st != StateHalted {
-		t.Fatalf("state after cancel = %v (stopped in time: %v), want halted", st, ok)
-	}
-	var got []Event
-	for ev := range sub.Events() {
-		got = append(got, ev)
-	}
-	if len(got) != 1 || got[0].Kind != EventWatch || got[0].Value != 10 {
-		t.Errorf("canceled depth-1 subscription delivered %+v, want the first watch event", got)
-	}
-}
-
-// driveUntilParked resumes s through every pause on a goroutine of its
-// own and returns once the server has parked a session for backpressure.
-func driveUntilParked(t *testing.T, srv *Server, s *Session) {
-	t.Helper()
-	go func() {
-		if err := s.Continue(0); err != nil {
-			return
-		}
-		for s.Wait() == StateIdle {
-			if s.Continue(0) != nil {
-				return
-			}
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().BackpressureStalls == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	srv := New(cfg)

@@ -66,7 +66,7 @@ const (
 	EventTrap  EventKind = "trap"  // another user transition (e.g. raw trap)
 	EventHalt  EventKind = "halt"  // the program executed halt
 	EventStop  EventKind = "stop"  // the instruction budget was exhausted
-	EventShed  EventKind = "shed"  // parked by drain or a refused resume; Continue resumes
+	EventShed  EventKind = "shed"  // parked by a drain; Continue resumes
 	EventError EventKind = "error" // the run failed (e.g. uop safety cap)
 	EventFault EventKind = "fault" // a quantum panicked; session recovered from its checkpoint
 )
@@ -91,7 +91,9 @@ type Event struct {
 // Session is one debug session: a pooled machine, a loaded program, a
 // debugger, an event queue, and scheduling state. All methods are safe
 // for concurrent use; execution itself happens on the server's worker
-// goroutines in bounded quanta, never on the caller.
+// goroutines in bounded quanta, never on the caller. A StateRunning
+// session is always either on the run queue or on the worker running its
+// quantum, and that worker alone moves it out of StateRunning.
 type Session struct {
 	// ID is the server-unique session identifier.
 	ID uint64
@@ -120,13 +122,6 @@ type Session struct {
 	stats  pipeline.Stats
 	trans  debug.TransitionStats
 	err    error
-
-	// bpParked marks a backpressure hold: the session is StateRunning but
-	// off the run queue, waiting at a quantum boundary for its backpressure
-	// subscribers to come back within their depths. The read or Cancel
-	// that does so re-enqueues the session (or Close finalizes it
-	// directly — no worker owns a parked session).
-	bpParked bool
 
 	// Crash-safety state: the last checkpoint (machine snapshot plus
 	// debugger companion), how many quanta ran since it was taken, the
@@ -347,24 +342,13 @@ func (s *Session) Events() []Event {
 // Subscription streams a session's events as they are appended, in
 // execution order, independent of the pull-style Events queue (a
 // subscription is a tee, not a drain). Each subscription is a queue
-// bounded by its depth, kept under the session's lock; the modes differ
-// only in what a full queue does. An ordinary subscription that falls
-// its depth behind is dropped as a slow consumer, reported by Dropped
-// and the optional OnDrop callback: the push path runs on the scheduler
-// workers and must never wait for a client.
-//
-// A backpressure subscription (SubscribeOptions.Backpressure) is never
-// dropped. While it holds more than its depth, its session parks at the
-// next quantum boundary — off the run queue, still StateRunning — until
-// a read or Cancel brings the queue back within its depth. Tracing
-// clients that must not lose events trade throughput for completeness;
-// a subscriber that stops reading suspends its session until it cancels
-// or the session closes, so backpressure subscriptions must be read
-// concurrently with any Wait on the session.
+// bounded by its depth, kept under the session's lock. A subscription
+// that falls its depth behind is dropped as a slow consumer, reported by
+// Dropped and the optional OnDrop callback: the push path runs on the
+// scheduler workers and must never wait for a client.
 //
 // A subscription ends when it is canceled or dropped, or when its
-// session closes or errors; it still delivers at most its depth of the
-// events queued by then.
+// session closes or errors; it still delivers the events queued by then.
 type Subscription struct {
 	s    *Session
 	opts SubscribeOptions // Depth resolved and clamped
@@ -383,13 +367,8 @@ type SubscribeOptions struct {
 	// it is clamped to Config.EventBuffer, the pull queue's bound.
 	Depth int
 	// OnDrop, if non-nil, is invoked from a fresh goroutine if the
-	// subscriber is dropped for falling behind. Never invoked for
-	// backpressure subscriptions, which are not dropped.
+	// subscriber is dropped for falling behind.
 	OnDrop func()
-	// Backpressure selects lossless delivery: instead of dropping the
-	// subscription when it falls behind, the session pauses at its next
-	// quantum boundary until the subscriber catches up (see Subscription).
-	Backpressure bool
 }
 
 // Subscribe registers a push subscriber. Subscribing to a closed or
@@ -441,17 +420,13 @@ func (sub *Subscription) Events() iter.Seq[Event] {
 }
 
 // take pops the oldest queued event without blocking: ok reports whether
-// there was one, live whether more may follow. A pop that brings a
-// backpressure subscription back within its depth may resume its parked
-// session.
+// there was one, live whether more may follow.
 func (sub *Subscription) take() (ev Event, ok, live bool) {
-	s := sub.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	sub.s.mu.Lock()
+	defer sub.s.mu.Unlock()
 	if ok = len(sub.queue) > 0; ok {
 		ev = sub.queue[0]
 		sub.queue = sub.queue[1:]
-		s.resumeLocked()
 	}
 	return ev, ok, !sub.done
 }
@@ -464,8 +439,7 @@ func (sub *Subscription) Dropped() bool {
 	return sub.dropped
 }
 
-// Cancel ends the subscription. Canceling a backpressure subscription
-// releases a session parked on it.
+// Cancel ends the subscription.
 func (sub *Subscription) Cancel() {
 	s := sub.s
 	s.mu.Lock()
@@ -475,17 +449,12 @@ func (sub *Subscription) Cancel() {
 	}
 	sub.endLocked()
 	s.removeSubLocked(sub)
-	s.resumeLocked()
 }
 
-// endLocked ends the subscription, keeping the oldest depth of its
-// queued events (a backpressure queue may hold more), and wakes its
-// reader. Caller holds s.mu.
+// endLocked ends the subscription and wakes its reader. Caller holds
+// s.mu.
 func (sub *Subscription) endLocked() {
 	sub.done = true
-	if len(sub.queue) > sub.opts.Depth {
-		sub.queue = sub.queue[:sub.opts.Depth]
-	}
 	sub.signal()
 }
 
@@ -511,8 +480,8 @@ func (s *Session) removeSubLocked(sub *Subscription) {
 }
 
 // appendEventLocked queues ev and tees it to every subscriber, dropping
-// ordinary subscribers whose queue is full. Caller holds s.mu, so
-// subscribers observe events in execution order.
+// subscribers whose queue is full. Caller holds s.mu, so subscribers
+// observe events in execution order.
 func (s *Session) appendEventLocked(ev Event) {
 	if len(s.events) >= s.srv.cfg.EventBuffer {
 		// The pull queue is full — a push-only or non-polling client.
@@ -526,7 +495,7 @@ func (s *Session) appendEventLocked(ev Event) {
 	s.events = append(s.events, ev)
 	for i := 0; i < len(s.subs); {
 		sub := s.subs[i]
-		if len(sub.queue) >= sub.opts.Depth && !sub.opts.Backpressure {
+		if len(sub.queue) >= sub.opts.Depth {
 			sub.dropped = true
 			sub.endLocked()
 			s.removeSubLocked(sub) // swaps the tail into position i
@@ -539,36 +508,6 @@ func (s *Session) appendEventLocked(ev Event) {
 		sub.queue = append(sub.queue, ev)
 		sub.signal()
 		i++
-	}
-}
-
-// behindLocked reports whether a backpressure subscriber holds more than
-// its depth, which parks the session at its next quantum boundary.
-// Caller holds s.mu.
-func (s *Session) behindLocked() bool {
-	for _, sub := range s.subs {
-		if sub.opts.Backpressure && len(sub.queue) > sub.opts.Depth {
-			return true
-		}
-	}
-	return false
-}
-
-// resumeLocked re-enqueues a backpressure-parked session once no
-// subscriber holds it back. Caller holds s.mu.
-func (s *Session) resumeLocked() {
-	if !s.bpParked || s.behindLocked() {
-		return
-	}
-	s.bpParked = false
-	if err := s.srv.enqueue(s); err != nil {
-		// Draining or overloaded: park idle with an EventShed; Continue
-		// resumes later.
-		note := "shed"
-		if errors.Is(err, ErrDraining) {
-			note = "drain"
-		}
-		s.pauseShedLocked(note)
 	}
 }
 
@@ -605,12 +544,6 @@ func (s *Session) Close() {
 	case StateClosed:
 	case StateRunning:
 		s.closeReq = true // the worker finalizes at the quantum boundary
-		if s.bpParked {
-			// No worker owns a backpressure-parked session, so nobody else
-			// would see the close request: finalize here.
-			s.bpParked = false
-			s.finalizeLocked()
-		}
 	default:
 		s.finalizeLocked()
 	}
@@ -635,37 +568,17 @@ func (s *Session) finalizeLocked() {
 }
 
 // pauseShed parks a session that a drain took off the run queue: the
-// session pauses as if its budget ran out, with an EventShed marking why,
-// and a plain Continue resumes it later. Runs on the worker that ran the
-// session's last quantum, which owns its machine.
+// session pauses as if its budget ran out, with an EventShed and a trace
+// park noted "drain" marking why, and a plain Continue resumes it later.
+// Runs on the worker that ran the session's last quantum, which owns its
+// machine.
 func (s *Session) pauseShed() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pauseShedLocked("drain")
-}
-
-// shedParked sheds a backpressure-parked session for a drain, as
-// resumeLocked sheds one whose resume a drain refuses: the session goes
-// idle with an EventShed and a park noted "drain", so Drain neither waits
-// on it (no worker will park it) nor leaves it without a checkpoint.
-func (s *Session) shedParked() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.bpParked {
-		s.bpParked = false
-		s.pauseShedLocked("drain")
-	}
-}
-
-// pauseShedLocked is pauseShed with s.mu held; note is the trace park's
-// reason. It also pauses a backpressure-parked session that a drain sheds
-// or that could not be re-enqueued, noted "drain" or "shed" by the error;
-// no worker owns that one's machine.
-func (s *Session) pauseShedLocked(note string) {
 	if s.state == StateRunning {
 		s.state = StateIdle
 		s.appendEventLocked(Event{Kind: EventShed, PC: s.m.Core.PC()})
-		s.trace.Append(obs.TraceEvent{Kind: TracePark, PC: s.m.Core.PC(), Note: note})
+		s.trace.Append(obs.TraceEvent{Kind: TracePark, PC: s.m.Core.PC(), Note: "drain"})
 	}
 	if s.closeReq {
 		s.finalizeLocked()
@@ -913,15 +826,6 @@ func (s *Session) runQuantum(quantum uint64) bool {
 	default:
 		if s.closeReq {
 			s.finalizeLocked()
-			return false
-		}
-		if s.behindLocked() {
-			// Backpressure: a lossless subscriber is still behind. Hold the
-			// session at this quantum boundary — off the queue, still
-			// StateRunning — until a read or Cancel re-enqueues it.
-			s.bpParked = true
-			s.srv.noteBackpressureStall()
-			s.trace.Append(obs.TraceEvent{Kind: TracePark, PC: m.Core.PC(), Note: "backpressure"})
 			return false
 		}
 		return true // quantum expired mid-run: requeue behind the others

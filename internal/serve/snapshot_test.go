@@ -502,39 +502,12 @@ func TestDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A session a backpressure subscriber holds parked, released while
-	// the drain runs: the drain sheds it, or refuses its resume.
-	held, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := held.Watch(&debug.Watchpoint{
-		Name: "v", Kind: debug.WatchScalar, Addr: mustSym(t, held, "v"), Size: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub := held.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
-	driveUntilParked(t, srv, held)
 	if err := runner.Continue(0); err != nil { // never halts on its own
 		t.Fatal(err)
 	}
 
-	drained := make(chan bool)
-	go func() { drained <- srv.Drain(5 * time.Second) }()
-	for draining := false; !draining; time.Sleep(time.Millisecond) {
-		srv.mu.Lock()
-		draining = srv.draining
-		srv.mu.Unlock()
-	}
-	sub.Cancel()
-	if !<-drained {
+	if !srv.Drain(5 * time.Second) {
 		t.Fatal("drain did not quiesce")
-	}
-	if st := held.State(); st != StateIdle {
-		t.Errorf("backpressure-parked session state after release = %v, want idle", st)
-	}
-	if !slices.ContainsFunc(held.Trace(), func(ev obs.TraceEvent) bool { return ev.Kind == TracePark && ev.Note == "drain" }) {
-		t.Errorf("released session's trace has no park noted drain: %+v", held.Trace())
 	}
 	if st := runner.State(); st != StateIdle {
 		t.Errorf("running session state after drain = %v, want idle (parked)", st)
@@ -566,16 +539,38 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestDrainShedsHeldSession holds a backpressure subscriber through a
-// whole drain. The session it parked has no worker to park it, so Drain
-// must shed it at once, as it sheds a refused resume, rather than wait out
-// its timeout on it, and must checkpoint it: with periodic checkpoints
-// off, Drain's is the only one Rewind can restore.
+// storeSpinProg stores to v once and then spins forever: a watchpoint on
+// v pauses it once, and the next Continue runs until something stops it.
+const storeSpinProg = `
+.data
+.align 8
+v: .quad 0
+.text
+.entry main
+main:
+    la  r1, v
+    li  r2, 7
+.stmt
+    stq r2, 0(r1)
+    li  r3, 1
+spin:
+    addq r4, #1, r4
+    bne r3, spin
+    halt
+`
+
+// TestDrainShedsHeldSession: a subscriber that stopped reading holds
+// neither its running session nor a drain. The session's depth-1
+// subscriber sits on an unread watch event while the session spins on;
+// Drain sheds the session at its next quantum boundary, well inside the
+// timeout, and the shed event, finding the subscriber's queue full,
+// drops it as a slow consumer. The session is left idle, checkpointed
+// (periodic checkpoints are off) and rewindable.
 func TestDrainShedsHeldSession(t *testing.T) {
 	srv := New(Config{Quantum: 1000})
 	defer srv.Close()
 
-	held, err := srv.CreateSource(bpProg, debug.DefaultOptions(debug.BackendDise))
+	held, err := srv.CreateSource(storeSpinProg, debug.DefaultOptions(debug.BackendDise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,16 +579,31 @@ func TestDrainShedsHeldSession(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sub := held.Subscribe(SubscribeOptions{Depth: 1, Backpressure: true})
+	sub := held.Subscribe(SubscribeOptions{Depth: 1})
 	defer sub.Cancel()
-	driveUntilParked(t, srv, held)
+	if err := held.Continue(0); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := held.WaitTimeout(5 * time.Second); !ok || st != StateIdle {
+		t.Fatalf("session %v after its watched store, want idle", st)
+	}
+	// The subscriber never reads that event; the session spins on.
+	if err := held.Continue(0); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := held.WaitTimeout(50 * time.Millisecond); ok {
+		t.Fatalf("session %v after the spin's continue, want running", st)
+	}
+	if sub.Dropped() {
+		t.Fatal("subscriber dropped before the drain")
+	}
 
 	start := time.Now()
 	if !srv.Drain(5 * time.Second) {
 		t.Fatal("drain did not quiesce")
 	}
 	if took := time.Since(start); took > time.Second {
-		t.Errorf("Drain took %v with a backpressure-parked session held, want well under 1s", took)
+		t.Errorf("Drain took %v with a stalled subscriber held, want well under 1s", took)
 	}
 	if st := held.State(); st != StateIdle {
 		t.Errorf("held session state after drain = %v, want idle", st)
@@ -603,6 +613,12 @@ func TestDrainShedsHeldSession(t *testing.T) {
 	}
 	if !slices.ContainsFunc(held.Events(), func(ev Event) bool { return ev.Kind == EventShed }) {
 		t.Error("held session has no shed event")
+	}
+	if !sub.Dropped() {
+		t.Error("stalled subscriber not dropped by the shed event")
+	}
+	if n := srv.Stats().SlowConsumers; n != 1 {
+		t.Errorf("SlowConsumers = %d, want 1", n)
 	}
 	if err := held.Rewind(); err != nil {
 		t.Errorf("held session rewind: %v", err)

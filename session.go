@@ -82,15 +82,25 @@ func (s *Session) BreakIf(pc uint64, cond *BreakCond) error {
 	return s.D.Break(&Breakpoint{PC: pc, Cond: cond})
 }
 
+// Install installs the debugger, which Run does on its first call. A
+// refused Install may leave the machine part-instrumented: discard the
+// session then.
+func (s *Session) Install() error {
+	if err := s.D.Install(); err != nil {
+		return err
+	}
+	s.installed = true
+	return nil
+}
+
 // Run installs the debugger (first call) and runs until halt, a stop at a
 // user transition (when StopOnUser is set), or the instruction budget
 // (0 = unlimited).
 func (s *Session) Run(maxInsts uint64) (Stats, error) {
 	if !s.installed {
-		if err := s.D.Install(); err != nil {
+		if err := s.Install(); err != nil {
 			return Stats{}, err
 		}
-		s.installed = true
 	}
 	return s.M.Run(maxInsts)
 }
